@@ -1,0 +1,9 @@
+"""Self-tests run with ``pytest e2ebench``; the system under test is
+imported from ``src/`` next to this directory."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
