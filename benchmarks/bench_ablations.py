@@ -4,7 +4,9 @@
    are expensive and violate update visibility): measure initiator write
    cost when delegates exist, per-name vs snapshot-everything.
 2. Subquery flattening on vs off for COW-view queries (footnote 5): the
-   planner-path cost difference the ORDER BY workaround preserves.
+   planner-path cost difference the ORDER BY workaround preserves. For a
+   point query the flattened plan probes each arm's primary-key index,
+   while the materialised one still evaluates the whole view.
 3. Coarse-grained view redirection vs naive taint propagation: count how
    many apps a taint would reach through the public SD card without Maxoid
    (the "uncontrolled taint propagation" problem of section 2.3).
@@ -17,7 +19,11 @@ import pytest
 from repro import AndroidManifest, Device
 from repro.core.cow import CowProxy
 from repro.minisql import Database
-from repro.minisql.planner import FLATTEN_ALWAYS, FLATTEN_NEVER_WITH_ORDER_BY
+from repro.minisql.planner import (
+    FLATTEN_ALWAYS,
+    FLATTEN_NEVER_WITH_ORDER_BY,
+    FLATTEN_ORDER_BY_SUBSET,
+)
 from repro.workloads.generators import deterministic_bytes
 
 
@@ -118,6 +124,28 @@ def bench_cow_query_materialized(benchmark):
     db = _cow_database(FLATTEN_NEVER_WITH_ORDER_BY)
     result = benchmark(db.execute, "SELECT v FROM t_view ORDER BY _id LIMIT 10")
     assert len(result.rows) == 10
+    assert db.stats.materialized_views > 0
+
+
+@pytest.mark.benchmark(group="ablation2-point-query")
+def bench_cow_point_query_widened(benchmark):
+    """3.8.6 with the proxy's widening (ORDER BY column queried): the
+    query flattens and each arm is one index probe."""
+    db = _cow_database(FLATTEN_ORDER_BY_SUBSET)
+    sql = "SELECT v, _id FROM t_view WHERE _id = ? ORDER BY _id"
+    result = benchmark(db.execute, sql, [250])
+    assert result.rows == [("row249", 250)]
+    assert db.stats.materialized_views == 0 and db.stats.index_lookups > 0
+
+
+@pytest.mark.benchmark(group="ablation2-point-query")
+def bench_cow_point_query_unwidened(benchmark):
+    """3.8.6 without the widening: the ORDER BY column is not queried, so
+    the view materialises whole and no probe reaches it (footnote 5)."""
+    db = _cow_database(FLATTEN_ORDER_BY_SUBSET)
+    sql = "SELECT v FROM t_view WHERE _id = ? ORDER BY _id"
+    result = benchmark(db.execute, sql, [250])
+    assert result.rows == [("row249",)]
     assert db.stats.materialized_views > 0
 
 

@@ -476,7 +476,8 @@ class CowProxy:
         values: Dict[str, object],
     ) -> int:
         """Insert a row; delegates' inserts land in the delta table and
-        return the volatile primary key."""
+        return the primary key the row got (the caller's, if it gave one;
+        else the allocated volatile key)."""
         if self.obs.enabled:
             with self.obs.tracer.span("cow.insert", table=name, initiator=initiator):
                 self.obs.metrics.count("cow.insert")
@@ -495,7 +496,11 @@ class CowProxy:
             self.stats.volatile_inserts += 1
             delta = self.delta_name(name, initiator)
             pk = self._tables[name.lower()].pk
-            row_id = int(self.db.execute(f"SELECT MAX({pk}) FROM {delta}").scalar() or 0)
+            row_id = next((v for c, v in values.items() if c.lower() == pk), None)
+            if row_id is None:
+                # Auto-allocated: the delta's keys only grow from N, so the
+                # new row holds the largest.
+                row_id = int(self.db.execute(f"SELECT MAX({pk}) FROM {delta}").scalar() or 0)
             if self.obs.prov:
                 self.obs.provenance.row_write(
                     delta, row_id, op="cow.insert", initiator=initiator

@@ -13,8 +13,9 @@ the driver behaves like stock Android (everything goes through).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.errors import DelegateTimeout, IpcDenied, NoSuchProcess, ProviderNotFound
 from repro.faults import FAULTS as _FAULTS
@@ -67,6 +68,11 @@ class BinderDriver:
     delegate_deadline_ms: float = 400.0
     delegate_retries: int = 2
     retry_backoff_ms: float = 16.0
+    #: How many recent transactions (and denials) the driver remembers.
+    #: Older ones are dropped, so a long-lived device's memory does not
+    #: grow with every provider call; the flight recorder is the
+    #: postmortem record.
+    log_size: int = 1024
 
     def __init__(self, obs: Optional[Any] = None) -> None:
         # The owning device's observability context (fleet devices pass
@@ -76,8 +82,8 @@ class BinderDriver:
         self._policy: Optional[BinderPolicy] = None
         self._processes: Optional[ProcessTable] = None
         self._audit_log = None
-        self.transaction_log: List[Transaction] = []
-        self.denied_log: List[Transaction] = []
+        self.transaction_log: Deque[Transaction] = deque(maxlen=self.log_size)
+        self.denied_log: Deque[Transaction] = deque(maxlen=self.log_size)
 
     def attach_process_table(self, processes: ProcessTable) -> None:
         """Let the driver check recipient liveness (done by the Device).

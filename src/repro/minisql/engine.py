@@ -10,11 +10,10 @@ Maxoid COW proxy is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     SqlError,
-    SqlIntegrityError,
     SqlNameError,
     SqlReadOnlyError,
 )
@@ -164,20 +163,28 @@ class Database:
     def explain(self, sql: str) -> List[str]:
         """Describe how a SELECT would execute (a minimal EXPLAIN).
 
-        One line per FROM source: ``SCAN table``, ``VIEW name (FLATTEN)``
-        for a UNION ALL view the planner would push the query into, or
-        ``VIEW name (MATERIALIZE)`` when footnote-5 rules force the view
-        into a temp result first. Subqueries are annotated recursively.
+        One line per FROM source: ``SCAN table (N rows)``, ``SEARCH table
+        USING PRIMARY KEY (pk=?)`` for a table source narrowed by a
+        sargable key term, ``VIEW name (FLATTEN)`` for a UNION ALL view
+        the planner would push the query into (its arms then show whether
+        the outer key term reaches them), or ``VIEW name (MATERIALIZE)``
+        when footnote-5 rules force the view into a temp result first.
+        Subqueries are annotated recursively.
         """
         statement = parse(sql)
         if not isinstance(statement, ast.Select):
             return [f"{type(statement).__name__.upper()}"]
         return self._explain_select(statement)
 
-    def _explain_select(self, select: ast.Select, depth: int = 0) -> List[str]:
+    def _explain_select(
+        self,
+        select: ast.Select,
+        depth: int = 0,
+        probes: Optional[List[Optional[List[ast.Expr]]]] = None,
+    ) -> List[str]:
         pad = "  " * depth
         lines: List[str] = []
-        for core in select.cores:
+        for index, core in enumerate(select.cores):
             refs = []
             if core.source is not None:
                 refs.append(core.source)
@@ -191,22 +198,30 @@ class Database:
                     continue
                 name = (ref.name or "").lower()
                 if name in self.tables:
-                    lines.append(f"{pad}SCAN {name} ({len(self.tables[name])} rows)")
+                    table = self.tables[name]
+                    probe = None
+                    if ref is core.source:
+                        probe = probes[index] if probes else None
+                        if probe is None:
+                            probe = self._source_probe(core)
+                    if probe is not None:
+                        lines.append(
+                            f"{pad}SEARCH {name} USING PRIMARY KEY ({table.pk_column}=?)"
+                        )
+                    else:
+                        lines.append(f"{pad}SCAN {name} ({len(table)} rows)")
                 elif name in self.views:
                     view = self.views[name]
+                    pushed = None
                     if view.select.is_compound:
-                        queried = self._queried_column_set(core)
-                        flattens = planner.should_flatten(
-                            view.select,
-                            select.order_by if len(select.cores) == 1 else [],
-                            queried,
-                            self.sqlite_emulation,
-                        )
+                        flattens = ref is core.source and self._flattened_view(core, select)
+                        if flattens:
+                            pushed = self._arm_probes(view, core.where, ref.effective_name)
                         mode = "FLATTEN" if flattens else "MATERIALIZE"
                         lines.append(f"{pad}VIEW {name} ({mode})")
                     else:
                         lines.append(f"{pad}VIEW {name} (EXPAND)")
-                    lines.extend(self._explain_select(view.select, depth + 1))
+                    lines.extend(self._explain_select(view.select, depth + 1, pushed))
                 else:
                     lines.append(f"{pad}UNKNOWN {ref.name}")
         if select.order_by:
@@ -269,6 +284,7 @@ class Database:
             subquery_runner=lambda select, scope: self._execute_select(
                 select, list(params), outer_scope=scope
             ).rows,
+            index_keys=self._index_keys,
         )
 
     # ------------------------------------------------------------------
@@ -396,8 +412,15 @@ class Database:
         ref: ast.TableRef,
         params: List[object],
         outer_scope: Optional[Scope],
+        keys: Optional[List[object]] = None,
     ) -> Tuple[List[str], List[Dict[str, object]]]:
-        """Produce (column names, row dicts) for a FROM source."""
+        """Produce (column names, row dicts) for a FROM source.
+
+        Base-table rows are handed out by reference (scopes copy what they
+        bind); ``keys`` narrows a base table to the rows whose primary key
+        is among them. A view is always evaluated whole here: this is the
+        materialise path, which gets no probe (footnote 5).
+        """
         if ref.subquery is not None:
             result = self._execute_select(ref.subquery, params, outer_scope=outer_scope)
             rows = [dict(zip([c.lower() for c in result.columns], row)) for row in result.rows]
@@ -406,11 +429,13 @@ class Database:
         key = ref.name.lower()
         if key in self.tables:
             table = self.tables[key]
-            self.stats.rows_scanned += len(table.rows)
-            return (
-                [c.name for c in table.columns],
-                [dict(row) for row in table.rows.values()],
-            )
+            if keys is None:
+                rows = list(table.rows.values())
+            else:
+                self.stats.index_lookups += 1
+                rows = [table.rows[rowid] for rowid in table.probe(keys)]
+            self.stats.rows_scanned += len(rows)
+            return [c.name for c in table.columns], rows
         if key in self.views:
             view = self.views[key]
             result = self._execute_select(view.select, params, outer_scope=outer_scope)
@@ -444,13 +469,17 @@ class Database:
         select: ast.Select,
         params: List[object],
         outer_scope: Optional[Scope] = None,
+        probes: Optional[List[Optional[List[ast.Expr]]]] = None,
     ) -> ResultSet:
+        """Run a SELECT; ``probes`` (one per core) are key terms pushed
+        down from an enclosing statement (see :meth:`_arm_probes`)."""
         evaluator = self._evaluator(params)
         projected: List[_ProjectedRow] = []
         columns: List[str] = []
         for index, core in enumerate(select.cores):
             core_columns, core_rows = self._execute_core(
-                core, select, params, evaluator, outer_scope
+                core, select, params, evaluator, outer_scope,
+                probes[index] if probes else None,
             )
             if index == 0:
                 columns = core_columns
@@ -496,6 +525,7 @@ class Database:
         params: List[object],
         evaluator: Evaluator,
         outer_scope: Optional[Scope],
+        probe: Optional[List[ast.Expr]] = None,
     ) -> Tuple[List[str], List[_ProjectedRow]]:
         # --- planner hook: flattened execution over a UNION ALL view -----
         flattened = self._try_flattened_view(core, enclosing, params, evaluator, outer_scope)
@@ -508,7 +538,11 @@ class Database:
             scopes = [Scope({}, outer_scope)]
         else:
             name = core.source.effective_name
-            cols, rows = self._source_rows(core.source, params, outer_scope)
+            if probe is None:
+                probe = self._source_probe(core)
+            cols, rows = self._source_rows(
+                core.source, params, outer_scope, self._probe_keys(probe, params)
+            )
             source_columns.append((name, cols))
             scopes = [self._scope_for(name, cols, row, outer_scope) for row in rows]
             for join in core.joins:
@@ -569,32 +603,22 @@ class Database:
         outer_scope: Optional[Scope],
     ) -> Optional[Tuple[List[str], List[_ProjectedRow]]]:
         """Execute ``SELECT ... FROM union_all_view WHERE ...`` by pushing
-        the work into the view's arms when the planner allows it."""
-        if core.source is None or core.source.name is None or core.joins:
-            return None
-        if core.group_by or core.having or core.distinct:
-            return None
-        if any(contains_aggregate(item.expr) for item in core.items):
-            return None
-        view = self.views.get(core.source.name.lower())
-        if view is None or not view.select.is_compound:
-            return None
-        queried = self._queried_column_set(core)
-        if not planner.should_flatten(
-            view.select,
-            enclosing.order_by if len(enclosing.cores) == 1 else [],
-            queried,
-            self.sqlite_emulation,
-        ):
+        the work into the view's arms when the planner allows it. The outer
+        WHERE's sargable key term also reaches each arm as an index probe;
+        the whole WHERE is still evaluated on every arm row."""
+        view = self._flattened_view(core, enclosing)
+        if view is None:
             return None
         self.stats.flattened_queries += 1
+        assert core.source is not None
         effective = core.source.effective_name
         view_columns_lower = [c.lower() for c in view.columns]
         out_rows: List[_ProjectedRow] = []
         source_columns = [(effective, list(view.columns))]
-        for arm in view.select.cores:
+        probes = self._arm_probes(view, core.where, effective)
+        for arm, probe in zip(view.select.cores, probes):
             arm_columns, arm_rows = self._execute_core(
-                arm, view.select, params, evaluator, outer_scope
+                arm, view.select, params, evaluator, outer_scope, probe
             )
             for arm_row in arm_rows:
                 row_dict = dict(zip(view_columns_lower, arm_row.values))
@@ -604,6 +628,139 @@ class Database:
                 values = self._project(core, scope, source_columns, evaluator)
                 out_rows.append(_ProjectedRow(tuple(values), scope))
         return self._core_output_columns(core, source_columns), out_rows
+
+    def _flattened_view(
+        self, core: ast.SelectCore, enclosing: ast.Select
+    ) -> Optional[_View]:
+        """The UNION ALL view ``core`` reads, if the planner flattens it."""
+        if core.source is None or core.source.name is None or core.joins:
+            return None
+        if core.group_by or core.having or core.distinct:
+            return None
+        if any(contains_aggregate(item.expr) for item in core.items):
+            return None
+        view = self.views.get(core.source.name.lower())
+        if view is None or not view.select.is_compound:
+            return None
+        if not planner.should_flatten(
+            view.select,
+            enclosing.order_by if len(enclosing.cores) == 1 else [],
+            self._queried_column_set(core),
+            self.sqlite_emulation,
+        ):
+            return None
+        return view
+
+    # -- primary-key probes ---------------------------------------------------
+
+    def _source_probe(self, core: ast.SelectCore) -> Optional[List[ast.Expr]]:
+        """Sargable key terms of ``core.where`` on its lone base-table source."""
+        ref = core.source
+        if ref is None or ref.name is None or core.joins:
+            return None
+        table = self.tables.get(ref.name.lower())
+        if table is None:
+            return None
+        return planner.pk_probe(core.where, table.pk_column, {ref.effective_name.lower()})
+
+    def _arm_probes(
+        self, view: _View, where: Optional[ast.Expr], qualifier: str
+    ) -> List[Optional[List[ast.Expr]]]:
+        """Push ``where``'s sargable terms on ``view``'s columns into its
+        arms, one probe (or None) per arm.
+
+        A view column maps to an arm by position, and reaches the arm only
+        where that arm's item is a bare column naming its base table's
+        primary key, so the arm's rows match the term exactly when their
+        key does.
+        """
+        columns = [c.lower() for c in view.columns]
+        probes: List[Optional[List[ast.Expr]]] = []
+        for arm in view.select.cores:
+            probes.append(self._arm_probe(arm, columns, where, qualifier.lower()))
+        return probes
+
+    def _arm_probe(
+        self,
+        arm: ast.SelectCore,
+        columns: List[str],
+        where: Optional[ast.Expr],
+        qualifier: str,
+    ) -> Optional[List[ast.Expr]]:
+        ref = arm.source
+        if ref is None or ref.name is None or arm.joins or len(arm.items) != len(columns):
+            return None
+        table = self.tables.get(ref.name.lower())
+        if table is None or any(isinstance(item.expr, ast.Star) for item in arm.items):
+            return None
+        arm_names = {ref.effective_name.lower()}
+        for item, column in zip(arm.items, columns):
+            if columns.count(column) == 1 and planner.names_column(
+                item.expr, table.pk_column, arm_names
+            ):
+                probe = planner.pk_probe(where, column, {qualifier})
+                if probe is not None:
+                    return probe
+        return None
+
+    @staticmethod
+    def _probe_keys(
+        probe: Optional[List[ast.Expr]], params: Sequence[object]
+    ) -> Optional[List[object]]:
+        """The key values a probe looks up, or None to scan instead.
+
+        SQL ``=`` is dict-key equality only for int, float and text, so
+        any other value (bool included) falls back to the scan. NULL
+        equals nothing and adds no key.
+        """
+        if probe is None:
+            return None
+        keys: List[object] = []
+        for expr in probe:
+            if isinstance(expr, ast.Param):
+                if expr.index >= len(params):
+                    return None
+                value = params[expr.index]
+            else:
+                assert isinstance(expr, ast.Literal)
+                value = expr.value
+            if value is None:
+                continue
+            if type(value) not in (int, float, str):
+                return None
+            keys.append(value)
+        return keys
+
+    def _target_rows(
+        self, table: Table, where: Optional[ast.Expr], params: Sequence[object]
+    ) -> List[Tuple[int, Dict[str, object]]]:
+        """(rowid, row) pairs an UPDATE/DELETE on ``table`` must test."""
+        keys = self._probe_keys(
+            planner.pk_probe(where, table.pk_column, {table.name}), params
+        )
+        if keys is None:
+            return list(table.rows.items())
+        self.stats.index_lookups += 1
+        return [(rowid, table.rows[rowid]) for rowid in table.probe(keys)]
+
+    def _index_keys(self, select: ast.Select) -> Optional[Iterable[object]]:
+        """The key set of a bare ``SELECT pk FROM table`` (no WHERE, join,
+        ORDER BY or LIMIT), which an ``IN`` test reads from the index."""
+        # A single plain core with no ORDER BY/LIMIT is what flattening needs.
+        if select.is_compound or not planner.view_is_flattenable(select):
+            return None
+        core = select.cores[0]
+        ref = core.source
+        if core.where is not None or len(core.items) != 1:
+            return None
+        assert ref is not None and ref.name is not None
+        table = self.tables.get(ref.name.lower())
+        if table is None or not planner.names_column(
+            core.items[0].expr, table.pk_column, {ref.effective_name.lower()}
+        ):
+            return None
+        self.stats.index_lookups += 1
+        return table.pk_index
 
     def _core_output_columns(
         self, core: ast.SelectCore, source_columns: List[Tuple[str, List[str]]]
@@ -825,7 +982,7 @@ class Database:
         table = self.table(statement.table)
         evaluator = self._evaluator(params)
         updated = 0
-        for rowid, row in list(table.rows.items()):
+        for rowid, row in self._target_rows(table, statement.where, params):
             row_scope = self._scope_for(table.name, [c.name for c in table.columns], row, scope)
             if not evaluator.truth(statement.where, row_scope):
                 continue
@@ -836,14 +993,7 @@ class Database:
             unknown = set(new_values) - set(table.column_names)
             if unknown:
                 raise SqlNameError(f"no such columns in UPDATE: {sorted(unknown)}")
-            if table.pk_column in new_values:
-                new_pk = new_values[table.pk_column]
-                clash = table.find_by_pk(new_pk)
-                if clash is not None and clash != rowid:
-                    raise SqlIntegrityError(
-                        f"UNIQUE constraint failed: {table.display_name}.{table.pk_column}"
-                    )
-            row.update(new_values)
+            table.update_row(rowid, new_values)
             updated += 1
         return ResultSet(rowcount=updated)
 
@@ -856,7 +1006,7 @@ class Database:
         table = self.table(statement.table)
         evaluator = self._evaluator(params)
         doomed: List[int] = []
-        for rowid, row in table.rows.items():
+        for rowid, row in self._target_rows(table, statement.where, params):
             row_scope = self._scope_for(table.name, [c.name for c in table.columns], row, scope)
             if evaluator.truth(statement.where, row_scope):
                 doomed.append(rowid)
@@ -914,9 +1064,18 @@ class Database:
         return ResultSet(rowcount=len(value_rows))
 
     def _view_rows_with_scopes(
-        self, view: _View, params: List[object], scope: Optional[Scope]
+        self,
+        view: _View,
+        params: List[object],
+        scope: Optional[Scope],
+        where: Optional[ast.Expr],
     ) -> List[Dict[str, object]]:
-        result = self._execute_select(view.select, params, outer_scope=scope)
+        """The view rows an UPDATE/DELETE tests against ``where``; its key
+        term is pushed into the arms of a flattenable view."""
+        probes = None
+        if planner.view_is_flattenable(view.select):
+            probes = self._arm_probes(view, where, view.name)
+        result = self._execute_select(view.select, params, outer_scope=scope, probes=probes)
         lowered = [c.lower() for c in view.columns]
         return [dict(zip(lowered, row)) for row in result.rows]
 
@@ -926,7 +1085,7 @@ class Database:
         view = self.views[statement.table.lower()]
         trigger = self._view_trigger(statement.table.lower(), "UPDATE")
         evaluator = self._evaluator(params)
-        rows = self._view_rows_with_scopes(view, params, scope)
+        rows = self._view_rows_with_scopes(view, params, scope, statement.where)
         updated = 0
         for row in rows:
             row_scope = self._scope_for(view.name, view.columns, row, scope)
@@ -945,7 +1104,7 @@ class Database:
         view = self.views[statement.table.lower()]
         trigger = self._view_trigger(statement.table.lower(), "DELETE")
         evaluator = self._evaluator(params)
-        rows = self._view_rows_with_scopes(view, params, scope)
+        rows = self._view_rows_with_scopes(view, params, scope, statement.where)
         deleted = 0
         for row in rows:
             row_scope = self._scope_for(view.name, view.columns, row, scope)

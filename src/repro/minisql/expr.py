@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import fnmatch
 import re
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlError, SqlNameError
 from repro.minisql import ast_nodes as ast
@@ -286,22 +286,26 @@ class Evaluator:
     ``subquery_runner`` is provided by the engine: it executes a
     :class:`~repro.minisql.ast_nodes.Select` with the current scope as the
     outer scope and returns the result rows (list of tuples).
+    ``index_keys`` is too: it returns the primary-key index of a table when
+    a subquery is a bare ``SELECT pk FROM table``, else None.
     """
 
     def __init__(
         self,
         params: Sequence[object],
         subquery_runner: Optional[Callable[[ast.Select, Scope], List[tuple]]] = None,
+        index_keys: Optional[Callable[[ast.Select], Optional[Iterable[object]]]] = None,
     ) -> None:
         self.params = params
         self.subquery_runner = subquery_runner
+        self.index_keys = index_keys
         # Results of uncorrelated subqueries, valid for this statement
         # execution (SQLite likewise evaluates them once). Keyed by the AST
         # node identity.
         self._subquery_cache: Dict[int, List[tuple]] = {}
-        # id(result rows) -> frozenset of first-column values (or None when
-        # unhashable), the IN-subquery hash-probe fast path.
-        self._membership_sets: Dict[int, Optional[frozenset]] = {}
+        # id(subquery) -> frozenset of its first-column values, the
+        # IN-subquery hash-probe fast path.
+        self._membership_sets: Dict[int, frozenset] = {}
 
     def _run_subquery(self, select: ast.Select, scope: Scope) -> List[tuple]:
         if self.subquery_runner is None:
@@ -315,6 +319,37 @@ class Evaluator:
         if not tracker.touched:
             self._subquery_cache[key] = rows
         return rows
+
+    def _membership(
+        self, select: ast.Select, scope: Scope
+    ) -> Tuple[Optional[frozenset], List[tuple]]:
+        """A hash set answering ``IN (select)`` for the whole statement, or
+        ``(None, rows)`` when the subquery's rows must be scanned.
+
+        A bare ``SELECT pk FROM table`` is answered from the table's index
+        keys, snapshotted once per statement, without scanning the table.
+        Otherwise only a cached (uncorrelated) result gets a set: its row
+        list is stable for the whole statement. Ints and text hash
+        compatibly with SQL equality; unhashable values fall back to the
+        scan.
+        """
+        membership = self._membership_sets.get(id(select))
+        if membership is not None:
+            return membership, []
+        keys = self.index_keys(select) if self.index_keys is not None else None
+        if keys is not None:
+            membership = frozenset(keys)
+            self._membership_sets[id(select)] = membership
+            return membership, []
+        rows = self._run_subquery(select, scope)
+        if self._subquery_cache.get(id(select)) is not rows:
+            return None, rows
+        try:
+            membership = frozenset(row[0] for row in rows if row)
+        except TypeError:
+            return None, rows
+        self._membership_sets[id(select)] = membership
+        return membership, rows
 
     def evaluate(self, expr: ast.Expr, scope: Scope) -> object:
         if isinstance(expr, ast.Literal):
@@ -383,20 +418,7 @@ class Evaluator:
             value = self.evaluate(expr.operand, scope)
             if value is None:
                 return None
-            rows = self._run_subquery(expr.select, scope)
-            membership = None
-            if self._subquery_cache.get(id(expr.select)) is rows:
-                # Hash-probe fast path, only for cached (uncorrelated)
-                # subqueries — their row list identity is stable for the
-                # whole statement. Ints/strings hash compatibly with SQL
-                # equality; unhashable values fall back to the scan.
-                membership = self._membership_sets.get(id(expr.select))
-                if membership is None and id(expr.select) not in self._membership_sets:
-                    try:
-                        membership = frozenset(row[0] for row in rows if row)
-                    except TypeError:
-                        membership = None
-                    self._membership_sets[id(expr.select)] = membership
+            membership, rows = self._membership(expr.select, scope)
             if membership is not None:
                 found = value in membership
             else:

@@ -16,6 +16,12 @@ BY columns to the queried columns.
 This module reproduces those rules so the ablation benchmark can measure
 the flattened-vs-materialised difference, and so the proxy's workaround is
 actually load-bearing in this reproduction, as it was in the paper.
+
+It also finds *sargable* primary-key predicates (:func:`pk_probe`): a
+top-level ``AND`` term ``pk = <param|literal>`` or ``pk IN (<params|
+literals>)`` lets a row source probe the table's primary-key index instead
+of scanning it. As in SQLite, ``+pk = ?`` is not sargable, which is the
+way to force a scan.
 """
 
 from __future__ import annotations
@@ -28,18 +34,26 @@ from repro.minisql import ast_nodes as ast
 
 @dataclass
 class PlannerStats:
-    """Counters the benchmarks read."""
+    """Counters the benchmarks read.
+
+    ``rows_scanned`` counts base-table rows a FROM source actually visited
+    (every row for a scan, the matches for an index probe);
+    ``index_lookups`` counts sources and ``IN (SELECT pk ...)`` subqueries
+    answered from a primary-key index.
+    """
 
     flattened_queries: int = 0
     materialized_views: int = 0
     materialized_rows: int = 0
     rows_scanned: int = 0
+    index_lookups: int = 0
 
     def reset(self) -> None:
         self.flattened_queries = 0
         self.materialized_views = 0
         self.materialized_rows = 0
         self.rows_scanned = 0
+        self.index_lookups = 0
 
 
 # SQLite-version emulation levels for the flattening rule.
@@ -120,3 +134,58 @@ def should_flatten(
     if sqlite_emulation == FLATTEN_ORDER_BY_SUBSET:
         return order_by_is_subset(outer_order_by, queried_columns)
     return True  # FLATTEN_ALWAYS
+
+
+def _conjuncts(where: Optional[ast.Expr]) -> List[ast.Expr]:
+    """The top-level ``AND`` terms of a WHERE clause."""
+    terms: List[ast.Expr] = []
+    stack = [where] if where is not None else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Binary) and node.op == "AND":
+            stack.extend((node.right, node.left))
+        else:
+            terms.append(node)
+    return terms
+
+
+def names_column(expr: ast.Expr, column: Optional[str], qualifiers: Set[str]) -> bool:
+    """True if ``expr`` is a bare reference to ``column``, unqualified or
+    qualified by one of ``qualifiers`` (all lowercased)."""
+    return (
+        column is not None
+        and isinstance(expr, ast.Column)
+        and expr.name.lower() == column
+        and (expr.table is None or expr.table.lower() in qualifiers)
+    )
+
+
+def _is_constant(expr: ast.Expr) -> bool:
+    return isinstance(expr, (ast.Param, ast.Literal))
+
+
+def pk_probe(
+    where: Optional[ast.Expr], column: Optional[str], qualifiers: Set[str]
+) -> Optional[List[ast.Expr]]:
+    """The value expressions of the first sargable term of ``where`` on
+    ``column``, or None when there is none.
+
+    ``column`` is the lowercased key column; ``qualifiers`` the lowercased
+    names a qualified reference to it may use. A probe only narrows the
+    candidate rows: the caller still evaluates the whole WHERE on each.
+    """
+    if column is None:
+        return None
+    for term in _conjuncts(where):
+        if isinstance(term, ast.Binary) and term.op == "=":
+            for key, value in ((term.left, term.right), (term.right, term.left)):
+                if names_column(key, column, qualifiers) and _is_constant(value):
+                    return [value]
+        if (
+            isinstance(term, ast.InList)
+            and not term.negated
+            and names_column(term.operand, column, qualifiers)
+            and all(_is_constant(item) for item in term.items)
+        ):
+            return list(term.items)
+    return None

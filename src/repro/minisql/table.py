@@ -6,11 +6,15 @@ from ``max(existing) + 1``. The COW proxy relies on being able to start a
 delta table's key space at a large offset ``N`` to avoid collisions with
 the primary table (paper section 5.2); :meth:`Table.set_autoincrement_base`
 provides that.
+
+Each table keeps a primary-key hash index, ``pk_index`` (PK value ->
+rowid), current across every insert, replace, update and delete. NULL and
+unhashable PK values are left out of it; they never equal a probe value.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import SqlIntegrityError, SqlNameError
 from repro.minisql import ast_nodes as ast
@@ -32,6 +36,7 @@ class Table:
             c.primary_key and c.type_name == "INTEGER" for c in columns
         )
         self.rows: Dict[int, Dict[str, object]] = {}
+        self.pk_index: Dict[object, int] = {}
         self._next_rowid = 1
         self._autoincrement_base = 1
         self._rowid_counter = 0
@@ -53,11 +58,9 @@ class Table:
 
     def _allocate_pk(self) -> int:
         current_max = 0
-        if self.pk_column is not None:
-            for row in self.rows.values():
-                value = row.get(self.pk_column)
-                if isinstance(value, int) and value > current_max:
-                    current_max = value
+        for value in self.pk_index:
+            if isinstance(value, int) and value > current_max:
+                current_max = value
         return max(current_max + 1, self._autoincrement_base)
 
     def _next_internal_rowid(self) -> int:
@@ -101,7 +104,7 @@ class Table:
                     raise SqlIntegrityError(
                         f"UNIQUE constraint failed: {self.display_name}.{self.pk_column}"
                     )
-                self.rows.pop(existing)
+                self._pop(existing)
         for column in self.columns:
             if column.unique and not column.primary_key:
                 key = column.name.lower()
@@ -116,29 +119,79 @@ class Table:
                         raise SqlIntegrityError(
                             f"UNIQUE constraint failed: {self.display_name}.{column.name}"
                         )
-                    self.rows.pop(clash)
+                    self._pop(clash)
         rowid = self._next_internal_rowid()
         self.rows[rowid] = row
+        self._index(rowid, row)
         if self.pk_is_integer and isinstance(row.get(self.pk_column), int):
             return int(row[self.pk_column])  # type: ignore[arg-type]
         return rowid
 
     def find_by_pk(self, value: object) -> Optional[int]:
-        """Return the internal rowid whose PK equals ``value``, if any."""
-        if self.pk_column is None:
+        """Return the internal rowid whose PK equals ``value``, if any.
+
+        Dict-key equality is SQL ``=`` here (same type rank plus Python
+        ``==``) for the int, float and text values the planner probes with.
+        """
+        if value is None:
             return None
-        for rowid, row in self.rows.items():
-            if row.get(self.pk_column) == value and value is not None:
-                return rowid
-        return None
+        try:
+            return self.pk_index.get(value)
+        except TypeError:  # unhashable
+            return None
+
+    def probe(self, values: Iterable[object]) -> List[int]:
+        """Rowids whose PK equals one of ``values``, in scan (rowid) order."""
+        found = {self.find_by_pk(value) for value in values}
+        found.discard(None)
+        return sorted(found)  # type: ignore[type-var]
+
+    def update_row(self, rowid: int, new_values: Dict[str, object]) -> None:
+        """Apply an UPDATE's assignments to one row, keeping the PK unique
+        and the index current."""
+        row = self.rows[rowid]
+        if self.pk_column not in new_values:
+            row.update(new_values)
+            return
+        clash = self.find_by_pk(new_values[self.pk_column])
+        if clash is not None and clash != rowid:
+            raise SqlIntegrityError(
+                f"UNIQUE constraint failed: {self.display_name}.{self.pk_column}"
+            )
+        self._unindex(rowid, row)
+        row.update(new_values)
+        self._index(rowid, row)
 
     def delete_rowids(self, rowids: List[int]) -> int:
         removed = 0
         for rowid in rowids:
             if rowid in self.rows:
-                del self.rows[rowid]
+                self._pop(rowid)
                 removed += 1
         return removed
+
+    # -- index maintenance ------------------------------------------------
+
+    def _index(self, rowid: int, row: Dict[str, object]) -> None:
+        if self.pk_column is None:
+            return
+        value = row.get(self.pk_column)
+        if value is None:
+            return
+        try:
+            self.pk_index[value] = rowid
+        except TypeError:  # unhashable: never equal to a probe value
+            pass
+
+    def _unindex(self, rowid: int, row: Dict[str, object]) -> None:
+        if self.pk_column is None:
+            return
+        value = row.get(self.pk_column)
+        if self.find_by_pk(value) == rowid:
+            del self.pk_index[value]
+
+    def _pop(self, rowid: int) -> None:
+        self._unindex(rowid, self.rows.pop(rowid))
 
     def all_rows(self) -> List[Dict[str, object]]:
         return list(self.rows.values())

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import SqlNameError
 from repro.core.cow import CowProxy, VOLATILE_PK_BASE, initiator_key
+from repro.obs import OBS
+from repro.obs.provenance import Label
 
 A = "com.dropbox.android"
 B = "com.other.app"
@@ -62,6 +64,18 @@ class TestCopyOnWriteSemantics:
     def test_insert_allocates_above_offset(self, proxy):
         row_id = proxy.insert("words", A, {"word": "new"})
         assert row_id == VOLATILE_PK_BASE
+
+    def test_insert_with_explicit_pk_returns_that_pk(self, proxy):
+        assert proxy.insert("words", A, {"word": "b"}) == VOLATILE_PK_BASE
+        delta = proxy.delta_name("words", A)
+        with OBS.capture(prov=True) as obs:
+            row_id = proxy.insert("words", A, {"_id": 77, "word": "c"})
+            # Provenance stamps the row that was written, not the top key.
+            assert Label.vol(A) in obs.provenance.taint_of((delta, 77))
+            assert not obs.provenance.taint_of((delta, VOLATILE_PK_BASE))
+        assert row_id == 77
+        rows = dict((r[0], r[1]) for r in proxy.query("words", A).rows)
+        assert rows[77] == "c" and rows[VOLATILE_PK_BASE] == "b"
 
     def test_delete_is_whiteout(self, proxy):
         proxy.delete("words", A, "_id = 1")

@@ -54,6 +54,22 @@ class TestBinder:
         driver.transact(make_process(), "svc", "b")
         assert [t.code for t in driver.transaction_log] == ["a", "b"]
 
+    def test_logs_keep_only_recent_transactions(self):
+        driver = BinderDriver()
+        driver.register("svc", lambda txn: None, owner="com.b")
+        allowed = [True]
+        driver.install_policy(lambda sender, endpoint: allowed[0])
+        for index in range(driver.log_size + 5):
+            driver.transact(make_process(), "svc", str(index))
+        assert len(driver.transaction_log) == driver.log_size
+        assert driver.transaction_log[0].code == "5"
+        assert driver.transaction_log[-1].code == str(driver.log_size + 4)
+        allowed[0] = False
+        for _ in range(driver.log_size + 1):
+            with pytest.raises(IpcDenied):
+                driver.transact(make_process(), "svc", "denied")
+        assert len(driver.denied_log) == driver.log_size
+
     def test_unregister(self):
         driver = BinderDriver()
         driver.register("svc", lambda txn: None)

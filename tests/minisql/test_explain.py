@@ -3,7 +3,7 @@
 import pytest
 
 from repro.minisql import Database
-from repro.minisql.planner import FLATTEN_NEVER_WITH_ORDER_BY
+from repro.minisql.planner import FLATTEN_NEVER_WITH_ORDER_BY, FLATTEN_ORDER_BY_SUBSET
 
 
 @pytest.fixture
@@ -65,3 +65,108 @@ class TestExplain:
 
     def test_non_select(self, db):
         assert db.explain("DELETE FROM a") == ["DELETE"]
+
+
+def _cow_db(emulation=FLATTEN_ORDER_BY_SUBSET):
+    """A primary table, its delta and the proxy's COW view over them."""
+    database = Database(sqlite_emulation=emulation)
+    database.execute("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT, freq INTEGER)")
+    database.execute(
+        "CREATE TABLE words_delta (_id INTEGER PRIMARY KEY, word TEXT, freq INTEGER, "
+        "_whiteout INTEGER DEFAULT 0)"
+    )
+    database.executemany(
+        "INSERT INTO words (word, freq) VALUES (?, ?)", [(f"w{i}", i) for i in range(20)]
+    )
+    database.execute("INSERT INTO words_delta (_id, word, freq) VALUES (3, 'mine', 1)")
+    database.execute(
+        "CREATE VIEW words_view AS "
+        "SELECT _id, word, freq FROM words WHERE _id NOT IN (SELECT _id FROM words_delta) "
+        "UNION ALL SELECT _id, word, freq FROM words_delta WHERE _whiteout = 0"
+    )
+    return database
+
+
+def _stripped(plan):
+    return [line.strip() for line in plan]
+
+
+class TestIndexPlans:
+    SEARCH_PRIMARY = "SEARCH words USING PRIMARY KEY (_id=?)"
+    SEARCH_DELTA = "SEARCH words_delta USING PRIMARY KEY (_id=?)"
+
+    def test_base_table_point_query_searches(self):
+        db = _cow_db()
+        assert db.explain("SELECT word FROM words WHERE _id = ?") == [self.SEARCH_PRIMARY]
+        assert db.explain("SELECT word FROM words WHERE _id IN (1, ?)") == [
+            self.SEARCH_PRIMARY
+        ]
+
+    def test_cow_point_query_searches_both_arms(self):
+        db = _cow_db()
+        plan = _stripped(db.explain("SELECT * FROM words_view WHERE _id = ?"))
+        assert plan == ["VIEW words_view (FLATTEN)", self.SEARCH_PRIMARY, self.SEARCH_DELTA]
+        db.stats.reset()
+        assert db.execute("SELECT word FROM words_view WHERE _id = ?", [3]).rows == [("mine",)]
+        assert db.execute("SELECT word FROM words_view WHERE _id = ?", [4]).rows == [("w3",)]
+        # Two probes per query, plus one index answer for each NOT IN.
+        assert db.stats.index_lookups == 6
+        assert db.stats.rows_scanned == 3
+
+    def test_key_term_inside_and_still_searches(self):
+        db = _cow_db()
+        plan = _stripped(db.explain("SELECT * FROM words_view WHERE (word LIKE ?) AND _id = ?"))
+        assert plan[1:] == [self.SEARCH_PRIMARY, self.SEARCH_DELTA]
+
+    @pytest.mark.parametrize(
+        "emulation, sql",
+        [
+            # 3.8.6: an ORDER BY column outside the projection (footnote 5).
+            (FLATTEN_ORDER_BY_SUBSET, "SELECT word FROM words_view WHERE _id = ? ORDER BY freq"),
+            # 3.7.11: any ORDER BY over a projection.
+            (
+                FLATTEN_NEVER_WITH_ORDER_BY,
+                "SELECT word, freq FROM words_view WHERE _id = ? ORDER BY freq",
+            ),
+        ],
+    )
+    def test_footnote5_materialize_gets_no_search(self, emulation, sql):
+        db = _cow_db(emulation)
+        plan = _stripped(db.explain(sql))
+        assert plan[0] == "VIEW words_view (MATERIALIZE)"
+        assert not any(line.startswith("SEARCH") for line in plan)
+        db.stats.reset()
+        db.execute(sql, [4])
+        assert db.stats.rows_scanned == len(db.table("words")) + len(db.table("words_delta"))
+
+    def test_widening_restores_the_search(self):
+        db = _cow_db()
+        plan = _stripped(
+            db.explain("SELECT word, freq FROM words_view WHERE _id = ? ORDER BY freq")
+        )
+        assert plan[:3] == ["VIEW words_view (FLATTEN)", self.SEARCH_PRIMARY, self.SEARCH_DELTA]
+
+    def test_arm_without_pushed_term_uses_its_own(self, db):
+        db.execute(
+            "CREATE VIEW pinned AS SELECT _id, v FROM a WHERE _id = 1 "
+            "UNION ALL SELECT _id, v FROM b"
+        )
+        plan = _stripped(db.explain("SELECT v FROM pinned"))
+        assert plan == [
+            "VIEW pinned (FLATTEN)",
+            "SEARCH a USING PRIMARY KEY (_id=?)",
+            "SCAN b (0 rows)",
+        ]
+        db.stats.reset()
+        assert db.execute("SELECT v FROM pinned").rows == [("x",)]
+        assert db.stats.index_lookups == 1
+
+    def test_unary_plus_scans(self):
+        db = _cow_db()
+        assert db.explain("SELECT word FROM words WHERE +_id = ?") == ["SCAN words (20 rows)"]
+        plan = _stripped(db.explain("SELECT * FROM words_view WHERE +_id = ?"))
+        assert plan == [
+            "VIEW words_view (FLATTEN)",
+            "SCAN words (20 rows)",
+            "SCAN words_delta (1 rows)",
+        ]

@@ -9,12 +9,19 @@ Invariants:
    (primary rows minus delta'd ids, plus non-whiteout delta rows), and
    the primary table never changes.
 3. ORDER BY produces a total order consistent with the comparator.
+4. The primary-key index always equals a mapping recomputed from the
+   rows, whatever sequence of inserts, replaces, key-changing updates and
+   deletes built them.
+5. A sargable key term (``_id = ?``, ``_id IN (...)``) returns exactly what
+   its non-sargable twin (``+_id``) returns, through a COW view and for
+   view UPDATE/DELETE, for text, real, NULL and missing keys alike.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SqlIntegrityError
 from repro.minisql import Database
 from repro.minisql.expr import sql_compare
 
@@ -144,3 +151,170 @@ class TestCowViewAlgebra:
         assert got == model
         # The primary table is never modified by view writes.
         assert dict(db.execute("SELECT _id, data FROM tab").rows) == dict(primary)
+
+
+# --- primary-key index ------------------------------------------------------
+
+# Keys that collide under SQL equality (3 and 3.0) and ones that do not
+# ('3' is text), plus NULL.
+pk_values = st.sampled_from([1, 2, 3, 3.0, "3", 4, None])
+unique_values = st.sampled_from(["a", "b", "c", None])
+
+index_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), pk_values, unique_values),
+        st.tuples(st.just("replace"), pk_values, unique_values),
+        st.tuples(st.just("update_pk"), pk_values, pk_values),
+        st.tuples(st.just("delete"), pk_values, st.none()),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _recomputed_index(table):
+    index = {}
+    for rowid, row in table.rows.items():
+        if row["_id"] is not None:
+            assert row["_id"] not in index, "duplicate primary key"
+            index[row["_id"]] = rowid
+    return index
+
+
+class TestPrimaryKeyIndex:
+    @given(ops=index_ops)
+    @settings(max_examples=100, deadline=None)
+    def test_index_matches_rows_after_every_step(self, ops):
+        db = Database()
+        db.execute("CREATE TABLE t (_id INTEGER PRIMARY KEY, u TEXT UNIQUE, v INTEGER)")
+        table = db.table("t")
+        statements = {
+            "insert": "INSERT INTO t (_id, u) VALUES (?, ?)",
+            "replace": "INSERT OR REPLACE INTO t (_id, u) VALUES (?, ?)",
+            "update_pk": "UPDATE t SET _id = ? WHERE _id = ?",
+            "delete": "DELETE FROM t WHERE _id = ?",
+        }
+        for op, first, second in ops:
+            params = [first] if op == "delete" else [first, second]
+            if op == "update_pk":
+                params = [second, first]
+            try:
+                db.execute(statements[op], params)
+            except SqlIntegrityError:
+                pass
+            assert table.pk_index == _recomputed_index(table)
+            for value, rowid in table.pk_index.items():
+                assert table.find_by_pk(value) == rowid
+
+
+# --- sargable vs non-sargable equivalence -----------------------------------
+
+VOLATILE_BASE = 10_000_001
+
+# Edge cases: text '5' vs int 5, real 5.0, NULL, a missing key, a volatile
+# key, a bool (never probed) and an existing key.
+key_values = st.one_of(
+    st.integers(0, 9),
+    st.sampled_from(["5", 5.0, None, 999, VOLATILE_BASE, float(VOLATILE_BASE), True]),
+)
+
+
+def _cow_view_db(primary, delta):
+    db = Database()
+    db.execute("CREATE TABLE tab (_id INTEGER PRIMARY KEY, word TEXT)")
+    db.execute(
+        "CREATE TABLE tab_delta (_id INTEGER PRIMARY KEY, word TEXT, "
+        "_whiteout INTEGER DEFAULT 0)"
+    )
+    for row_id, word in primary:
+        db.execute("INSERT INTO tab (_id, word) VALUES (?, ?)", [row_id, word])
+    for row_id, word, whiteout in delta:
+        db.execute(
+            "INSERT OR REPLACE INTO tab_delta (_id, word, _whiteout) VALUES (?, ?, ?)",
+            [row_id, word, whiteout],
+        )
+    db.execute(
+        "CREATE VIEW tab_view AS "
+        "SELECT _id, word FROM tab WHERE _id NOT IN (SELECT _id FROM tab_delta) "
+        "UNION ALL SELECT _id, word FROM tab_delta WHERE _whiteout = 0"
+    )
+    db.execute(
+        "CREATE TRIGGER tv_u INSTEAD OF UPDATE ON tab_view BEGIN "
+        "INSERT OR REPLACE INTO tab_delta (_id, word, _whiteout) "
+        "VALUES (OLD._id, NEW.word, 0); END"
+    )
+    db.execute(
+        "CREATE TRIGGER tv_d INSTEAD OF DELETE ON tab_view BEGIN "
+        "INSERT OR REPLACE INTO tab_delta (_id, word, _whiteout) "
+        "VALUES (OLD._id, OLD.word, 1); END"
+    )
+    return db
+
+
+@st.composite
+def cow_view_state(draw):
+    primary = [(i, draw(texts)) for i in range(1, draw(st.integers(0, 8)) + 1)]
+    delta = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(1, 8), st.integers(VOLATILE_BASE, VOLATILE_BASE + 2)),
+                texts,
+                st.sampled_from([0, 1]),
+            ),
+            max_size=6,
+        )
+    )
+    return primary, delta
+
+
+def _twin(sql):
+    """The same statement with every key reference made non-sargable."""
+    return sql.replace("_id =", "+_id =").replace("_id IN", "+_id IN")
+
+
+class TestSargableEquivalence:
+    @given(
+        state=cow_view_state(),
+        key=key_values,
+        other=key_values,
+        pattern=st.sampled_from(["%", "a%", "%x%", "zz"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_queries_match_non_sargable_twin(self, state, key, other, pattern):
+        db = _cow_view_db(*state)
+        queries = [
+            ("SELECT * FROM tab_view WHERE _id = ?", [key]),
+            ("SELECT * FROM tab_view WHERE _id IN (?, ?, 5)", [key, other]),
+            ("SELECT word FROM tab_view WHERE (word LIKE ?) AND _id = ?", [pattern, key]),
+            ("SELECT word FROM tab WHERE _id = ?", [key]),
+            ("SELECT * FROM tab_delta WHERE _id IN (?, ?)", [key, other]),
+        ]
+        for sql, params in queries:
+            fast = db.execute(sql, params)
+            slow = db.execute(_twin(sql), params)
+            assert fast.rows == slow.rows, sql
+
+    @given(
+        state=cow_view_state(),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["update", "delete", "update_in"]), key_values, texts),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_view_writes_match_non_sargable_twin(self, state, ops):
+        fast = _cow_view_db(*state)
+        slow = _cow_view_db(*state)
+        for op, key, word in ops:
+            if op == "update":
+                sql, params = "UPDATE tab_view SET word = ? WHERE _id = ?", [word, key]
+            elif op == "update_in":
+                sql, params = "UPDATE tab_view SET word = ? WHERE _id IN (?, 1)", [word, key]
+            else:
+                sql, params = "DELETE FROM tab_view WHERE _id = ?", [key]
+            assert fast.execute(sql, params).rowcount == slow.execute(_twin(sql), params).rowcount
+            snapshot = "SELECT * FROM tab_view"
+            assert fast.execute(snapshot).rows == slow.execute(snapshot).rows
+            delta = "SELECT * FROM tab_delta"
+            assert fast.execute(delta).rows == slow.execute(delta).rows
