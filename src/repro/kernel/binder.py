@@ -56,6 +56,11 @@ class BinderEndpoint:
 # Policy signature: (sender_context, endpoint) -> allowed?
 BinderPolicy = Callable[[TaskContext, BinderEndpoint], bool]
 
+# How many recent transactions (and denials) a driver remembers. Older ones
+# are dropped, so a long-lived device's memory does not grow with every
+# provider call; the flight recorder is the postmortem record.
+_LOG_SIZE = 1024
+
 
 class BinderDriver:
     """Routes transactions between endpoints, subject to a policy."""
@@ -68,11 +73,6 @@ class BinderDriver:
     delegate_deadline_ms: float = 400.0
     delegate_retries: int = 2
     retry_backoff_ms: float = 16.0
-    #: How many recent transactions (and denials) the driver remembers.
-    #: Older ones are dropped, so a long-lived device's memory does not
-    #: grow with every provider call; the flight recorder is the
-    #: postmortem record.
-    log_size: int = 1024
 
     def __init__(self, obs: Optional[Any] = None) -> None:
         # The owning device's observability context (fleet devices pass
@@ -82,8 +82,8 @@ class BinderDriver:
         self._policy: Optional[BinderPolicy] = None
         self._processes: Optional[ProcessTable] = None
         self._audit_log = None
-        self.transaction_log: Deque[Transaction] = deque(maxlen=self.log_size)
-        self.denied_log: Deque[Transaction] = deque(maxlen=self.log_size)
+        self.transaction_log: Deque[Transaction] = deque(maxlen=_LOG_SIZE)
+        self.denied_log: Deque[Transaction] = deque(maxlen=_LOG_SIZE)
 
     def attach_process_table(self, processes: ProcessTable) -> None:
         """Let the driver check recipient liveness (done by the Device).

@@ -201,9 +201,7 @@ class Database:
                     table = self.tables[name]
                     probe = None
                     if ref is core.source:
-                        probe = probes[index] if probes else None
-                        if probe is None:
-                            probe = self._source_probe(core)
+                        probe = self._effective_probe(core, probes[index] if probes else None)
                     if probe is not None:
                         lines.append(
                             f"{pad}SEARCH {name} USING PRIMARY KEY ({table.pk_column}=?)"
@@ -429,11 +427,7 @@ class Database:
         key = ref.name.lower()
         if key in self.tables:
             table = self.tables[key]
-            if keys is None:
-                rows = list(table.rows.values())
-            else:
-                self.stats.index_lookups += 1
-                rows = [table.rows[rowid] for rowid in table.probe(keys)]
+            rows = [row for _, row in self._table_rows(table, keys)]
             self.stats.rows_scanned += len(rows)
             return [c.name for c in table.columns], rows
         if key in self.views:
@@ -538,8 +532,7 @@ class Database:
             scopes = [Scope({}, outer_scope)]
         else:
             name = core.source.effective_name
-            if probe is None:
-                probe = self._source_probe(core)
+            probe = self._effective_probe(core, probe)
             cols, rows = self._source_rows(
                 core.source, params, outer_scope, self._probe_keys(probe, params)
             )
@@ -663,6 +656,23 @@ class Database:
             return None
         return planner.pk_probe(core.where, table.pk_column, {ref.effective_name.lower()})
 
+    def _effective_probe(
+        self, core: ast.SelectCore, pushed: Optional[List[ast.Expr]]
+    ) -> Optional[List[ast.Expr]]:
+        """The key terms narrowing ``core``'s source: those pushed into it
+        by an enclosing statement, else those of its own WHERE."""
+        return pushed if pushed is not None else self._source_probe(core)
+
+    def _table_rows(
+        self, table: Table, keys: Optional[List[object]]
+    ) -> List[Tuple[int, Dict[str, object]]]:
+        """(rowid, row) pairs of ``table``: every row, or with ``keys`` only
+        those whose primary key is among them, found in the index."""
+        if keys is None:
+            return list(table.rows.items())
+        self.stats.index_lookups += 1
+        return [(rowid, table.rows[rowid]) for rowid in table.probe(keys)]
+
     def _arm_probes(
         self, view: _View, where: Optional[ast.Expr], qualifier: str
     ) -> List[Optional[List[ast.Expr]]]:
@@ -671,8 +681,8 @@ class Database:
 
         A view column maps to an arm by position, and reaches the arm only
         where that arm's item is a bare column naming its base table's
-        primary key, so the arm's rows match the term exactly when their
-        key does.
+        primary key and the arm does not aggregate, so the arm's rows match
+        the term exactly when their key does.
         """
         columns = [c.lower() for c in view.columns]
         probes: List[Optional[List[ast.Expr]]] = []
@@ -691,7 +701,12 @@ class Database:
         if ref is None or ref.name is None or arm.joins or len(arm.items) != len(columns):
             return None
         table = self.tables.get(ref.name.lower())
-        if table is None or any(isinstance(item.expr, ast.Star) for item in arm.items):
+        if table is None or any(
+            isinstance(item.expr, ast.Star) or contains_aggregate(item.expr)
+            for item in arm.items
+        ):
+            # An outer term filters an aggregate arm's output, not the
+            # rows the aggregate reads, so it cannot narrow them.
             return None
         arm_names = {ref.effective_name.lower()}
         for item, column in zip(arm.items, columns):
@@ -735,13 +750,8 @@ class Database:
         self, table: Table, where: Optional[ast.Expr], params: Sequence[object]
     ) -> List[Tuple[int, Dict[str, object]]]:
         """(rowid, row) pairs an UPDATE/DELETE on ``table`` must test."""
-        keys = self._probe_keys(
-            planner.pk_probe(where, table.pk_column, {table.name}), params
-        )
-        if keys is None:
-            return list(table.rows.items())
-        self.stats.index_lookups += 1
-        return [(rowid, table.rows[rowid]) for rowid in table.probe(keys)]
+        probe = planner.pk_probe(where, table.pk_column, {table.name})
+        return self._table_rows(table, self._probe_keys(probe, params))
 
     def _index_keys(self, select: ast.Select) -> Optional[Iterable[object]]:
         """The key set of a bare ``SELECT pk FROM table`` (no WHERE, join,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FileNotFound, IpcDenied, NetworkUnreachable, ProviderNotFound
-from repro.kernel.binder import BinderDriver
+from repro.kernel.binder import _LOG_SIZE, BinderDriver
 from repro.kernel.mounts import MountNamespace
 from repro.kernel.network import NetworkStack
 from repro.kernel.proc import Process, TaskContext
@@ -59,16 +59,16 @@ class TestBinder:
         driver.register("svc", lambda txn: None, owner="com.b")
         allowed = [True]
         driver.install_policy(lambda sender, endpoint: allowed[0])
-        for index in range(driver.log_size + 5):
+        for index in range(_LOG_SIZE + 5):
             driver.transact(make_process(), "svc", str(index))
-        assert len(driver.transaction_log) == driver.log_size
+        assert len(driver.transaction_log) == _LOG_SIZE
         assert driver.transaction_log[0].code == "5"
-        assert driver.transaction_log[-1].code == str(driver.log_size + 4)
+        assert driver.transaction_log[-1].code == str(_LOG_SIZE + 4)
         allowed[0] = False
-        for _ in range(driver.log_size + 1):
+        for _ in range(_LOG_SIZE + 1):
             with pytest.raises(IpcDenied):
                 driver.transact(make_process(), "svc", "denied")
-        assert len(driver.denied_log) == driver.log_size
+        assert len(driver.denied_log) == _LOG_SIZE
 
     def test_unregister(self):
         driver = BinderDriver()

@@ -161,6 +161,21 @@ class TestIndexPlans:
         assert db.execute("SELECT v FROM pinned").rows == [("x",)]
         assert db.stats.index_lookups == 1
 
+    def test_aggregate_arm_gets_no_pushed_term(self, db):
+        # The outer term filters the aggregate's output, not its input.
+        db.execute(
+            "CREATE VIEW counted AS SELECT _id, COUNT(*) AS n FROM a "
+            "UNION ALL SELECT _id, 0 FROM b"
+        )
+        plan = _stripped(db.explain("SELECT * FROM counted WHERE _id = 2"))
+        assert plan == [
+            "VIEW counted (FLATTEN)",
+            "SCAN a (2 rows)",
+            "SEARCH b USING PRIMARY KEY (_id=?)",
+        ]
+        assert db.execute("SELECT * FROM counted WHERE _id = 1").rows == [(1, 2)]
+        assert db.execute("SELECT * FROM counted WHERE _id = 2").rows == []
+
     def test_unary_plus_scans(self):
         db = _cow_db()
         assert db.explain("SELECT word FROM words WHERE +_id = ?") == ["SCAN words (20 rows)"]
