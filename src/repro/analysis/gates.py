@@ -10,14 +10,14 @@ quartet it must carry, and an AST walk over the method's *effective
 body* (helpers inlined, see :mod:`repro.analysis.ir`) proves presence or
 reports a finding.
 
-The quartet members and their syntactic evidence:
+The quartet members and their syntactic evidence (``@boundary`` is
+:func:`repro.boundary.boundary`, on the method or an inlined helper):
 
-- **obs** — an ``if <...>.obs.enabled:`` (or ``OBS.enabled``) gate whose
-  body opens a ``tracer.span(...)`` or counts ``metrics``;
-- **faults** — a ``FAULTS.hit("point", ...)`` fault-plane consult;
-- **sched** — a ``SCHED.yield_point(...)`` call, or cooperative RWLock
-  acquisition (``with <lock>.read()/.write():`` / ``with self._io_locks(...):``),
-  either of which hands the deterministic scheduler a preemption point;
+- **obs** — a ``@boundary`` with a span (the default), ``count=`` or ``done=``;
+- **faults** — ``@boundary(fault=...)`` or an inline ``FAULTS.hit(...)``;
+- **sched** — ``@boundary(sched=...)``, an inline ``SCHED.yield_point(...)``,
+  or cooperative RWLock acquisition (``with <lock>.read()/.write():`` /
+  ``with self._io_locks(...):``), each a scheduler preemption point;
 - **prov** — a provenance-ledger stamp (``<...>.provenance.<op>(...)``)
   where labels flow.
 
@@ -169,30 +169,27 @@ TAP_REGISTRY: Tuple[TapRule, ...] = (
 # Evidence detectors
 # ----------------------------------------------------------------------
 
-def _is_obs_enabled_test(test: ast.AST) -> bool:
-    chain = dotted(test)
-    return (
-        chain is not None
-        and chain[-1] == "enabled"
-        and any("obs" in part.lower() for part in chain[:-1])
-    )
-
-
-def _has_obs_gate(nodes: Sequence[ast.AST]) -> bool:
+def _boundary_planes(nodes: Sequence[ast.AST]) -> Set[str]:
+    """The quartet members a ``@boundary(...)`` declaration in ``nodes``
+    arms: obs (a span, ``count=`` or ``done=``), faults (``fault=``) and
+    sched (``sched=``)."""
+    planes: Set[str] = set()
     for node in nodes:
-        if not isinstance(node, ast.If) or not _is_obs_enabled_test(node.test):
+        if not isinstance(node, ast.Call):
             continue
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            chain = dotted(sub.func)
-            if chain is None:
-                continue
-            if chain[-1] == "span" and "tracer" in chain:
-                return True
-            if chain[-1] in ("count", "observe") and "metrics" in chain:
-                return True
-    return False
+        chain = dotted(node.func)
+        if chain is None or chain[-1] != "boundary":
+            continue
+        declared = {kw.arg: kw.value for kw in node.keywords}
+        span = declared.get("span")
+        spanless = isinstance(span, ast.Constant) and span.value is False
+        if not spanless or "count" in declared or "done" in declared:
+            planes.add("obs")
+        if "fault" in declared:
+            planes.add("faults")
+        if "sched" in declared:
+            planes.add("sched")
+    return planes
 
 
 def _has_fault_point(nodes: Sequence[ast.AST]) -> bool:
@@ -255,8 +252,9 @@ def _has_tap_fanout(nodes: Sequence[ast.AST]) -> bool:
     return False
 
 
+#: Inline (mid-body) evidence; entry instrumentation comes from
+#: :func:`_boundary_planes`.
 _DETECTORS = {
-    "obs": _has_obs_gate,
     "faults": _has_fault_point,
     "sched": _has_sched_point,
     "prov": _has_prov_stamp,
@@ -266,7 +264,8 @@ _DETECTORS = {
 def detect_members(index: CodeIndex, fn: FunctionInfo, depth: int = 3) -> Set[str]:
     """Which quartet members ``fn``'s effective body carries."""
     nodes = list(index.inline_nodes(fn, depth=depth))
-    return {member for member, detect in _DETECTORS.items() if detect(nodes)}
+    inline = {member for member, detect in _DETECTORS.items() if detect(nodes)}
+    return _boundary_planes(nodes) | inline
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,14 @@ offers the two resolution services the passes share:
 - :meth:`CodeIndex.resolve_call` — map a ``self.helper(...)`` /
   ``helper(...)`` call site to the :class:`FunctionInfo` it names
   (same-class methods and same-module functions only: the passes are
-  intraprocedural by design and inline only through the kernel-layer
-  helper idiom, ``public() -> _impl() -> _body()``);
+  intraprocedural by design and inline only through same-class helpers);
 - :meth:`CodeIndex.inline_nodes` — the **effective body** of a method:
-  every AST node of the method plus, bounded by ``depth`` levels, the
-  bodies of the resolvable helpers it calls. The gate linter proves
-  instrumentation presence over this flattened view, so a quartet split
-  across ``write_file -> _write_file_impl -> _write_file_body`` still
-  counts as carried by the public boundary.
+  every AST node of the method (its decorators included) plus, bounded
+  by ``depth`` levels, the bodies of the resolvable helpers it calls. The
+  gate linter proves instrumentation presence over this flattened view,
+  so a ``@boundary`` on Binder's per-attempt helper, or a provenance
+  stamp inside a lock-scoped ``_locked`` helper, still counts as carried
+  by the public boundary.
 
 The index is purely syntactic — nothing is imported or executed — so it
 can safely chew on planted-defect fixtures and on the live tree alike.
@@ -175,10 +175,9 @@ class CodeIndex:
         """Every AST node of ``fn`` plus inlined helper bodies.
 
         ``depth`` bounds how many levels of resolvable helper calls are
-        flattened in (each callee inlined at most once per walk). This is
-        the "one level of inlining through kernel-layer helpers" idea,
-        deepened just enough for the ``public -> _impl -> _locked/_body``
-        idiom the kernel modules use.
+        flattened in (each callee inlined at most once per walk): enough
+        to reach a lock-scoped ``_locked`` helper or a per-attempt
+        ``@boundary`` from the public method.
         """
         seen = {fn.qualname}
 

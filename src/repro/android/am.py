@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.boundary import boundary, tag
 from repro.errors import ActivityNotFound, NoSuchProcess
 from repro.android.intents import Intent, IntentFilter
 from repro.faults import FAULTS as _FAULTS
@@ -36,6 +37,18 @@ class Invocation:
     target: str
     process: Process
     result: Any
+
+
+def _start_activity_done(self, span, invocation: Invocation) -> None:
+    # target/ctx are already on the span: the body tags them mid-call.
+    self.obs.metrics.count("am.invocations")
+    if invocation.process.context.is_delegate:
+        self.obs.metrics.count("am.delegate_invocations")
+
+
+def _broadcast_done(self, span, delivered: int) -> None:
+    span.set(delivered=delivered)
+    self.obs.metrics.count("am.broadcasts")
 
 
 class ActivityManagerService:
@@ -120,6 +133,14 @@ class ActivityManagerService:
                 killed += 1
         return killed
 
+    @boundary(
+        "am.start_activity",
+        attrs=lambda self, caller, intent, **_: {
+            "caller": str(caller.context), "action": intent.action
+        },
+        sched=lambda self, caller, intent, **_: {"action": intent.action},
+        done=_start_activity_done,
+    )
     def start_activity(
         self,
         caller: Process,
@@ -134,33 +155,6 @@ class ActivityManagerService:
         (section 6.3): the user starts a delegate without the initiator's
         explicit invocation.
         """
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "am.start_activity",
-                caller=str(caller.context),
-                action=intent.action,
-            ) as span:
-                invocation = self._start_activity_impl(
-                    caller, intent, forced_initiator=forced_initiator
-                )
-                span.set(
-                    target=invocation.target, ctx=str(invocation.process.context)
-                )
-                self.obs.metrics.count("am.invocations")
-                if invocation.process.context.is_delegate:
-                    self.obs.metrics.count("am.delegate_invocations")
-                return invocation
-        return self._start_activity_impl(caller, intent, forced_initiator=forced_initiator)
-
-    def _start_activity_impl(
-        self,
-        caller: Process,
-        intent: Intent,
-        *,
-        forced_initiator: Optional[str] = None,
-    ) -> Invocation:
-        if _SCHED.enabled:
-            _SCHED.yield_point("am.start_activity", action=intent.action)
         target = self.resolve(intent, caller=caller.context.app)
         if forced_initiator is not None:
             initiator: Optional[str] = forced_initiator
@@ -175,9 +169,7 @@ class ActivityManagerService:
             # *before* the handler runs, so streaming consumers (the
             # security monitor reads ctx off open ancestors at span close)
             # see the same attribution the finished-tree walk does.
-            current = self.obs.tracer.current
-            if current is not None and current.name == "am.start_activity":
-                current.set(target=target, ctx=str(process.context))
+            tag(self.obs, "am.start_activity", target=target, ctx=str(process.context))
         if self.obs.prov:
             # Intent extras flow the caller's taint into the new process.
             self.obs.provenance.intent_flow(
@@ -246,20 +238,16 @@ class ActivityManagerService:
     ) -> None:
         self._broadcast_receivers.append((intent_filter, process, handler))
 
+    @boundary(
+        "am.broadcast",
+        attrs=lambda self, sender, intent: {
+            "ctx": str(sender.context), "action": intent.action
+        },
+        done=_broadcast_done,
+    )
     def send_broadcast(self, sender: Process, intent: Intent) -> int:
         """Deliver a broadcast; a delegate's broadcasts stay inside its
         confinement domain (section 3.4). Returns receivers reached."""
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "am.broadcast", ctx=str(sender.context), action=intent.action
-            ) as span:
-                delivered = self._send_broadcast_impl(sender, intent)
-                span.set(delivered=delivered)
-                self.obs.metrics.count("am.broadcasts")
-                return delivered
-        return self._send_broadcast_impl(sender, intent)
-
-    def _send_broadcast_impl(self, sender: Process, intent: Intent) -> int:
         delivered = 0
         for intent_filter, process, handler in list(self._broadcast_receivers):
             if not process.alive or not intent_filter.matches(intent):

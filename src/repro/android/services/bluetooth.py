@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from repro.boundary import boundary
 from repro.core.netguard import assert_not_delegate
-from repro.faults import FAULTS as _FAULTS
 from repro.kernel.proc import Process
 from repro.obs import OBS as _OBS
-from repro.sched import SCHED as _SCHED
 
 
 class BluetoothService:
@@ -25,28 +24,20 @@ class BluetoothService:
         # The owning device's observability context.
         self.obs = obs if obs is not None else _OBS
 
+    @boundary(
+        "bt.send",
+        attrs=lambda self, process, device, payload: {
+            "pid": process.pid, "context": str(process.context), "device": device
+        },
+        count="bt.sends",
+        fault=lambda self, process, device, payload: {
+            "context": str(process.context), "device": device
+        },
+        sched=lambda self, process, device, payload: {
+            "device": device, "resource": "bt-egress-log", "rw": "w"
+        },
+    )
     def send(self, process: Process, device: str, payload: bytes) -> None:
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "bt.send", pid=process.pid, context=str(process.context), device=device
-            ):
-                self.obs.metrics.count("bt.sends")
-                self._send_impl(process, device, payload)
-            return
-        self._send_impl(process, device, payload)
-
-    def _send_impl(self, process: Process, device: str, payload: bytes) -> None:
-        if _FAULTS.enabled:
-            _FAULTS.hit(
-                "bt.send",
-                context=str(process.context),
-                device=device,
-                device_id=self.obs.device_id,
-            )
-        if _SCHED.enabled:
-            _SCHED.yield_point(
-                "bt.send", device=device, resource="bt-egress-log", rw="w"
-            )
         if self._maxoid:
             assert_not_delegate(process.context, "bluetooth")
         self.sent.append((str(process.context), payload))

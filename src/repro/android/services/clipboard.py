@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.boundary import boundary
 from repro.kernel.proc import Process
 from repro.obs import OBS as _OBS
 
@@ -39,31 +40,20 @@ class ClipboardService:
             return f"vol:{context.initiator}"
         return self._MAIN
 
+    # No sched yield point on either boundary on purpose: clipboard
+    # mutations carry no preemption point, which keeps them atomic under
+    # the cooperative scheduler (see the lockset baseline justification).
+    @boundary(
+        "clip.set", attrs=lambda self, process, text: {"pid": process.pid}, count="clip.sets"
+    )
     def set_text(self, process: Process, text: str) -> None:
-        # No sched yield point here on purpose: clipboard mutations carry
-        # no preemption point, which keeps them atomic under the
-        # cooperative scheduler (see the lockset baseline justification).
-        if self.obs.enabled:
-            with self.obs.tracer.span("clip.set", pid=process.pid):
-                self.obs.metrics.count("clip.sets")
-                self._set_text_impl(process, text)
-            return
-        self._set_text_impl(process, text)
-
-    def _set_text_impl(self, process: Process, text: str) -> None:
         domain = self._domain(process)
         self._clips[domain] = text
         if self.obs.prov:
             self.obs.provenance.clip_set(process.pid, str(process.context), domain)
 
+    @boundary("clip.get", attrs=lambda self, process: {"pid": process.pid}, count="clip.gets")
     def get_text(self, process: Process) -> Optional[str]:
-        if self.obs.enabled:
-            with self.obs.tracer.span("clip.get", pid=process.pid):
-                self.obs.metrics.count("clip.gets")
-                return self._get_text_impl(process)
-        return self._get_text_impl(process)
-
-    def _get_text_impl(self, process: Process) -> Optional[str]:
         domain = self._domain(process)
         if domain not in self._clips:
             # A delegate's first paste sees the pre-confinement clipboard

@@ -13,10 +13,13 @@ from typing import Any, Dict, Optional
 from repro.android.content.downloads import DOWNLOADS_URI, STATUS_SUCCESS
 from repro.android.content.provider import ContentResolver, ContentValues
 from repro.android.uri import Uri
-from repro.faults import FAULTS as _FAULTS
+from repro.boundary import boundary
 from repro.kernel.proc import Process
 from repro.obs import OBS as _OBS
-from repro.sched import SCHED as _SCHED
+
+
+def _enqueue_attrs(self, process, url, title, destination=None, volatile=False, headers=None):
+    return {"pid": process.pid, "volatile": volatile}
 
 
 class DownloadManager:
@@ -27,6 +30,17 @@ class DownloadManager:
         # The owning device's observability context.
         self.obs = obs if obs is not None else _OBS
 
+    @boundary(
+        "dm.enqueue",
+        attrs=_enqueue_attrs,
+        count="dm.enqueues",
+        fault=lambda self, process, url, *_, **__: {
+            "context": str(process.context), "url": url
+        },
+        sched=lambda self, process, url, *_, **__: {
+            "url": url, "resource": "downloads-table", "rw": "w"
+        },
+    )
     def enqueue(
         self,
         process: Process,
@@ -41,36 +55,6 @@ class DownloadManager:
         ``volatile=True`` is the Maxoid extension: the download record and
         file land in the caller's volatile state (incognito mode).
         """
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "dm.enqueue", pid=process.pid, volatile=volatile
-            ):
-                self.obs.metrics.count("dm.enqueues")
-                return self._enqueue_impl(
-                    process, url, title, destination, volatile, headers
-                )
-        return self._enqueue_impl(process, url, title, destination, volatile, headers)
-
-    def _enqueue_impl(
-        self,
-        process: Process,
-        url: str,
-        title: str,
-        destination: Optional[str],
-        volatile: bool,
-        headers: Optional[Dict[str, str]],
-    ) -> int:
-        if _FAULTS.enabled:
-            _FAULTS.hit(
-                "dm.enqueue",
-                context=str(process.context),
-                url=url,
-                device_id=self.obs.device_id,
-            )
-        if _SCHED.enabled:
-            _SCHED.yield_point(
-                "dm.enqueue", url=url, resource="downloads-table", rw="w"
-            )
         values = ContentValues(
             {"uri": url, "title": title},
             is_volatile=volatile,

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from repro.boundary import boundary
 from repro.core.netguard import assert_not_delegate
-from repro.faults import FAULTS as _FAULTS
 from repro.kernel.proc import Process
 from repro.obs import OBS as _OBS
-from repro.sched import SCHED as _SCHED
 
 
 class TelephonyService:
@@ -24,28 +23,20 @@ class TelephonyService:
         # The owning device's observability context.
         self.obs = obs if obs is not None else _OBS
 
+    @boundary(
+        "sms.send",
+        attrs=lambda self, process, number, body: {
+            "pid": process.pid, "context": str(process.context)
+        },
+        count="sms.sends",
+        fault=lambda self, process, number, body: {
+            "context": str(process.context), "number": number
+        },
+        sched=lambda self, process, number, body: {
+            "number": number, "resource": "sms-egress-log", "rw": "w"
+        },
+    )
     def send_sms(self, process: Process, number: str, body: str) -> None:
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "sms.send", pid=process.pid, context=str(process.context)
-            ):
-                self.obs.metrics.count("sms.sends")
-                self._send_sms_impl(process, number, body)
-            return
-        self._send_sms_impl(process, number, body)
-
-    def _send_sms_impl(self, process: Process, number: str, body: str) -> None:
-        if _FAULTS.enabled:
-            _FAULTS.hit(
-                "sms.send",
-                context=str(process.context),
-                number=number,
-                device_id=self.obs.device_id,
-            )
-        if _SCHED.enabled:
-            _SCHED.yield_point(
-                "sms.send", number=number, resource="sms-egress-log", rw="w"
-            )
         if self._maxoid:
             assert_not_delegate(process.context, "sms")
         self.messages.append((str(process.context), number, body))

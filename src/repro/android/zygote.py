@@ -15,16 +15,29 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.boundary import boundary
 from repro.kernel.mounts import MountNamespace
 from repro.kernel.proc import Process, ProcessTable, TaskContext
 from repro.kernel.sysfs import Sysfs
 from repro.kernel.vfs import Credentials, ROOT_CRED
 from repro.android.packages import PackageManager
-from repro.faults import FAULTS as _FAULTS
 from repro.obs import OBS as _OBS
 
 # Hook signature: (package, initiator-or-None) -> the process's namespace.
 NamespaceBuilder = Callable[[str, Optional[str]], MountNamespace]
+
+
+def _fork_attrs(self, package: str, initiator: Optional[str] = None) -> dict:
+    # Self-tag the resulting context (same rules fork_app applies) so the
+    # fork is attributed identically whether the sweep reads it from the
+    # finished tree or the monitor from the live stack.
+    effective = (
+        initiator
+        if self._maxoid_enabled and initiator not in (None, package)
+        else None
+    )
+    ctx = f"{package}^{effective}" if effective else package
+    return {"app": package, "initiator": initiator, "ctx": ctx}
 
 
 class Zygote:
@@ -51,38 +64,21 @@ class Zygote:
         self._maxoid_enabled = maxoid_enabled
         self.forks = 0
 
+    @boundary(
+        "zygote.fork",
+        attrs=_fork_attrs,
+        count="zygote.forks",
+        # Before any mutation: a failed fork leaves no process behind.
+        fault=lambda self, package, initiator=None: {
+            "app": package, "initiator": initiator
+        },
+    )
     def fork_app(self, package: str, initiator: Optional[str] = None) -> Process:
         """Spawn ``package``; as ``initiator``'s delegate when given.
 
         Mirrors the real sequence: fork (still root), unshare + mount via
         the branch manager, stamp sysfs, drop privilege to the app UID.
         """
-        if self.obs.enabled:
-            # Self-tag the resulting context (same rules the impl applies)
-            # so the fork is attributed identically whether the sweep reads
-            # it from the finished tree or the monitor from the live stack.
-            effective = (
-                initiator
-                if self._maxoid_enabled and initiator not in (None, package)
-                else None
-            )
-            ctx = f"{package}^{effective}" if effective else package
-            with self.obs.tracer.span(
-                "zygote.fork", app=package, initiator=initiator, ctx=ctx
-            ):
-                self.obs.metrics.count("zygote.forks")
-                return self._fork_app_impl(package, initiator)
-        return self._fork_app_impl(package, initiator)
-
-    def _fork_app_impl(self, package: str, initiator: Optional[str]) -> Process:
-        if _FAULTS.enabled:
-            # Before any mutation: a failed fork leaves no process behind.
-            _FAULTS.hit(
-                "zygote.fork",
-                app=package,
-                initiator=initiator,
-                device_id=self.obs.device_id,
-            )
         installed = self._packages.get(package)
         if not self._maxoid_enabled:
             initiator = None

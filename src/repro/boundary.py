@@ -1,0 +1,134 @@
+"""One declaration per kernel entry point: the instrumentation boundary.
+
+Every Maxoid mediation point (syscall, Aufs, Binder, AM delegation, the
+COW proxy, the egress services) emits into the same planes: an obs span
+plus metrics, a fault-plane consult and a scheduler yield. A method
+declares that wiring once and its body is written once::
+
+    @boundary("bt.send", attrs=..., count="bt.sends", fault=..., sched=...)
+    def send(self, process, device, payload): ...
+
+``attrs`` (span attributes), ``fault`` (the consult context at point
+``name``; the primitive adds ``device_id``) and ``sched`` (the yield
+context at point ``name``) take the method's own parameters; ``count``
+names a counter bumped on entry; ``done(self, span, result)`` records
+result-derived attributes and metrics (span is None when ``span=False``).
+
+Disarmed, a call costs the wrapper (generated with the method's own
+signature, so nothing is packed), one ``enabled`` check per declared
+plane (``self.obs``, plus ``FAULTS``/``SCHED`` only when ``fault``/
+``sched`` are declared), then the bare body; no hook runs. Armed, the
+order is span and count -> fault -> yield -> body -> ``done`` (obs
+only), so a fired fault closes an errored span. Yields inside a lock
+scope and consults between the steps of a multi-step mutation stay
+inline in the body, where the lockset pass sees them.
+"""
+
+from __future__ import annotations
+
+import functools
+import inspect
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, List, Optional
+
+from repro.faults import FAULTS as _FAULTS
+from repro.sched import SCHED as _SCHED
+
+__all__ = ["boundary", "tag"]
+
+Hook = Callable[..., Dict[str, Any]]
+Done = Callable[[Any, Any, Any], None]
+
+
+def boundary(
+    name: str,
+    *,
+    span: bool = True,
+    attrs: Optional[Hook] = None,
+    count: Optional[str] = None,
+    fault: Optional[Hook] = None,
+    sched: Optional[Hook] = None,
+    done: Optional[Done] = None,
+) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Declare a method as the kernel boundary ``name`` (see module doc)."""
+
+    def decorate(body: Callable[..., Any]) -> Callable[..., Any]:
+        def armed(self, args, kwargs):
+            obs = self.obs
+            if not obs.enabled:
+                return consult(self, args, kwargs)
+            if span:
+                opened = obs.tracer.span(
+                    name, **(attrs(self, *args, **kwargs) if attrs else {})
+                )
+            else:
+                opened = nullcontext()
+            with opened as current:
+                if count is not None:
+                    obs.metrics.count(count)
+                result = consult(self, args, kwargs)
+                if done is not None:
+                    done(self, current, result)
+                return result
+
+        def consult(self, args, kwargs):
+            if fault is not None and _FAULTS.enabled:
+                _FAULTS.hit(
+                    name, **fault(self, *args, **kwargs), device_id=self.obs.device_id
+                )
+            if sched is not None and _SCHED.enabled:
+                _SCHED.yield_point(name, **sched(self, *args, **kwargs))
+            return body(self, *args, **kwargs)
+
+        planes = [plane for plane, hook in (("_b_FAULTS", fault), ("_b_SCHED", sched)) if hook]
+        return functools.update_wrapper(_forwarder(body, planes, armed), body)
+
+    return decorate
+
+
+def _forwarder(body: Callable[..., Any], planes: List[str], armed: Callable[..., Any]):
+    """``def <name>(<body's parameters>)`` calling ``armed(self, args,
+    kwargs)`` when obs or one of ``planes`` is enabled, else ``body``.
+
+    Built from the body's own signature because packing and unpacking
+    ``*args``/``**kwargs`` cost whole delegate invocations 2-3%.
+    Generated names start with ``_b_``, which no parameter may use."""
+    scope = {"_b_armed": armed, "_b_body": body, "_b_FAULTS": _FAULTS, "_b_SCHED": _SCHED}
+    params: List[str] = []
+    positional: List[str] = []
+    keyword: List[str] = []
+    for param in inspect.signature(body).parameters.values():
+        if param.kind not in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY):
+            raise TypeError(f"@boundary needs named parameters: {body.__qualname__}")
+        if param.kind is param.KEYWORD_ONLY and not keyword:
+            params.append("*")
+        (keyword if param.kind is param.KEYWORD_ONLY else positional).append(param.name)
+        params.append(param.name)
+        if param.default is not param.empty:
+            scope[f"_b_default_{param.name}"] = param.default
+            params[-1] += f"=_b_default_{param.name}"
+    self_name, *args = positional
+    test = " or ".join([f"{self_name}.obs.enabled"] + [f"{p}.enabled" for p in planes])
+    packed = "".join(f"{arg}, " for arg in args)
+    named = ", ".join(f"{kw!r}: {kw}" for kw in keyword)
+    call = ", ".join(positional + [f"{kw}={kw}" for kw in keyword])
+    source = (
+        f"def {body.__name__}({', '.join(params)}):\n"
+        f"    if {test}:\n"
+        f"        return _b_armed({self_name}, ({packed}), {{{named}}})\n"
+        f"    return _b_body({call})\n"
+    )
+    exec(compile(source, f"<boundary {body.__qualname__}>", "exec"), scope)
+    return scope[body.__name__]
+
+
+def tag(obs: Any, name: str, **attrs: Any) -> None:
+    """Set ``attrs`` on the open boundary span ``name`` from inside its body.
+
+    For attributes known only mid-body that streaming consumers must see
+    before the span closes. Does nothing when the innermost open span is
+    another one (a head-sampled-out trace opens none). Callers gate on
+    ``obs.enabled`` first, so the disarmed path builds no kwargs."""
+    current = obs.tracer.current
+    if current is not None and current.name == name:
+        current.set(**attrs)

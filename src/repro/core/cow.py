@@ -40,6 +40,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.boundary import boundary, tag
 from repro.errors import SqlNameError
 from repro.faults import FAULTS as _FAULTS
 from repro.minisql import Database
@@ -81,6 +82,26 @@ def _decode_payload(text: str) -> Dict[str, object]:
 def initiator_key(initiator: str) -> str:
     """Sanitize an initiator package name for use in SQL object names."""
     return re.sub(r"\W", "_", initiator)
+
+
+def _table_attrs(self, name: str, initiator: Optional[str], *_args, **_kwargs) -> dict:
+    return {"table": name, "initiator": initiator}
+
+
+def _commit_done(self, span, committed: bool) -> None:
+    span.set(committed=committed)
+    if committed:
+        self.obs.metrics.count("cow.commits")
+
+
+def _commit_batch_done(self, _span, committed: int) -> None:
+    if committed:
+        self.obs.metrics.count("cow.commits", committed)
+
+
+def _discard_done(self, span, rows: int) -> None:
+    span.set(rows=rows)
+    self.obs.metrics.count("cow.discarded_rows", rows)
 
 
 @dataclass
@@ -372,6 +393,7 @@ class CowProxy:
     # The provider-facing operation API
     # ------------------------------------------------------------------
 
+    @boundary("cow.query", attrs=_table_attrs, count="cow.query")
     def query(
         self,
         name: str,
@@ -388,45 +410,9 @@ class CowProxy:
         ``where`` is a SQL expression with ``?`` placeholders; ``order_by``
         is e.g. ``"title DESC, _id"``.
         """
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "cow.query", table=name, initiator=initiator
-            ) as span:
-                target = self.resolve(name, initiator, for_write=False)
-                span.set(target=target)
-                self.obs.metrics.count("cow.query")
-                result = self._query_impl(
-                    name, target, projection, where, params, order_by, limit
-                )
-                if self.obs.prov:
-                    self._prov_table_read(name, initiator)
-                return result
         target = self.resolve(name, initiator, for_write=False)
-        result = self._query_impl(name, target, projection, where, params, order_by, limit)
-        if self.obs.prov:
-            self._prov_table_read(name, initiator)
-        return result
-
-    def _prov_table_read(self, name: str, initiator: Optional[str]) -> None:
-        """Taint the querying actor with the stamped rows its view spans:
-        the primary table for everyone, plus the caller's own delta table
-        when the query ran as a delegate (other initiators' delta rows are
-        invisible to this view and must not over-taint)."""
-        tables = [name.lower()]
-        if initiator is not None:
-            tables.append(self.delta_name(name, initiator))
-        self.obs.provenance.table_read(tables)
-
-    def _query_impl(
-        self,
-        name: str,
-        target: str,
-        projection: Optional[Sequence[str]],
-        where: Optional[str],
-        params: Sequence[object],
-        order_by: Optional[str],
-        limit: Optional[int],
-    ) -> ResultSet:
+        if self.obs.enabled:
+            tag(self.obs, "cow.query", target=target)
         columns = list(projection) if projection else ["*"]
         extra: List[str] = []
         if (
@@ -456,6 +442,14 @@ class CowProxy:
                 rowcount=result.rowcount,
                 lastrowid=result.lastrowid,
             )
+        if self.obs.prov:
+            # Taint the caller with the stamped rows its view spans: the
+            # primary table, plus its own delta table as a delegate (other
+            # initiators' delta rows are invisible and must not over-taint).
+            tables = [name.lower()]
+            if initiator is not None:
+                tables.append(self.delta_name(name, initiator))
+            self.obs.provenance.table_read(tables)
         return result
 
     @staticmethod
@@ -469,6 +463,7 @@ class CowProxy:
             names.append(column.lower())
         return names
 
+    @boundary("cow.insert", attrs=_table_attrs, count="cow.insert")
     def insert(
         self,
         name: str,
@@ -478,15 +473,6 @@ class CowProxy:
         """Insert a row; delegates' inserts land in the delta table and
         return the primary key the row got (the caller's, if it gave one;
         else the allocated volatile key)."""
-        if self.obs.enabled:
-            with self.obs.tracer.span("cow.insert", table=name, initiator=initiator):
-                self.obs.metrics.count("cow.insert")
-                return self._insert_impl(name, initiator, values)
-        return self._insert_impl(name, initiator, values)
-
-    def _insert_impl(
-        self, name: str, initiator: Optional[str], values: Dict[str, object]
-    ) -> int:
         target = self.resolve(name, initiator, for_write=initiator is not None)
         columns = list(values)
         placeholders = ", ".join("?" for _ in columns)
@@ -511,6 +497,7 @@ class CowProxy:
             self.obs.provenance.row_write(name.lower(), row_id, op="cow.insert")
         return row_id
 
+    @boundary("cow.update", attrs=_table_attrs, count="cow.update")
     def update(
         self,
         name: str,
@@ -521,20 +508,6 @@ class CowProxy:
     ) -> int:
         """Update matching rows; a delegate's updates copy-on-write into
         its initiator's delta table. Returns rows affected."""
-        if self.obs.enabled:
-            with self.obs.tracer.span("cow.update", table=name, initiator=initiator):
-                self.obs.metrics.count("cow.update")
-                return self._update_impl(name, initiator, values, where, params)
-        return self._update_impl(name, initiator, values, where, params)
-
-    def _update_impl(
-        self,
-        name: str,
-        initiator: Optional[str],
-        values: Dict[str, object],
-        where: Optional[str],
-        params: Sequence[object],
-    ) -> int:
         target = self.resolve(name, initiator, for_write=initiator is not None)
         assignments = ", ".join(f"{c} = ?" for c in values)
         sql = f"UPDATE {target} SET {assignments}"
@@ -545,6 +518,7 @@ class CowProxy:
             self.stats.volatile_updates += result.rowcount
         return result.rowcount
 
+    @boundary("cow.delete", attrs=_table_attrs, count="cow.delete")
     def delete(
         self,
         name: str,
@@ -554,19 +528,6 @@ class CowProxy:
     ) -> int:
         """Delete matching rows; a delegate's deletes become whiteout
         records in the delta table. Returns rows affected."""
-        if self.obs.enabled:
-            with self.obs.tracer.span("cow.delete", table=name, initiator=initiator):
-                self.obs.metrics.count("cow.delete")
-                return self._delete_impl(name, initiator, where, params)
-        return self._delete_impl(name, initiator, where, params)
-
-    def _delete_impl(
-        self,
-        name: str,
-        initiator: Optional[str],
-        where: Optional[str],
-        params: Sequence[object],
-    ) -> int:
         target = self.resolve(name, initiator, for_write=initiator is not None)
         sql = f"DELETE FROM {target}"
         if where:
@@ -611,21 +572,16 @@ class CowProxy:
         where = "" if include_whiteouts else " WHERE _whiteout = 0"
         return self.db.execute(f"SELECT * FROM {delta}{where}")
 
+    @boundary(
+        "cow.commit",
+        attrs=lambda self, name, initiator, row_id: {
+            "table": name, "initiator": initiator, "row_id": row_id
+        },
+        done=_commit_done,
+    )
     def commit_volatile(self, name: str, initiator: str, row_id: int) -> bool:
         """Copy one volatile record into the primary table (the initiator's
         selective commit, section 3.3). Returns False if no such record."""
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "cow.commit", table=name, initiator=initiator, row_id=row_id
-            ) as span:
-                committed = self._commit_volatile_impl(name, initiator, row_id)
-                span.set(committed=committed)
-                if committed:
-                    self.obs.metrics.count("cow.commits")
-                return committed
-        return self._commit_volatile_impl(name, initiator, row_id)
-
-    def _commit_volatile_impl(self, name: str, initiator: str, row_id: int) -> bool:
         if not self.has_delta(name, initiator):
             return False
         if _FAULTS.enabled:
@@ -646,6 +602,7 @@ class CowProxy:
         self._apply_commit_entries([entry])
         return True
 
+    @boundary("cow.commit_batch", span=False, done=_commit_batch_done)
     def commit_volatile_batch(
         self, name: str, initiator: str, row_ids: Sequence[int]
     ) -> int:
@@ -684,8 +641,6 @@ class CowProxy:
             [entry["jid"] for entry in entries],
         )
         self._apply_commit_entries(entries)
-        if self.obs.enabled:
-            self.obs.metrics.count("cow.commits", len(entries))
         return len(entries)
 
     # -- journal plumbing ------------------------------------------------
@@ -828,20 +783,10 @@ class CowProxy:
             replayed += 1
         return (replayed, rolled_back)
 
+    @boundary("cow.discard", attrs=_table_attrs, done=_discard_done)
     def discard_volatile(self, name: str, initiator: str) -> int:
         """Drop all of ``initiator``'s volatile records for ``name``
         (the clean-up after commit, section 3.3). Returns rows discarded."""
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "cow.discard", table=name, initiator=initiator
-            ) as span:
-                count = self._discard_volatile_impl(name, initiator)
-                span.set(rows=count)
-                self.obs.metrics.count("cow.discarded_rows", count)
-                return count
-        return self._discard_volatile_impl(name, initiator)
-
-    def _discard_volatile_impl(self, name: str, initiator: str) -> int:
         if not self.has_delta(name, initiator):
             return 0
         delta = self.delta_name(name, initiator)

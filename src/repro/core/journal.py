@@ -18,11 +18,12 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.faults import FAULTS as _FAULTS
 from repro.kernel import path as vpath
 from repro.kernel.vfs import Filesystem, ROOT_CRED
+from repro.obs import OBS as _OBS
 
 JOURNAL_DIR = "/data/system/maxoid/journal"
 INTENT_SUFFIX = ".intent"
@@ -45,14 +46,14 @@ class CommitJournal:
     """The volatile-file commit WAL, backed by the system filesystem."""
 
     def __init__(
-        self, fs: Filesystem, directory: str = JOURNAL_DIR, *, obs: object = None
+        self, fs: Filesystem, directory: str = JOURNAL_DIR, *, obs: Optional[Any] = None
     ) -> None:
         self._fs = fs
         self._dir = directory
-        # The owning device's ObsContext (when journal belongs to one):
+        # The owning device's ObsContext (bare journals fall back to OBS):
         # fault hits stamp its device_id so a fleet postmortem can tell
         # whose journal tore.
-        self._obs = obs
+        self._obs = obs if obs is not None else _OBS
         if not fs.exists(directory, ROOT_CRED):
             # Parents keep the default (traversable) mode; only the journal
             # directory itself is root-only.
@@ -96,14 +97,9 @@ class CommitJournal:
         text = json.dumps(entry).encode()
         if _FAULTS.enabled:
             try:
-                if self._obs is not None:
-                    _FAULTS.hit(
-                        "vol.commit.journal",
-                        path=entry_path,
-                        device_id=self._obs.device_id,
-                    )
-                else:
-                    _FAULTS.hit("vol.commit.journal", path=entry_path)
+                _FAULTS.hit(
+                    "vol.commit.journal", path=entry_path, device_id=self._obs.device_id
+                )
             except BaseException:
                 # The crash interrupted the entry write itself: leave a
                 # torn half-entry behind, which recovery must roll back.

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.android.storage import DATA_ROOT, EXTDIR
+from repro.boundary import boundary
 from repro.errors import FileNotFound, IpcDenied
 from repro.faults import FAULTS as _FAULTS
 from repro.kernel import path as vpath
@@ -33,6 +34,11 @@ from repro.sched import SCHED as _SCHED
 EXT_TMP = vpath.join(EXTDIR, "tmp")
 
 MAXOID_SERVICE = "maxoid"
+
+
+def _commit_done(self, span, destination: str) -> None:
+    span.set(destination=destination)
+    self.obs.metrics.count("vol.commits")
 
 
 class VolatileFiles:
@@ -61,16 +67,13 @@ class VolatileFiles:
     def int_tmp(self) -> str:
         return vpath.join(DATA_ROOT, self._package or "", "tmp")
 
+    @boundary(
+        "vol.list",
+        attrs=lambda self: {"initiator": self._package},
+        done=lambda self, span, found: span.set(count=len(found)),
+    )
     def list_files(self) -> List[str]:
         """All volatile files, as app-visible tmp paths."""
-        if self.obs.enabled:
-            with self.obs.tracer.span("vol.list", initiator=self._package) as span:
-                found = self._list_files_impl()
-                span.set(count=len(found))
-                return found
-        return self._list_files_impl()
-
-    def _list_files_impl(self) -> List[str]:
         found: List[str] = []
         for root in (self.ext_tmp, self.int_tmp):
             try:
@@ -82,23 +85,18 @@ class VolatileFiles:
     def read(self, tmp_path: str) -> bytes:
         return self._sys.read_file(tmp_path)
 
+    @boundary(
+        "vol.commit",
+        attrs=lambda self, tmp_path: {"initiator": self._package, "path": tmp_path},
+        done=_commit_done,
+    )
     def commit(self, tmp_path: str) -> str:
         """Copy a volatile file to its non-volatile name and return it.
 
         ``EXTDIR/tmp/<p>`` commits to ``EXTDIR/<p>``; a path under the
-        initiator's internal tmp commits into its internal dir.
+        initiator's internal tmp commits into its internal dir. The
+        ``vol.commit*`` consults sit between the steps they guard.
         """
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "vol.commit", initiator=self._package, path=tmp_path
-            ) as span:
-                destination = self._commit_impl(tmp_path)
-                span.set(destination=destination)
-                self.obs.metrics.count("vol.commits")
-                return destination
-        return self._commit_impl(tmp_path)
-
-    def _commit_impl(self, tmp_path: str) -> str:
         if vpath.is_within(tmp_path, self.ext_tmp):
             rel = vpath.relative_to(tmp_path, self.ext_tmp)
             destination = vpath.join(EXTDIR, rel)

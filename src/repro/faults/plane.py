@@ -1,11 +1,14 @@
 """The fault plane: named fault points, armed policies, and the schedule.
 
 A *fault point* is a named place in a mutating hot path (``vfs.write``,
-``aufs.copy_up``, ``cow.delta_commit``, ...). Instrumented call sites gate
-on a single attribute check, exactly like :mod:`repro.obs`::
+``aufs.copy_up``, ``cow.delta_commit``, ...). A kernel entry point
+declares its point with ``@boundary(..., fault=...)``
+(:mod:`repro.boundary`); a consult between the steps of a multi-step
+mutation gates inline on a single attribute check, exactly like
+:mod:`repro.obs`::
 
     if _FAULTS.enabled:
-        _FAULTS.hit("vfs.write", path=path)
+        _FAULTS.hit("cow.delta_commit.apply", table=table, device_id=...)
 
 so the disabled path costs one attribute load and a branch and nothing
 else. When the plane is armed, every ``hit()`` consults the policies armed
@@ -29,6 +32,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.digest import canonical_bytes
 
 __all__ = [
     "FAULT_POINTS",
@@ -250,8 +255,8 @@ class FaultPlane:
         Two runs of the same workload with the same seeds produce equal
         values — the determinism test's byte-identity contract.
         """
-        return b"\n".join(
-            f"{seq} {point} {outcome}".encode() for seq, point, outcome in self.schedule
+        return canonical_bytes(
+            f"{seq} {point} {outcome}" for seq, point, outcome in self.schedule
         )
 
 

@@ -22,7 +22,6 @@ byte-identical replay contract.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -32,6 +31,7 @@ from repro.apps.adversarial import exfil_browser
 from repro.apps.base import SimApp
 from repro.apps.email_app import PACKAGE as VICTIM_PACKAGE
 from repro.core.device import Device
+from repro.digest import lines_digest
 from repro.errors import ReproError
 from repro.faults import FAULTS, SimulatedCrash
 from repro.obs import OBS
@@ -91,17 +91,13 @@ class RunResult:
 
     def fingerprint(self) -> str:
         """A counter-free digest of the run; equal across replays."""
-        digest = hashlib.sha256()
-        for rendered, outcome in self.outcomes:
-            digest.update(rendered.encode())
-            digest.update(b"=>")
-            digest.update(outcome.encode())
-            digest.update(b"\n")
-        for line in self.violation_renders():
-            digest.update(line.encode())
-            digest.update(b"\n")
-        digest.update(self.schedule)
-        return digest.hexdigest()
+        return lines_digest(
+            [
+                *(f"{rendered}=>{outcome}" for rendered, outcome in self.outcomes),
+                *self.violation_renders(),
+                self.schedule.decode(),
+            ]
+        )
 
 
 class FuzzWorld:

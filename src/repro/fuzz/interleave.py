@@ -25,13 +25,13 @@ probe that catches windows random sampling misses.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.adversarial import interpreter, launderer
+from repro.digest import lines_digest
 from repro.fuzz.driver import (
     _chain_browser,
     _chain_clip_launder,
@@ -169,6 +169,12 @@ def concurrent_scenario_from_seed(seed: int, noise: int = 2) -> Tracks:
 # ---------------------------------------------------------------------------
 
 
+def _fingerprint(result: RunResult, decisions: Sequence[Tuple[int, str, str]]) -> str:
+    """Counter-free digest over (outcomes, violations, fault schedule,
+    interleaving schedule): equal across exact replays."""
+    return lines_digest([result.fingerprint(), _sched_bytes(decisions).decode()])
+
+
 @dataclass
 class InterleaveResult:
     """One scheduled run: the world's results plus the schedule that
@@ -198,12 +204,7 @@ class InterleaveResult:
         return schedule_digest(self.decisions)
 
     def fingerprint(self) -> str:
-        """Counter-free digest over (outcomes, violations, fault
-        schedule, interleaving schedule): equal across exact replays."""
-        digest = hashlib.sha256()
-        digest.update(self.run.fingerprint().encode())
-        digest.update(self.schedule_bytes())
-        return digest.hexdigest()
+        return _fingerprint(self.run, self.decisions)
 
 
 def run_interleaved(
@@ -411,10 +412,7 @@ class RaceCounterexample:
 
     @property
     def fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(self.result.fingerprint().encode())
-        digest.update(_sched_bytes(self.decisions))
-        return digest.hexdigest()
+        return _fingerprint(self.result, self.decisions)
 
     def replay(self) -> InterleaveResult:
         """Re-run the minimal tracks under the recorded schedule; the

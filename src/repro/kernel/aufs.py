@@ -41,6 +41,7 @@ from repro.errors import (
     PermissionDenied,
     ReadOnlyFilesystem,
 )
+from repro.boundary import boundary
 from repro.faults import FAULTS as _FAULTS
 from repro.kernel import path as vpath
 from repro.obs import DEFAULT_BYTE_BUCKETS, OBS as _OBS
@@ -92,6 +93,29 @@ def _whiteout_path(branch: Branch, union_path: str) -> str:
     parent = vpath.parent(union_path)
     name = vpath.basename(union_path)
     return vpath.join(branch.path(parent), WHITEOUT_PREFIX + name)
+
+
+def _copy_up_ctx(self, union_path: str, source_index: int, cred: Credentials) -> dict:
+    return {"mount": self.label, "path": union_path}
+
+
+def _copy_up_done(self, span, copied: int) -> None:
+    branch = self.writable_branch
+    span.set(bytes=copied, branch=branch.label or branch.root)
+    self.obs.metrics.count("aufs.copy_up")
+    self.obs.metrics.count("aufs.copy_up.bytes", copied)
+    self.obs.metrics.observe("aufs.copy_up.size", copied, DEFAULT_BYTE_BUCKETS)
+
+
+def _open_attrs(self, path, cred, *, write=False, truncate=False, append=False, **_flags) -> dict:
+    wb = self.writable_branch
+    return {
+        "mount": self.label,
+        "path": path,
+        "write": write or truncate or append,
+        "writable_branch": (wb.label or wb.root) if wb is not None else None,
+        "writable_root": wb.root if wb is not None else None,
+    }
 
 
 class _AufsFileHandle(FileHandle):
@@ -254,28 +278,16 @@ class AufsMount(FilesystemAPI):
         if branch.fs.exists(whiteout, ROOT_CRED):
             branch.fs.unlink(whiteout, ROOT_CRED)
 
-    def _copy_up(self, union_path: str, source_index: int, cred: Credentials) -> None:
+    @boundary(
+        "aufs.copy_up", attrs=_copy_up_ctx, fault=_copy_up_ctx, done=_copy_up_done
+    )
+    def _copy_up(self, union_path: str, source_index: int, cred: Credentials) -> int:
         """Copy a lower-branch file into the writable branch (copy-on-write).
 
         The copy is owned by the writer, matching Maxoid's redirect
         semantics: after copy-up the delegate owns its private copy.
+        Returns the bytes copied.
         """
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "aufs.copy_up", mount=self.label, path=union_path
-            ) as span:
-                self._copy_up_impl(union_path, source_index, cred, span)
-            return
-        self._copy_up_impl(union_path, source_index, cred, None)
-
-    def _copy_up_impl(self, union_path, source_index, cred, span) -> None:
-        if _FAULTS.enabled:
-            _FAULTS.hit(
-                "aufs.copy_up",
-                mount=self.label,
-                path=union_path,
-                device_id=self.obs.device_id,
-            )
         if _SCHED.enabled:
             with self.rwlock.write():
                 _SCHED.yield_point(
@@ -284,10 +296,10 @@ class AufsMount(FilesystemAPI):
                     resource=f"file:{union_path}",
                     rw="w",
                 )
-                return self._copy_up_body(union_path, source_index, cred, span)
-        return self._copy_up_body(union_path, source_index, cred, span)
+                return self._copy_up_locked(union_path, source_index, cred)
+        return self._copy_up_locked(union_path, source_index, cred)
 
-    def _copy_up_body(self, union_path, source_index, cred, span) -> None:
+    def _copy_up_locked(self, union_path: str, source_index: int, cred: Credentials) -> int:
         branch = self._require_writable()
         source = self.branches[source_index]
         data = source.fs.read_file(source.path(union_path), ROOT_CRED)
@@ -324,11 +336,7 @@ class AufsMount(FilesystemAPI):
             )
         self.copy_up_count += 1
         self.copy_up_bytes += len(data)
-        if span is not None:
-            span.set(bytes=len(data), branch=branch.label or branch.root)
-            self.obs.metrics.count("aufs.copy_up")
-            self.obs.metrics.count("aufs.copy_up.bytes", len(data))
-            self.obs.metrics.observe("aufs.copy_up.size", len(data), DEFAULT_BYTE_BUCKETS)
+        return len(data)
 
     def _copy_up_tree(self, union_path: str, cred: Credentials) -> None:
         """Recursively materialize a visible subtree in the writable branch."""
@@ -357,54 +365,8 @@ class AufsMount(FilesystemAPI):
         _, stat = self._find(path)
         return stat
 
+    @boundary("aufs.open", attrs=_open_attrs, count="aufs.open")
     def open(
-        self,
-        path: str,
-        cred: Credentials,
-        *,
-        read: bool = True,
-        write: bool = False,
-        create: bool = False,
-        truncate: bool = False,
-        append: bool = False,
-        exclusive: bool = False,
-        mode: int = 0o644,
-    ) -> FileHandle:
-        if self.obs.enabled:
-            wb = self.writable_branch
-            with self.obs.tracer.span(
-                "aufs.open",
-                mount=self.label,
-                path=path,
-                write=write or truncate or append,
-                writable_branch=(wb.label or wb.root) if wb is not None else None,
-                writable_root=wb.root if wb is not None else None,
-            ):
-                self.obs.metrics.count("aufs.open")
-                return self._open_impl(
-                    path,
-                    cred,
-                    read=read,
-                    write=write,
-                    create=create,
-                    truncate=truncate,
-                    append=append,
-                    exclusive=exclusive,
-                    mode=mode,
-                )
-        return self._open_impl(
-            path,
-            cred,
-            read=read,
-            write=write,
-            create=create,
-            truncate=truncate,
-            append=append,
-            exclusive=exclusive,
-            mode=mode,
-        )
-
-    def _open_impl(
         self,
         path: str,
         cred: Credentials,

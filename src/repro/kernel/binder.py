@@ -17,8 +17,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Optional
 
+from repro.boundary import boundary
 from repro.errors import DelegateTimeout, IpcDenied, NoSuchProcess, ProviderNotFound
-from repro.faults import FAULTS as _FAULTS
 from repro.kernel.proc import Process, ProcessTable, TaskContext
 from repro.obs import OBS as _OBS
 from repro.sched import SCHED as _SCHED
@@ -60,6 +60,10 @@ BinderPolicy = Callable[[TaskContext, BinderEndpoint], bool]
 # are dropped, so a long-lived device's memory does not grow with every
 # provider call; the flight recorder is the postmortem record.
 _LOG_SIZE = 1024
+
+
+def _transact_ctx(self, sender: Process, target: str, code: str, payload: Any) -> dict:
+    return {"ctx": str(sender.context), "target": target, "code": code}
 
 
 class BinderDriver:
@@ -150,7 +154,7 @@ class BinderDriver:
             and _SCHED.current_task() is not None
         ):
             return self._transact_with_deadline(sender, target, code, payload)
-        return self._traced_transact(sender, target, code, payload)
+        return self._transact_attempt(sender, target, code, payload)
 
     def _transact_with_deadline(
         self, sender: Process, target: str, code: str, payload: Any
@@ -159,7 +163,7 @@ class BinderDriver:
         for attempt in range(self.delegate_retries + 1):
             try:
                 with _SCHED.deadline(self.delegate_deadline_ms):
-                    return self._traced_transact(sender, target, code, payload)
+                    return self._transact_attempt(sender, target, code, payload)
             except DelegateTimeout as error:
                 last = error
                 if self._audit_log is not None:
@@ -187,33 +191,19 @@ class BinderDriver:
         assert last is not None
         raise last
 
-    def _traced_transact(
+    @boundary(
+        "binder.transact",
+        attrs=_transact_ctx,
+        fault=_transact_ctx,
+        sched=lambda self, sender, target, code, payload: {
+            "target": target, "code": code, "resource": f"endpoint:{target}", "rw": "r"
+        },
+    )
+    def _transact_attempt(
         self, sender: Process, target: str, code: str, payload: Any
     ) -> Any:
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "binder.transact", ctx=str(sender.context), target=target, code=code
-            ):
-                return self._transact_impl(sender, target, code, payload)
-        return self._transact_impl(sender, target, code, payload)
-
-    def _transact_impl(self, sender: Process, target: str, code: str, payload: Any) -> Any:
-        if _FAULTS.enabled:
-            _FAULTS.hit(
-                "binder.transact",
-                ctx=str(sender.context),
-                target=target,
-                code=code,
-                device_id=self.obs.device_id,
-            )
-        if _SCHED.enabled:
-            _SCHED.yield_point(
-                "binder.transact",
-                target=target,
-                code=code,
-                resource=f"endpoint:{target}",
-                rw="r",
-            )
+        """One transaction attempt: the ``binder.transact`` boundary, entered
+        once per retry when a deadline wraps delegate calls."""
         if not sender.alive:
             raise NoSuchProcess(f"binder: sender pid {sender.pid} has exited")
         endpoint = self._live_endpoint(target)

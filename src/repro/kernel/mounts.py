@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.boundary import boundary
 from repro.errors import FileNotFound
-from repro.faults import FAULTS as _FAULTS
 from repro.kernel import path as vpath
 from repro.kernel.vfs import Filesystem, FilesystemAPI
 from repro.obs import OBS as _OBS
@@ -87,23 +87,23 @@ class MountNamespace:
 
     # ------------------------------------------------------------------
 
+    @boundary(
+        "mounts.resolve",
+        span=False,
+        count="mounts.resolve",
+        fault=lambda self, path: {"path": path},
+    )
     def resolve(self, path: str) -> Tuple[FilesystemAPI, str]:
         """Resolve ``path`` to ``(filesystem, path-within-filesystem)``.
 
         Chooses the mount point with the longest prefix match.
         """
-        if _FAULTS.enabled:
-            _FAULTS.hit(
-                "mounts.resolve", path=path, device_id=self.obs.device_id
-            )
-        if self.obs.enabled:
-            self.obs.metrics.count("mounts.resolve")
         if _SCHED.enabled:
             with self.rwlock.read():
-                return self._resolve_impl(path)
-        return self._resolve_impl(path)
+                return self._resolve_locked(path)
+        return self._resolve_locked(path)
 
-    def _resolve_impl(self, path: str) -> Tuple[FilesystemAPI, str]:
+    def _resolve_locked(self, path: str) -> Tuple[FilesystemAPI, str]:
         path = vpath.normalize(path)
         best = "/"
         for point in self._mounts:

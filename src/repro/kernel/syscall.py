@@ -15,8 +15,8 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from typing import Iterator, List, Optional
 
+from repro.boundary import boundary
 from repro.errors import CrossDeviceLink, NoSuchProcess
-from repro.faults import FAULTS as _FAULTS
 from repro.kernel import path as vpath
 from repro.kernel.proc import Process
 from repro.kernel.vfs import FileHandle, Stat
@@ -30,6 +30,20 @@ O_CREAT = 0x40
 O_EXCL = 0x80
 O_TRUNC = 0x200
 O_APPEND = 0x400
+
+
+def _read_done(self, span, data: bytes) -> None:
+    span.set(bytes=len(data))
+    self.obs.metrics.count("vfs.read")
+    self.obs.metrics.observe("vfs.read.bytes", len(data), DEFAULT_BYTE_BUCKETS)
+
+
+def _write_attrs(self, path: str, data: bytes, mode: int = 0o644) -> dict:
+    return {"ctx": str(self.process.context), "path": path, "bytes": len(data)}
+
+
+def _write_fault(self, path: str, data: bytes, mode: int = 0o644) -> dict:
+    return {"ctx": str(self.process.context), "path": path}
 
 
 class Syscalls:
@@ -47,15 +61,30 @@ class Syscalls:
 
     # ------------------------------------------------------------------
 
+    @boundary(
+        "vfs.open",
+        attrs=lambda self, path, flags=O_RDONLY, mode=0o644: {
+            "ctx": str(self.process.context), "path": path, "flags": flags
+        },
+        count="vfs.open",
+    )
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> FileHandle:
         """Open ``path`` with POSIX-style ``flags``; returns a file handle."""
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "vfs.open", ctx=str(self.process.context), path=path, flags=flags
-            ):
-                self.obs.metrics.count("vfs.open")
-                return self._open_impl(path, flags, mode)
-        return self._open_impl(path, flags, mode)
+        self._check_alive()
+        if _SCHED.enabled:
+            accmode = flags & 0o3
+            is_write = bool(accmode or flags & (O_CREAT | O_TRUNC | O_APPEND))
+            # Yield *inside* the lock scope so the access annotation
+            # reflects the locks actually protecting the operation.
+            with self._io_locks(path, write=is_write):
+                _SCHED.yield_point(
+                    "vfs.open",
+                    path=path,
+                    resource=f"file:{path}",
+                    rw="w" if is_write else "r",
+                )
+                return self._open_locked(path, flags, mode)
+        return self._open_locked(path, flags, mode)
 
     @contextmanager
     def _io_locks(self, path: str, write: bool) -> Iterator[None]:
@@ -73,23 +102,6 @@ class Syscalls:
             else:
                 with fs_lock.write() if write else fs_lock.read():
                     yield
-
-    def _open_impl(self, path: str, flags: int, mode: int) -> FileHandle:
-        self._check_alive()
-        if _SCHED.enabled:
-            accmode = flags & 0o3
-            is_write = bool(accmode or flags & (O_CREAT | O_TRUNC | O_APPEND))
-            # Yield *inside* the lock scope so the access annotation
-            # reflects the locks actually protecting the operation.
-            with self._io_locks(path, write=is_write):
-                _SCHED.yield_point(
-                    "vfs.open",
-                    path=path,
-                    resource=f"file:{path}",
-                    rw="w" if is_write else "r",
-                )
-                return self._open_locked(path, flags, mode)
-        return self._open_locked(path, flags, mode)
 
     def _open_locked(self, path: str, flags: int, mode: int) -> FileHandle:
         fs, inner = self.process.namespace.resolve(path)
@@ -162,28 +174,21 @@ class Syscalls:
 
     # -- convenience wrappers -------------------------------------------
 
+    @boundary(
+        "vfs.read",
+        attrs=lambda self, path: {"ctx": str(self.process.context), "path": path},
+        done=_read_done,
+    )
     def read_file(self, path: str) -> bytes:
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "vfs.read", ctx=str(self.process.context), path=path
-            ) as span:
-                data = self._read_file_impl(path)
-                span.set(bytes=len(data))
-                self.obs.metrics.count("vfs.read")
-                self.obs.metrics.observe("vfs.read.bytes", len(data), DEFAULT_BYTE_BUCKETS)
-                return data
-        return self._read_file_impl(path)
-
-    def _read_file_impl(self, path: str) -> bytes:
         if _SCHED.enabled:
             with self._io_locks(path, write=False):
                 _SCHED.yield_point(
                     "vfs.read", path=path, resource=f"file:{path}", rw="r"
                 )
-                return self._read_file_body(path)
-        return self._read_file_body(path)
+                return self._read_file_locked(path)
+        return self._read_file_locked(path)
 
-    def _read_file_body(self, path: str) -> bytes:
+    def _read_file_locked(self, path: str) -> bytes:
         with self.open(path, O_RDONLY) as handle:
             data = handle.read()
             if self.obs.prov:
@@ -192,69 +197,39 @@ class Syscalls:
                 )
             return data
 
+    @boundary(
+        "vfs.write", attrs=_write_attrs, count="vfs.write", fault=_write_fault
+    )
     def write_file(self, path: str, data: bytes, mode: int = 0o644) -> None:
-        if _FAULTS.enabled:
-            _FAULTS.hit(
-                "vfs.write",
-                ctx=str(self.process.context),
-                path=path,
-                device_id=self.obs.device_id,
-            )
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "vfs.write", ctx=str(self.process.context), path=path, bytes=len(data)
-            ):
-                self.obs.metrics.count("vfs.write")
-                self.obs.metrics.observe("vfs.write.bytes", len(data), DEFAULT_BYTE_BUCKETS)
-                return self._write_file_impl(path, data, mode)
-        return self._write_file_impl(path, data, mode)
-
-    def _write_file_impl(self, path: str, data: bytes, mode: int = 0o644) -> None:
+        flags = O_WRONLY | O_CREAT | O_TRUNC
         if _SCHED.enabled:
             with self._io_locks(path, write=True):
                 _SCHED.yield_point(
                     "vfs.write", path=path, resource=f"file:{path}", rw="w"
                 )
-                return self._write_file_body(path, data, mode)
-        return self._write_file_body(path, data, mode)
+                return self._write_locked(path, data, flags, mode)
+        return self._write_locked(path, data, flags, mode)
 
-    def _write_file_body(self, path: str, data: bytes, mode: int = 0o644) -> None:
-        with self.open(path, O_WRONLY | O_CREAT | O_TRUNC, mode=mode) as handle:
-            handle.write(data)
-            if self.obs.prov:
-                self.obs.provenance.write(
-                    self.process.pid, str(self.process.context), path, ino=handle.ino
-                )
-
+    @boundary(
+        "vfs.write",
+        attrs=lambda self, path, data: {**_write_attrs(self, path, data), "append": True},
+        count="vfs.write",
+        fault=_write_fault,
+    )
     def append_file(self, path: str, data: bytes) -> None:
-        if _FAULTS.enabled:
-            _FAULTS.hit(
-                "vfs.write",
-                ctx=str(self.process.context),
-                path=path,
-                device_id=self.obs.device_id,
-            )
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "vfs.write", ctx=str(self.process.context), path=path,
-                bytes=len(data), append=True,
-            ):
-                self.obs.metrics.count("vfs.write")
-                self.obs.metrics.observe("vfs.write.bytes", len(data), DEFAULT_BYTE_BUCKETS)
-                return self._append_file_impl(path, data)
-        return self._append_file_impl(path, data)
-
-    def _append_file_impl(self, path: str, data: bytes) -> None:
+        flags = O_WRONLY | O_APPEND
         if _SCHED.enabled:
             with self._io_locks(path, write=True):
                 _SCHED.yield_point(
                     "vfs.write", path=path, resource=f"file:{path}", rw="w"
                 )
-                return self._append_file_body(path, data)
-        return self._append_file_body(path, data)
+                return self._write_locked(path, data, flags)
+        return self._write_locked(path, data, flags)
 
-    def _append_file_body(self, path: str, data: bytes) -> None:
-        with self.open(path, O_WRONLY | O_APPEND) as handle:
+    def _write_locked(self, path: str, data: bytes, flags: int, mode: int = 0o644) -> None:
+        if self.obs.enabled:
+            self.obs.metrics.observe("vfs.write.bytes", len(data), DEFAULT_BYTE_BUCKETS)
+        with self.open(path, flags, mode=mode) as handle:
             handle.write(data)
             if self.obs.prov:
                 self.obs.provenance.write(

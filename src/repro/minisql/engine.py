@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.boundary import boundary
 from repro.errors import (
     SqlError,
     SqlNameError,
@@ -86,6 +87,12 @@ class _ProjectedRow:
 _MISSING = object()
 
 
+def _execute_done(self, span, result: "ResultSet") -> None:
+    span.set(rows=len(result.rows), rowcount=result.rowcount)
+    self.obs.metrics.count("sql.statements")
+    self.obs.metrics.observe("sql.execute.ms", span.elapsed_ms)
+
+
 class Database:
     """An in-memory SQL database.
 
@@ -115,20 +122,15 @@ class Database:
     # Entry points
     # ------------------------------------------------------------------
 
+    @boundary(
+        "sql.execute",
+        attrs=lambda self, sql, params=(): {
+            "sql": sql if len(sql) <= 200 else sql[:197] + "..."
+        },
+        done=_execute_done,
+    )
     def execute(self, sql: str, params: Sequence[object] = ()) -> ResultSet:
         """Parse and execute one SQL statement."""
-        if self.obs.enabled:
-            with self.obs.tracer.span(
-                "sql.execute", sql=sql if len(sql) <= 200 else sql[:197] + "..."
-            ) as span:
-                result = self._execute_impl(sql, params)
-                span.set(rows=len(result.rows), rowcount=result.rowcount)
-                self.obs.metrics.count("sql.statements")
-                self.obs.metrics.observe("sql.execute.ms", span.elapsed_ms)
-                return result
-        return self._execute_impl(sql, params)
-
-    def _execute_impl(self, sql: str, params: Sequence[object]) -> ResultSet:
         statement = self._statement_cache.get(sql)
         if statement is None:
             statement = parse(sql)

@@ -15,9 +15,10 @@ process-global any more.
 device (bare ``Device()``, unit-test fixtures, the workload harness)
 attach to it, so existing single-device call sites and ``OBS.capture()``
 keep working unchanged. The disabled fast path is preserved by
-construction — every hot-path hook is still a single attribute load plus
-a branch (``if self.obs.enabled:``), and nothing else runs when it is
-off.
+construction — every kernel entry point opens its span through
+:func:`repro.boundary.boundary`, whose disarmed path is one attribute
+load plus a branch (``self.obs.enabled``) per declared plane, and nothing
+else runs when it is off.
 
 Span taxonomy (the prefix is the layer):
 

@@ -39,8 +39,10 @@ with the live device still standing for inspection — the
 
 from __future__ import annotations
 
-import hashlib
+from itertools import takewhile
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.digest import lines_digest
 
 __all__ = [
     "AnchorReached",
@@ -146,13 +148,9 @@ def events_digest(events: Tuple[Event, ...], upto: Optional[int] = None) -> str:
     """sha256 over the canonical lines of ``events`` (optionally only the
     prefix with ``seq <= upto``) — the byte-identity half of the
     replay-to-anchor acceptance check."""
-    digest = hashlib.sha256()
-    for event in events:
-        if upto is not None and event.seq > upto:
-            break
-        digest.update(event.line().encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
+    if upto is not None:
+        events = tuple(takewhile(lambda event: event.seq <= upto, events))
+    return lines_digest(event.line() for event in events)
 
 
 class BlackBox:

@@ -12,10 +12,11 @@ the cross-layer visibility Maxoid debugging needs.
 
 Design constraints:
 
-- **Zero cost when disabled.** Instrumented call sites gate on a single
-  attribute check (``if OBS.enabled:``); this module is only entered once
-  tracing is on. :meth:`Tracer.span` additionally returns a shared no-op
-  span when called without the gate.
+- **Zero cost when disabled.** Kernel entry points open their spans
+  through :func:`repro.boundary.boundary`, which checks ``obs.enabled``
+  first; this module is only entered once tracing is on.
+  :meth:`Tracer.span` additionally returns a shared no-op span when
+  called without the gate.
 - Spans are emitted to sinks at *exit* (children before parents); sinks
   and tests reconstruct the tree from ``parent_id``/``trace_id``.
 """

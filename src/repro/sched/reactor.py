@@ -34,7 +34,6 @@ each other's span parentage or taint attribution.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import threading
 from contextlib import contextmanager
@@ -52,6 +51,7 @@ from typing import (
     Union,
 )
 
+from repro.digest import canonical_bytes, lines_digest
 from repro.errors import DelegateTimeout
 from repro.obs import obs_contexts
 from repro.sched.locks import DeadlockError, LockOrderChecker, RWLock
@@ -72,13 +72,15 @@ def schedule_bytes(decisions: Sequence[Decision]) -> bytes:
     """The canonical wire form: one ``"{step} {task} {point}"`` line per
     decision. Counter-free by construction — task names and yield-point
     names carry no pids or timestamps."""
-    return b"\n".join(
-        f"{step} {task} {point}".encode() for step, task, point in decisions
-    )
+    return canonical_bytes(_decision_lines(decisions))
 
 
 def schedule_digest(decisions: Sequence[Decision]) -> str:
-    return hashlib.sha256(schedule_bytes(decisions)).hexdigest()
+    return lines_digest(_decision_lines(decisions))
+
+
+def _decision_lines(decisions: Sequence[Decision]) -> Iterator[str]:
+    return (f"{step} {task} {point}" for step, task, point in decisions)
 
 
 class _TaskAbort(BaseException):

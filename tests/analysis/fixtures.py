@@ -11,28 +11,28 @@ from pathlib import Path
 
 from repro.analysis.ir import CodeIndex
 
-#: A kernel-style boundary carrying the full quartet, split across the
-#: ``public -> _impl -> _body`` helper chain the inliner must follow.
+#: A kernel-style boundary carrying the full quartet: obs, faults and
+#: sched declared by a ``@boundary`` one helper down (the shape of
+#: Binder's per-attempt boundary), the provenance stamp two helpers down.
 GATED_OK = '''
-from fake import FAULTS as _FAULTS, SCHED as _SCHED
+from fake import boundary
 
 
 class GoodGate:
     def write(self, path, data):
-        if self.obs.enabled:
-            with self.obs.tracer.span("good.write", path=path):
-                self.obs.metrics.count("good.writes")
-                return self._write_impl(path, data)
-        return self._write_impl(path, data)
+        return self._write_attempt(path, data)
 
-    def _write_impl(self, path, data):
-        if _FAULTS.enabled:
-            _FAULTS.hit("good.write", path=path)
-        if _SCHED.enabled:
-            _SCHED.yield_point("good.write", resource=path, rw="w")
-        return self._write_body(path, data)
+    @boundary(
+        "good.write",
+        attrs=lambda self, path, data: {"path": path},
+        count="good.writes",
+        fault=lambda self, path, data: {"path": path},
+        sched=lambda self, path, data: {"resource": path, "rw": "w"},
+    )
+    def _write_attempt(self, path, data):
+        return self._store(path, data)
 
-    def _write_body(self, path, data):
+    def _store(self, path, data):
         self.store[path] = data
         if self.obs.prov:
             self.obs.provenance.file_write(path)
@@ -47,33 +47,30 @@ class BareGate:
         return len(data)
 '''
 
-#: One member missing at a time (the other three present).
+#: One member missing at a time (the other three present). A boundary
+#: without obs is a spanless one that declares neither count nor done.
 def gated_missing(member: str) -> str:
-    lines = {
-        "obs": (
-            "        if self.obs.enabled:\n"
-            "            with self.obs.tracer.span('one.write'):\n"
-            "                self.obs.metrics.count('one.writes')\n"
-        ),
-        "faults": (
-            "        if _FAULTS.enabled:\n"
-            "            _FAULTS.hit('one.write', path=path)\n"
-        ),
-        "sched": (
-            "        if _SCHED.enabled:\n"
-            "            _SCHED.yield_point('one.write', resource=path, rw='w')\n"
-        ),
-        "prov": (
-            "        if self.obs.prov:\n"
-            "            self.obs.provenance.file_write(path)\n"
-        ),
+    declared = {
+        "obs": "        count='one.writes',\n",
+        "faults": "        fault=lambda self, path, data: {'path': path},\n",
+        "sched": "        sched=lambda self, path, data: {'resource': path, 'rw': 'w'},\n",
     }
-    body = "".join(text for name, text in lines.items() if name != member)
+    keywords = "".join(text for name, text in declared.items() if name != member)
+    if member == "obs":
+        keywords = "        span=False,\n" + keywords
+    prov = "" if member == "prov" else (
+        "        if self.obs.prov:\n"
+        "            self.obs.provenance.file_write(path)\n"
+    )
     return (
-        "from fake import FAULTS as _FAULTS, SCHED as _SCHED\n\n\n"
+        "from fake import boundary\n\n\n"
         "class OneGate:\n"
+        "    @boundary(\n"
+        "        'one.write',\n"
+        f"{keywords}"
+        "    )\n"
         "    def write(self, path, data):\n"
-        f"{body}"
+        f"{prov}"
         "        self.store[path] = data\n"
         "        return len(data)\n"
     )

@@ -40,8 +40,8 @@ def _registry(cls: str) -> tuple:
 
 class TestPlantedFixtures:
     def test_full_quartet_detected_through_helper_chain(self, tmp_path):
-        """obs lives in the public method, faults+sched one helper down,
-        prov two helpers down — the inliner must see all four."""
+        """obs, faults and sched are declared by a ``@boundary`` one helper
+        down, prov two helpers down — the inliner must see all four."""
         index = build_fixture(tmp_path, "mod", GATED_OK)
         fn = index.function("fixturepkg.mod", "GoodGate.write")
         assert detect_members(index, fn) == set(QUARTET)

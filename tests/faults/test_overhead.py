@@ -1,10 +1,11 @@
 """Disabled fault-plane fast-path overhead regression.
 
 Same contract and same measurement discipline as
-``tests/obs/test_overhead.py``: the fault gates are a single ``if
-_FAULTS.enabled:`` attribute check on each mutating hot path, so with the
+``tests/obs/test_overhead.py``: a ``@boundary`` that declares a fault
+point adds one ``FAULTS.enabled`` check to its disarmed path, so with the
 plane disarmed the instrumented entry points must cost no measurable
-overhead against the ungated implementation methods. The loops are
+overhead against their bare bodies (``Syscalls.write_file.__wrapped__``
+and ``read_file.__wrapped__``). The loops are
 interleaved round by round and compared on best-of-N minima so scheduler
 and allocator noise (which only ever adds time) cancels out of both
 sides.
@@ -20,6 +21,7 @@ import pytest
 
 from repro import AndroidManifest, Device
 from repro.faults import FAULTS
+from repro.kernel.syscall import Syscalls
 from repro.obs.artifacts import bench_json_target, update_bench_json
 
 pytestmark = pytest.mark.faults
@@ -52,13 +54,16 @@ def test_disabled_fault_gate_write_overhead(api):
             sys.write_file("/storage/sdcard/bench/file.bin", payload)
             sys.read_file("/storage/sdcard/bench/file.bin")
 
+    write_body = Syscalls.write_file.__wrapped__
+    read_body = Syscalls.read_file.__wrapped__
+
     def ungated_loop():
-        # The pre-fault-plane code path: implementation methods called
-        # directly, skipping both the faults gate and the obs gate on
-        # read/write — exactly the code the seed ran.
+        # The bare bodies under the read/write boundaries: the difference
+        # to the gated loop is exactly the wrappers' disarmed cost (the
+        # obs and faults checks), nothing else.
         for _ in range(OPS_PER_TRIAL):
-            sys._write_file_impl("/storage/sdcard/bench/file.bin", payload)
-            sys._read_file_impl("/storage/sdcard/bench/file.bin")
+            write_body(sys, "/storage/sdcard/bench/file.bin", payload)
+            read_body(sys, "/storage/sdcard/bench/file.bin")
 
     # Warm caches and any lazily-built state on both paths.
     gated_loop()

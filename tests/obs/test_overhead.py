@@ -1,10 +1,12 @@
 """Disabled-tracer fast-path overhead regression.
 
-The instrumentation contract is "zero cost when disabled": every hot-path
-hook is a single ``if OBS.enabled:`` attribute check. This test measures a
-VFS read/write microloop through the instrumented entry points (gate
-present, observability off) against the same loop through the ungated
-implementation methods, i.e. exactly the code the seed ran.
+The instrumentation contract is "zero cost when disabled": a disarmed
+``@boundary`` costs its wrapper call plus one ``enabled`` check per
+declared plane. This test measures a VFS read/write microloop through the
+instrumented entry points (observability off) against the same loop
+through their bare bodies (``Syscalls.write_file.__wrapped__`` and
+``read_file.__wrapped__``), so the difference is exactly the wrappers'
+disarmed cost.
 
 The nominal budget is <5%; the assertion uses a deliberately generous
 bound so a noisy CI machine cannot flake the suite, while still catching a
@@ -22,6 +24,7 @@ import time
 import pytest
 
 from repro import AndroidManifest, Device
+from repro.kernel.syscall import Syscalls
 from repro.obs import OBS
 from repro.obs.artifacts import bench_json_target, update_bench_json
 
@@ -55,13 +58,16 @@ def test_disabled_tracer_read_write_overhead(api):
             sys.write_file("/storage/sdcard/bench/file.bin", payload)
             sys.read_file("/storage/sdcard/bench/file.bin")
 
+    write_body = Syscalls.write_file.__wrapped__
+    read_body = Syscalls.read_file.__wrapped__
+
     def ungated_loop():
-        # The pre-instrumentation code path: implementation methods called
-        # directly, no OBS gate on read/write (open's gate remains, which
-        # only makes this baseline conservative).
+        # The bare bodies under the read/write boundaries (open's boundary
+        # inside them remains, which only makes this baseline
+        # conservative).
         for _ in range(OPS_PER_TRIAL):
-            sys._write_file_impl("/storage/sdcard/bench/file.bin", payload)
-            sys._read_file_impl("/storage/sdcard/bench/file.bin")
+            write_body(sys, "/storage/sdcard/bench/file.bin", payload)
+            read_body(sys, "/storage/sdcard/bench/file.bin")
 
     # Warm caches and any lazily-built state on both paths.
     gated_loop()
