@@ -34,7 +34,6 @@ projection with the ORDER BY columns and strips them from the result.
 from __future__ import annotations
 
 import base64
-import copy
 import json
 import re
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ from repro.errors import SqlNameError
 from repro.faults import FAULTS as _FAULTS
 from repro.minisql import Database
 from repro.minisql import ast_nodes as ast
-from repro.minisql.engine import ResultSet
+from repro.minisql.engine import ResultSet, prepare
 from repro.minisql.parser import parse
 from repro.obs import OBS as _OBS
 from repro.sched import SCHED as _SCHED
@@ -157,7 +156,7 @@ class CowProxy:
 
     def create_table(self, create_sql: str) -> str:
         """Create a primary table from a CREATE TABLE statement."""
-        statement = parse(create_sql)
+        statement = prepare(create_sql)
         if not isinstance(statement, ast.CreateTable):
             raise SqlNameError("create_table() requires a CREATE TABLE statement")
         self.db.execute(create_sql)
@@ -180,7 +179,7 @@ class CowProxy:
         The proxy records which registered tables/views the definition
         references so it can later build the per-initiator COW hierarchy.
         """
-        select = parse(select_sql)
+        select = prepare(select_sql)
         if not isinstance(select, ast.Select):
             raise SqlNameError("create_user_view() requires a SELECT statement")
         bases = sorted(self._referenced_bases(select))
@@ -306,9 +305,12 @@ class CowProxy:
                 replacements[base] = self._ensure_table_cow(base, initiator)
             else:
                 replacements[base] = self._ensure_view_cow(base, initiator)
+        # A tree of our own: the rewrite edits it in place, and the cached
+        # tree of this text may already carry compiled closures that read
+        # the original bases.
         select = parse(definition.select_sql)
         assert isinstance(select, ast.Select)
-        rewritten = self._rewrite_bases(copy.deepcopy(select), replacements)
+        rewritten = self._rewrite_bases(select, replacements)
         self.db.define_view(cow_name, rewritten)
         self._materialized.add(key)
         self.stats.cow_views_created += 1

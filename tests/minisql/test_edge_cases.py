@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SqlError, SqlNameError, SqlSyntaxError
-from repro.minisql import Database
+from repro.minisql import Database, engine
 
 
 @pytest.fixture
@@ -204,16 +204,44 @@ class TestErrors:
 
 
 class TestStatementCache:
-    def test_repeated_statements_reuse_parse(self, db):
+    def test_repeated_statements_reuse_parse(self, db, monkeypatch):
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
         sql = "INSERT INTO t (v) VALUES (?)"
+        parses = _count_parses(monkeypatch)
         for index in range(5):
             db.execute(sql, [f"v{index}"])
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 5
-        assert sql in db._statement_cache
+        assert parses.count(sql) == 1
 
-    def test_cache_eviction_at_limit(self, db):
-        db._cache_limit = 4
+    def test_cache_eviction_at_limit(self, monkeypatch):
+        monkeypatch.setattr(engine, "STATEMENT_CACHE_LIMIT", 4)
+        monkeypatch.setattr(engine, "_statements", {})
+        db = Database()
         for index in range(6):
             db.execute(f"SELECT {index}")
-        assert len(db._statement_cache) <= 4
+            assert len(engine._statements) <= 4
+        assert db.execute("SELECT 5").scalar() == 5
+
+    def test_databases_share_parses(self, monkeypatch):
+        sql = "SELECT COUNT(*) FROM shared_t"
+        parses = _count_parses(monkeypatch)
+        for _ in range(2):
+            db = Database()
+            db.execute("CREATE TABLE shared_t (id INTEGER PRIMARY KEY)")
+            assert db.execute(sql).scalar() == 0
+        assert parses.count(sql) == 1
+
+
+def _count_parses(monkeypatch) -> list:
+    """Empty the statement cache and record the text of every parse it
+    makes from now on."""
+    monkeypatch.setattr(engine, "_statements", {})
+    parses: list = []
+    real_parse = engine.parse
+
+    def counting(sql):
+        parses.append(sql)
+        return real_parse(sql)
+
+    monkeypatch.setattr(engine, "parse", counting)
+    return parses
