@@ -14,11 +14,25 @@ def normalize(path: str) -> str:
 
     Collapses repeated slashes, resolves ``.`` and ``..`` components (without
     consulting the filesystem — the simulated VFS has no symlink loops to
-    worry about), and strips trailing slashes. The root is ``"/"``.
+    worry about), and strips trailing slashes. The root is ``"/"``. A path
+    that is already canonical is returned unchanged without being split;
+    names that merely start with a dot are ordinary components.
 
     >>> normalize("//a/./b/../c/")
     '/a/c'
+    >>> normalize("/a/..")
+    '/'
+    >>> normalize("/d/.wh.x")
+    '/d/.wh.x'
     """
+    if (
+        path[:1] == "/"
+        and "//" not in path
+        and "/./" not in path
+        and "/../" not in path
+        and (path == "/" or not path.endswith(("/", "/.", "/..")))
+    ):
+        return path
     if not path.startswith("/"):
         path = "/" + path
     parts: List[str] = []
@@ -52,8 +66,13 @@ def join(*parts: str) -> str:
 
     >>> join("/a", "b/c", "d")
     '/a/b/c/d'
+    >>> join("/", "/a/", "b")
+    '/a/b'
     """
-    return normalize("/".join(p for p in parts if p))
+    # Fragments lose their outer slashes first, so joining canonical
+    # fragments yields a canonical path that normalize returns unchanged.
+    stripped = [p.strip("/") for p in parts]
+    return normalize("/" + "/".join(p for p in stripped if p))
 
 
 def parent(path: str) -> str:
@@ -64,10 +83,7 @@ def parent(path: str) -> str:
     >>> parent("/")
     '/'
     """
-    components = split(path)
-    if not components:
-        return "/"
-    return "/" + "/".join(components[:-1])
+    return normalize(path).rpartition("/")[0] or "/"
 
 
 def basename(path: str) -> str:
@@ -76,8 +92,7 @@ def basename(path: str) -> str:
     >>> basename("/a/b")
     'b'
     """
-    components = split(path)
-    return components[-1] if components else ""
+    return normalize(path).rpartition("/")[2]
 
 
 def is_within(path: str, ancestor: str) -> bool:

@@ -1,5 +1,7 @@
 """Path utility tests."""
 
+import doctest
+
 import pytest
 
 from repro.kernel import path as vpath
@@ -87,3 +89,9 @@ class TestContainment:
     def test_relative_to_outside_raises(self):
         with pytest.raises(ValueError):
             vpath.relative_to("/x", "/a")
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(vpath)
+    assert result.attempted > 0
+    assert result.failed == 0
