@@ -82,7 +82,11 @@ class Branch:
 
     def path(self, union_path: str) -> str:
         """Translate a union-relative path into this branch's filesystem."""
-        return vpath.join(self.root, union_path)
+        root = vpath.normalize(self.root)
+        union_path = vpath.normalize(union_path)
+        if root == "/":
+            return union_path
+        return root if union_path == "/" else root + union_path
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         rw = "rw" if self.writable else "ro"
@@ -178,34 +182,28 @@ class AufsMount(FilesystemAPI):
 
     def _hidden_by_upper(self, index: int, union_path: str) -> bool:
         """True if branch ``index``'s entry at ``union_path`` is masked by a
-        whiteout, opaque directory, or shadowing file in a higher branch."""
+        whiteout, opaque directory, or shadowing file in a higher branch.
+
+        Each upper branch is walked once, one directory's children at a time.
+        """
         components = vpath.split(union_path)
-        for j in range(index):
-            upper = self.branches[j]
-            current = upper.root
-            masked = False
+        last = len(components) - 1
+        for upper in self.branches[:index]:
+            node = upper.fs.probe(upper.root)
+            if node is None:
+                continue
             for depth, component in enumerate(components):
-                whiteout = vpath.join(current, WHITEOUT_PREFIX + component)
-                if upper.fs.exists(whiteout, ROOT_CRED):
-                    masked = True
+                children = node.children
+                if WHITEOUT_PREFIX + component in children:
+                    return True
+                node = children.get(component)
+                if node is None or depth == last:
                     break
-                nxt = vpath.join(current, component)
-                if not upper.fs.exists(nxt, ROOT_CRED):
-                    break
-                stat = upper.fs.stat(nxt, ROOT_CRED)
-                is_last = depth == len(components) - 1
-                if stat.is_file and not is_last:
+                if node.kind is InodeKind.FILE:
                     # A file in an upper branch shadows lower directories.
-                    masked = True
-                    break
-                if stat.is_dir and not is_last:
-                    opaque = vpath.join(nxt, OPAQUE_MARKER)
-                    if upper.fs.exists(opaque, ROOT_CRED):
-                        masked = True
-                        break
-                current = nxt
-            if masked:
-                return True
+                    return True
+                if OPAQUE_MARKER in node.children:
+                    return True
         return False
 
     def _find(self, union_path: str) -> Tuple[int, Stat]:
@@ -219,14 +217,14 @@ class AufsMount(FilesystemAPI):
             self.lookup_branches_scanned += 1
             if self.obs.enabled:
                 self.obs.metrics.count("aufs.lookup.branches_scanned")
-            branch_path = branch.path(union_path)
-            if not branch.fs.exists(branch_path, ROOT_CRED):
+            node = branch.fs.probe(branch.path(union_path))
+            if node is None:
                 continue
             if self._hidden_by_upper(index, union_path):
                 # Higher branches mask everything below; nothing further
                 # down can be visible either.
                 raise FileNotFound(union_path)
-            return index, branch.fs.stat(branch_path, ROOT_CRED)
+            return index, node.stat()
         raise FileNotFound(union_path)
 
     def _check_access(self, stat: Stat, cred: Credentials, want: int) -> None:
@@ -482,9 +480,10 @@ class AufsMount(FilesystemAPI):
         for i in range(index, len(self.branches)):
             branch = self.branches[i]
             branch_dir = branch.path(path)
-            if not branch.fs.exists(branch_dir, ROOT_CRED):
+            node = branch.fs.probe(branch_dir)
+            if node is None:
                 continue
-            if not branch.fs.stat(branch_dir, ROOT_CRED).is_dir:
+            if node.kind is not InodeKind.DIR:
                 break
             if i > index and self._hidden_by_upper(i, path):
                 break

@@ -105,22 +105,25 @@ class MountNamespace:
 
     def _resolve_locked(self, path: str) -> Tuple[FilesystemAPI, str]:
         path = vpath.normalize(path)
-        best = "/"
-        for point in self._mounts:
-            if vpath.is_within(path, point) and len(point) > len(best):
-                best = point
-        fs = self._mounts[best]
-        inner = "/" + vpath.relative_to(path, best)
-        return fs, vpath.normalize(inner)
+        point = self._mount_point(path)
+        inner = path if point == "/" else path[len(point) :] or "/"
+        return self._mounts[point], inner
+
+    def _mount_point(self, path: str) -> str:
+        """The longest mount point that is ``path`` or one of its ancestors.
+
+        ``path`` must be canonical; walking its ancestors up to ``/`` (always
+        mounted) finds the match in one dict probe per component.
+        """
+        point = path
+        while point not in self._mounts:
+            point = point.rpartition("/")[0] or "/"
+        return point
 
     def mount_for(self, path: str) -> Tuple[str, FilesystemAPI]:
         """Return ``(mount_point, filesystem)`` covering ``path``."""
-        path = vpath.normalize(path)
-        best = "/"
-        for point in self._mounts:
-            if vpath.is_within(path, point) and len(point) > len(best):
-                best = point
-        return best, self._mounts[best]
+        point = self._mount_point(vpath.normalize(path))
+        return point, self._mounts[point]
 
     def mount_points(self) -> List[str]:
         """All mount points, sorted (``/`` first)."""

@@ -349,15 +349,28 @@ class Filesystem(FilesystemAPI):
     def _lookup(self, path: str, cred: Credentials) -> Inode:
         """Resolve ``path`` to an inode, enforcing search permission."""
         node = self.root
+        check_search = not cred.is_root
         for component in vpath.split(path):
             if node.kind is not InodeKind.DIR:
                 raise NotADirectory(path)
-            if not node.permits(cred, 0o1):
+            if check_search and not node.permits(cred, 0o1):
                 raise PermissionDenied(f"search denied on the way to {path}")
             child = node.children.get(component)
             if child is None:
                 raise FileNotFound(path)
             node = child
+        return node
+
+    def probe(self, path: str) -> Optional[Inode]:
+        """Resolve ``path`` as root in one walk: the inode, or ``None`` where
+        a component is missing or not a directory."""
+        node = self.root
+        for component in vpath.split(path):
+            if node.kind is not InodeKind.DIR:
+                return None
+            node = node.children.get(component)
+            if node is None:
+                return None
         return node
 
     def _lookup_parent(self, path: str, cred: Credentials) -> Tuple[Inode, str]:
@@ -378,6 +391,13 @@ class Filesystem(FilesystemAPI):
 
     def stat(self, path: str, cred: Credentials) -> Stat:
         return self._lookup(path, cred).stat()
+
+    def exists(self, path: str, cred: Credentials) -> bool:
+        # Root passes every search check, so one probe answers; other
+        # credentials walk with the checks (PermissionDenied propagates).
+        if cred.is_root:
+            return self.probe(path) is not None
+        return super().exists(path, cred)
 
     def open(
         self,
