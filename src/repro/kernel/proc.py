@@ -91,11 +91,16 @@ class ProcessTable:
     """The kernel's view of all processes."""
 
     def __init__(self) -> None:
+        # Live processes only: each one leaves the table when it dies.
         self._processes: Dict[int, Process] = {}
 
     def register(self, process: Process) -> Process:
         self._processes[process.pid] = process
+        process.exit_hooks.append(self._forget)
         return process
+
+    def _forget(self, process: Process) -> None:
+        self._processes.pop(process.pid, None)
 
     def get(self, pid: int) -> Process:
         process = self._processes.get(pid)

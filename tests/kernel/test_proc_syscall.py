@@ -1,5 +1,8 @@
 """Process table, task context, and syscall-layer tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import CrossDeviceLink, NoSuchProcess, PermissionDenied
@@ -82,6 +85,24 @@ class TestProcessTable:
         table.register(make_process(app="B"))
         delegate = table.register(make_process(app="B", initiator="A"))
         assert [p.pid for p in table.instances_of_initiator("A")] == [delegate.pid]
+
+    def test_killed_process_leaves_the_table(self):
+        table = ProcessTable()
+        survivor = table.register(make_process(app="B"))
+        victim = table.register(make_process(app="B", initiator="A"))
+        assert len(table) == 2
+        victim.kill()
+        assert len(table) == 1
+        assert list(table) == [survivor]
+        assert table.instances_of("B") == [survivor]
+        assert table.instances_of_initiator("A") == []
+        with pytest.raises(NoSuchProcess):
+            table.get(victim.pid)
+        # The table holds no reference to the dead process any more.
+        victim_ref = weakref.ref(victim)
+        del victim
+        gc.collect()
+        assert victim_ref() is None
 
 
 class TestSyscalls:
