@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.ir import CodeIndex, FunctionInfo, dotted
@@ -41,10 +41,7 @@ __all__ = [
     "GATE_REGISTRY",
     "GateRule",
     "QUARTET",
-    "TAP_REGISTRY",
-    "TapRule",
     "check_gates",
-    "check_recorder_taps",
     "detect_members",
 ]
 
@@ -126,45 +123,6 @@ GATE_REGISTRY: Tuple[GateRule, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class TapRule:
-    """One listener fanout site the flight recorder taps into.
-
-    The recorder's zero-cost-when-off contract rests on every evidence
-    plane *fanning out to its listener list* at the moment it records —
-    a plane that stops doing so silently drops out of every black box
-    without failing any dynamic test (the recorder tests only cover the
-    planes they exercise). This registry pins the fanout sites; the
-    detector looks for a ``for ... in <...listeners...>:`` loop in the
-    method's effective body.
-    """
-
-    module: str
-    cls: Optional[str]
-    method: str
-    note: str = ""
-
-    @property
-    def qualname(self) -> str:
-        return f"{self.cls}.{self.method}" if self.cls else self.method
-
-
-#: Every plane the flight recorder taps (see repro.obs.recorder.arm).
-TAP_REGISTRY: Tuple[TapRule, ...] = (
-    TapRule("repro.obs.trace", "Tracer", "_finish", note="span/prov tap"),
-    TapRule("repro.faults.plane", "FaultPlane", "hit", note="fault-consult tap"),
-    TapRule(
-        "repro.core.audit", "AuditLog", "record",
-        note="audit tap (violation/timeout autoseal)",
-    ),
-    TapRule(
-        "repro.sched.reactor", "DeterministicScheduler", "_loop",
-        note="decision + deadlock-trigger taps",
-    ),
-    TapRule("repro.sched.locks", "RWLock", "_acquire", note="lock-grant tap"),
-)
-
-
 # ----------------------------------------------------------------------
 # Evidence detectors
 # ----------------------------------------------------------------------
@@ -240,18 +198,6 @@ def _has_prov_stamp(nodes: Sequence[ast.AST]) -> bool:
     return False
 
 
-def _has_tap_fanout(nodes: Sequence[ast.AST]) -> bool:
-    """A ``for listener in <...listeners...>:`` fanout loop."""
-    for node in nodes:
-        if isinstance(node, ast.For):
-            chain = dotted(node.iter)
-            if chain is not None and any(
-                "listener" in part.lower() for part in chain
-            ):
-                return True
-    return False
-
-
 #: Inline (mid-body) evidence; entry instrumentation comes from
 #: :func:`_boundary_planes`.
 _DETECTORS = {
@@ -321,59 +267,4 @@ def check_gates(
                     ),
                 )
             )
-    # The default run also proves the flight recorder's tap contract;
-    # callers probing a custom registry (the planted fixtures) check
-    # exactly what they registered and nothing else.
-    if registry is GATE_REGISTRY:
-        findings.extend(check_recorder_taps(index, depth=depth))
-    return findings
-
-
-def check_recorder_taps(
-    index: CodeIndex,
-    registry: Iterable[TapRule] = TAP_REGISTRY,
-    depth: int = 3,
-) -> List[Finding]:
-    """Every registered evidence plane missing its listener fanout."""
-    findings: List[Finding] = []
-    for rule in registry:
-        fn = index.function(rule.module, rule.qualname)
-        symbol = rule.qualname
-        if fn is None:
-            mod = index.modules.get(rule.module)
-            findings.append(
-                Finding(
-                    pass_name="gates",
-                    rule="unresolved-tap-site",
-                    severity="error",
-                    module=rule.module,
-                    symbol=symbol,
-                    file=str(mod.path) if mod is not None else rule.module,
-                    line=1,
-                    message=(
-                        f"registered recorder tap site {rule.module}:{rule.qualname} "
-                        "no longer resolves — update TAP_REGISTRY or restore "
-                        "the method"
-                    ),
-                )
-            )
-            continue
-        nodes = list(index.inline_nodes(fn, depth=depth))
-        if _has_tap_fanout(nodes):
-            continue
-        findings.append(
-            Finding(
-                pass_name="gates",
-                rule="missing-tap-fanout",
-                severity="error",
-                module=rule.module,
-                symbol=symbol,
-                file=str(fn.module.path),
-                line=fn.line,
-                message=(
-                    f"evidence plane lost its listener fanout ({rule.note or 'tap'}): "
-                    "the flight recorder can no longer observe this plane"
-                ),
-            )
-        )
     return findings

@@ -22,6 +22,7 @@ from repro.android.app_api import AppApi
 from repro.android.storage import DATA_ROOT, EXTDIR
 from repro.android.uri import Uri
 from repro.kernel import path as vpath
+from repro.tap import Tap
 
 
 @dataclass
@@ -305,21 +306,11 @@ class AuditLog:
         # recover() calls don't duplicate injection records.
         self._ingested: set = set()
         #: ``fn(event)`` per recorded event — the flight recorder's tap.
-        #: Empty (one truthiness check per record) until something arms it.
-        self._listeners: List[Any] = []
-
-    def add_listener(self, fn: Any) -> None:
-        """Register ``fn(event)`` to observe every recorded event.
-
-        Listeners fire synchronously inside :meth:`record`, so a sealer
-        sees the violation before whoever recorded it can unwind. Not
-        cleared by :meth:`clear` — detach explicitly."""
-        if fn not in self._listeners:
-            self._listeners.append(fn)
-
-    def remove_listener(self, fn: Any) -> None:
-        if fn in self._listeners:
-            self._listeners.remove(fn)
+        #: Subscribers run synchronously inside :meth:`record`, so a sealer
+        #: sees a violation before whoever recorded it can unwind.
+        #: :meth:`clear` leaves it alone. Empty (one truthiness check per
+        #: record) until something subscribes.
+        self.entry_tap = Tap()
 
     def record(self, category: str, message: str, **details: Any) -> AuditEvent:
         self._seq += 1
@@ -331,9 +322,9 @@ class AuditLog:
             device_id=self.device_id,
         )
         self._events.append(event)
-        if self._listeners:
-            for listener in self._listeners:
-                listener(event)
+        if self.entry_tap:
+            for fn in self.entry_tap:
+                fn(event)
         return event
 
     def ingest_faults(self, plane: Any) -> int:

@@ -31,9 +31,10 @@ Everything the plane decides is recorded twice:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.digest import canonical_bytes
+from repro.tap import Tap
 
 __all__ = [
     "FAULT_POINTS",
@@ -131,9 +132,12 @@ class FaultPlane:
         #: One dict per *fired* fault, with the call-site context.
         self.injection_log: List[Dict[str, Any]] = []
         #: ``fn(point, outcome, ctx)`` per consult — the flight
-        #: recorder's tap. Empty (and costing one truthiness check per
-        #: consult, nothing per disabled call site) until armed.
-        self._listeners: List[Callable[[str, str, Dict[str, Any]], None]] = []
+        #: recorder's tap. Subscribers see a fired fault *before* it
+        #: propagates, so a recorder captures the injection even when the
+        #: workload dies on it. :meth:`reset` leaves it alone. Empty (one
+        #: truthiness check per consult, nothing per disabled call site)
+        #: until something subscribes.
+        self.consult_tap = Tap()
 
     # ------------------------------------------------------------------
     # Arming
@@ -181,24 +185,6 @@ class FaultPlane:
         return sorted(self._armed)
 
     # ------------------------------------------------------------------
-    # Consult listeners (the flight-recorder tap)
-    # ------------------------------------------------------------------
-
-    def add_listener(self, fn: Callable[[str, str, Dict[str, Any]], None]) -> None:
-        """Register ``fn(point, outcome, ctx)`` to observe every consult.
-
-        Listeners see fired faults *before* the exception propagates, so
-        a recorder captures the injection even when the workload dies on
-        it. They are not cleared by :meth:`reset` — arm/disarm them
-        explicitly (the flight recorder does)."""
-        if fn not in self._listeners:
-            self._listeners.append(fn)
-
-    def remove_listener(self, fn: Callable[[str, str, Dict[str, Any]], None]) -> None:
-        if fn in self._listeners:
-            self._listeners.remove(fn)
-
-    # ------------------------------------------------------------------
     # The hot-path entry
     # ------------------------------------------------------------------
 
@@ -212,16 +198,19 @@ class FaultPlane:
         self._hits[point] = hit
         self._seq += 1
         seq = self._seq
+        fired: Optional[BaseException] = None
         for policy in self._armed.get(point, ()):
-            error = policy.decide(point, hit, ctx)
-            if error is None:
-                continue
+            fired = policy.decide(point, hit, ctx)
+            if fired is not None:
+                break
+        if fired is None:
+            outcome = "pass"
+        else:
             outcome = (
                 "crash"
-                if isinstance(error, SimulatedCrash)
-                else f"raise:{type(error).__name__}"
+                if isinstance(fired, SimulatedCrash)
+                else f"raise:{type(fired).__name__}"
             )
-            self.schedule.append((seq, point, outcome))
             self.injection_log.append(
                 {
                     "seq": seq,
@@ -232,14 +221,12 @@ class FaultPlane:
                     "ctx": dict(ctx),
                 }
             )
-            if self._listeners:
-                for listener in self._listeners:
-                    listener(point, outcome, ctx)
-            raise error
-        self.schedule.append((seq, point, "pass"))
-        if self._listeners:
-            for listener in self._listeners:
-                listener(point, "pass", ctx)
+        self.schedule.append((seq, point, outcome))
+        if self.consult_tap:
+            for fn in self.consult_tap:
+                fn(point, outcome, ctx)
+        if fired is not None:
+            raise fired
 
     def hits(self, point: str) -> int:
         """How many times ``point`` has been consulted since reset."""

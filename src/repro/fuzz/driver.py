@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.apps.adversarial import exfil_browser, interpreter, launderer, leaky_provider
 from repro.fuzz.harness import FuzzWorld, RunResult, SECRET_PATH, VICTIM_PACKAGE
@@ -52,6 +52,7 @@ __all__ = [
     "AnchorHalt",
     "Counterexample",
     "SweepReport",
+    "delta_debug",
     "fuzz_sweep",
     "record_scenario",
     "replay_to_anchor",
@@ -267,29 +268,64 @@ def replay_to_anchor(
     )
 
 
-def shrink(
-    ops: Sequence[Op], planted: Optional[str] = None, maxoid: bool = True
-) -> List[int]:
-    """Greedy delta-debugging: the indices of a minimal violating
-    subsequence (every remaining op is load-bearing — removing any one
-    of them makes the violation disappear)."""
-    kept = [
-        i for i, op in enumerate(ops)
-        # Fault/crash ops only ever *mask* a leak; drop them first.
-        if not isinstance(op, (ArmFault, DisarmFaults, CrashNow))
-    ]
-    if not run_scenario([ops[i] for i in kept], planted, maxoid).violations:
-        kept = list(range(len(ops)))
+#: Ops the shrinker drops in its first pass: they only ever mask a leak,
+#: and they perturb everything downstream of them.
+_FAULT_OPS = (ArmFault, DisarmFaults, CrashNow)
 
+
+def delta_debug(
+    tracks: Mapping[str, Sequence[Op]],
+    violates: Callable[[Dict[str, List[int]]], bool],
+) -> Dict[str, List[int]]:
+    """Greedy delta-debugging across every track's op slots.
+
+    ``violates(kept)`` re-runs the scenario restricted to the kept slot
+    indices of each track. Trials run in three passes: each track's
+    fault/crash ops, then whole tracks, then single ops to a fixpoint,
+    so every remaining op is load-bearing (removing any one of them
+    makes the violation disappear). A trial that keeps no op at all is
+    never run. Returns the kept indices per track (a dropped track
+    keeps ``[]``)."""
+    kept = {name: list(range(len(ops))) for name, ops in tracks.items()}
+
+    def keep_if_violating(trial: Dict[str, List[int]]) -> bool:
+        nonlocal kept
+        if any(trial.values()) and violates(trial):
+            kept = trial
+            return True
+        return False
+
+    names = sorted(tracks)
+    for name in names:
+        fault_free = [
+            i for i in kept[name] if not isinstance(tracks[name][i], _FAULT_OPS)
+        ]
+        if fault_free != kept[name]:
+            keep_if_violating({**kept, name: fault_free})
+    for name in names:
+        if kept[name]:
+            keep_if_violating({**kept, name: []})
     changed = True
     while changed:
         changed = False
-        for index in list(kept):
-            trial = [i for i in kept if i != index]
-            if run_scenario([ops[i] for i in trial], planted, maxoid).violations:
-                kept = trial
-                changed = True
+        for name in names:
+            for index in list(kept[name]):
+                trial = {**kept, name: [i for i in kept[name] if i != index]}
+                changed |= keep_if_violating(trial)
     return kept
+
+
+def shrink(
+    ops: Sequence[Op], planted: Optional[str] = None, maxoid: bool = True
+) -> List[int]:
+    """The indices of a minimal violating subsequence of ``ops``:
+    :func:`delta_debug` over a single track."""
+
+    def violates(kept: Dict[str, List[int]]) -> bool:
+        minimal = [ops[i] for i in kept[""]]
+        return bool(run_scenario(minimal, planted, maxoid).violations)
+
+    return delta_debug({"": ops}, violates)[""]
 
 
 @dataclass

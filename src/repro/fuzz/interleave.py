@@ -38,14 +38,12 @@ from repro.fuzz.driver import (
     _chain_interpreter,
     _chain_provider,
     _delegate,
+    delta_debug,
 )
 from repro.fuzz.harness import FuzzWorld, RunResult, VICTIM_PACKAGE
 from repro.fuzz.ops import (
-    ArmFault,
     ClearVolatile,
     ClipPaste,
-    CrashNow,
-    DisarmFaults,
     DropLoot,
     Invoke,
     Op,
@@ -79,9 +77,6 @@ _MULE = launderer.PACKAGE
 
 #: name -> ordered op list. One track = one scheduled task.
 Tracks = Dict[str, List[Op]]
-
-#: Ops the shrinker drops in its first pass (mirrors driver.shrink).
-_FAULT_OPS = (ArmFault, DisarmFaults, CrashNow)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +222,10 @@ def run_interleaved(
     world.start()
     spans: List[Tuple[str, Optional[str]]] = []
 
-    def _span_listener(span) -> None:
+    def _on_span(span) -> None:
         spans.append((span.name, span.attrs.get("ctx")))
 
-    OBS.tracer.add_listener(_span_listener)
+    OBS.tracer.span_tap.add(_on_span)
     try:
 
         def _track_fn(ops: List[Op]):
@@ -250,7 +245,7 @@ def run_interleaved(
         result = world.result()
         box = world.seal_recording("counterexample") if record else None
     finally:
-        OBS.tracer.remove_listener(_span_listener)
+        OBS.tracer.span_tap.remove(_on_span)
         world.close()
     return InterleaveResult(
         run=result,
@@ -284,7 +279,7 @@ def shrink_tracks(
     planted: Optional[str],
     maxoid: bool = True,
 ) -> Dict[str, List[int]]:
-    """Greedy delta-debugging across all tracks' op slots.
+    """:func:`~repro.fuzz.driver.delta_debug` across all tracks' op slots.
 
     Trials re-run under the *recorded* schedule (replay + deterministic
     fallback), so the interleaving structure that produced the violation
@@ -292,11 +287,8 @@ def shrink_tracks(
     per track (a dropped track keeps ``[]``)."""
 
     def violates(kept: Dict[str, List[int]]) -> bool:
-        minimal = _materialize(tracks, kept)
-        if not minimal:
-            return False
         result = run_interleaved(
-            minimal,
+            _materialize(tracks, kept),
             sched_seed=sched_seed,
             schedule=schedule,
             planted=planted,
@@ -304,34 +296,7 @@ def shrink_tracks(
         )
         return bool(result.violations)
 
-    kept = {name: list(range(len(ops))) for name, ops in tracks.items()}
-    # Pass 0: fault/crash ops first — they perturb everything downstream.
-    for name in sorted(tracks):
-        fault_free = [
-            i for i in kept[name] if not isinstance(tracks[name][i], _FAULT_OPS)
-        ]
-        if fault_free != kept[name]:
-            trial = {**kept, name: fault_free}
-            if violates(trial):
-                kept = trial
-    # Pass 1: whole tracks.
-    for name in sorted(tracks):
-        if not kept[name]:
-            continue
-        trial = {**kept, name: []}
-        if violates(trial):
-            kept = trial
-    # Pass 2: single ops, to fixpoint.
-    changed = True
-    while changed:
-        changed = False
-        for name in sorted(tracks):
-            for index in list(kept[name]):
-                trial = {**kept, name: [i for i in kept[name] if i != index]}
-                if violates(trial):
-                    kept = trial
-                    changed = True
-    return kept
+    return delta_debug(tracks, violates)
 
 
 def shrink_schedule(

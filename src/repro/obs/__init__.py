@@ -230,11 +230,11 @@ class ObsContext:
         #: attribute before building any label machinery.
         self.prov = False
         #: Sub-switch for per-span-name latency histograms. Armed, a
-        #: tracer listener observes every closing span's duration; off,
-        #: no listener is registered and span close runs the seed path.
+        #: span-tap subscriber observes every closing span's duration;
+        #: off, nothing is subscribed and span close runs the seed path.
         self.profile = False
         #: The device's flight recorder (:mod:`repro.obs.recorder`). A
-        #: disarmed recorder holds no listeners anywhere, so it adds
+        #: disarmed recorder holds no tap subscriptions, so it adds
         #: nothing to any hot path until ``recorder.arm()``.
         self.recorder = FlightRecorder(self)
         #: Context-owned head-sampling policy. These mirror the tracer's
@@ -285,12 +285,12 @@ class ObsContext:
         if not self.enabled:
             self.enable()
         self.profile = True
-        self.tracer.add_listener(self.profiler.on_span)
+        self.tracer.span_tap.add(self.profiler.on_span)
 
     def disable_profile(self) -> None:
         """Disarm latency profiling; existing ``lat.*`` histograms stay."""
         self.profile = False
-        self.tracer.remove_listener(self.profiler.on_span)
+        self.tracer.span_tap.remove(self.profiler.on_span)
 
     def disable(self) -> None:
         """Turn instrumentation off; closes any JSONL sink."""
@@ -325,9 +325,9 @@ class ObsContext:
         block; ``profile=True`` arms the per-span latency histograms;
         ``sample_rate`` arms seeded head sampling for the block.
 
-        Listeners attached *inside* the block (a SecurityMonitor, say)
-        are removed on exit even when the block raises mid-span, and any
-        provenance actor scopes the aborted op left pushed are cleared —
+        Span-tap subscribers added *inside* the block (a SecurityMonitor,
+        say) are removed on exit even when the block raises mid-span, and
+        any provenance actor scopes the aborted op left pushed are cleared —
         one capture cannot leak monitor callbacks or actor attribution
         into the next. The sampling policy and the flight recorder's
         arm-state are saved and restored the same way: a recorder armed
@@ -340,7 +340,7 @@ class ObsContext:
         was_profile = self.profile
         prior_jsonl = self._jsonl_path
         prior_capacity = self._ring_capacity
-        prior_listeners = list(self.tracer._listeners)
+        prior_subscribers = list(self.tracer.span_tap)
         prior_rate = self.sample_rate
         prior_seed = self.sample_seed
         was_recording = self.recorder.armed
@@ -373,10 +373,8 @@ class ObsContext:
                 self.recorder.disarm()
                 if was_recording and prior_arm is not None:
                     self.recorder.arm(**prior_arm)
-            self.tracer._listeners[:] = [
-                listener
-                for listener in self.tracer._listeners
-                if listener in prior_listeners
+            self.tracer.span_tap[:] = [
+                fn for fn in self.tracer.span_tap if fn in prior_subscribers
             ]
             self.provenance.clear_actors()
             self.set_sampling(rate=prior_rate, seed=prior_seed)

@@ -1,7 +1,7 @@
 """The online security monitor: S1-S4 evaluated as each span closes.
 
-:class:`SecurityMonitor` subscribes to the tracer through
-:meth:`repro.obs.trace.Tracer.add_listener` and runs the same rule
+:class:`SecurityMonitor` subscribes to the tracer's span tap
+(:attr:`repro.obs.trace.Tracer.span_tap`) and runs the same rule
 engine the offline sweep uses (:func:`repro.obs.sweep.evaluate_span`)
 against every finished span — so a confinement violation is flagged the
 moment the offending operation returns, not after the workload ends.
@@ -51,7 +51,6 @@ class SecurityMonitor:
         self._packages = set(packages)
         self._ledger = ledger
         self._audit_log = audit_log
-        self._attached = False
         #: Violations in the order their spans closed.
         self.violations: List[Violation] = []
         #: Positive control: spans evaluated under a delegate context.
@@ -63,16 +62,12 @@ class SecurityMonitor:
 
     def attach(self) -> "SecurityMonitor":
         """Start receiving finished spans (idempotent)."""
-        if not self._attached:
-            self._tracer.add_listener(self._on_span)
-            self._attached = True
+        self._tracer.span_tap.add(self._on_span)
         return self
 
     def detach(self) -> None:
         """Stop receiving spans (idempotent)."""
-        if self._attached:
-            self._tracer.remove_listener(self._on_span)
-            self._attached = False
+        self._tracer.span_tap.remove(self._on_span)
 
     def __enter__(self) -> "SecurityMonitor":
         return self.attach()
@@ -87,7 +82,7 @@ class SecurityMonitor:
         if ctx is not None:
             return ctx
         # The tracer pops a span off the stack *before* notifying
-        # listeners, so the open ancestors are still there: the nearest
+        # subscribers, so the open ancestors are still there: the nearest
         # one carrying a ctx is the span the tree walk would inherit from.
         for ancestor in reversed(self._tracer._stack):
             ctx = ancestor.attrs.get("ctx")

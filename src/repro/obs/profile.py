@@ -3,11 +3,11 @@ critical-path analysis.
 
 Two pieces, both built on data the tracer already records:
 
-- :class:`ProfileRecorder` — a tracer *listener* that folds every closing
+- :class:`ProfileRecorder` — a span-tap subscriber that folds every closing
   span's duration into a per-span-name latency histogram
   (``lat.vfs.open``, ``lat.aufs.copy_up``, ``lat.cow.query``, ...) in the
   metrics registry. It sits behind the ``OBS.profile`` sub-switch with
-  the same contract as ``OBS.prov``: when off, no listener is registered
+  the same contract as ``OBS.prov``: when off, nothing is subscribed
   and the instrumented hot paths run exactly the code they ran before
   this module existed — zero cost. With it on,
   :meth:`~repro.obs.metrics.HistogramSnapshot.quantile` gives p50/p95/p99
@@ -53,7 +53,7 @@ SPAN_LATENCY_PREFIX = "lat."
 class ProfileRecorder:
     """Folds closing spans into per-span-name latency histograms.
 
-    Registered on the tracer via ``Tracer.add_listener`` only while
+    Subscribed to the tracer's ``span_tap`` only while
     ``OBS.profile`` is armed; construction allocates nothing on any hot
     path.
     """

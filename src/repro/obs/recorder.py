@@ -7,8 +7,8 @@ grants from the reactor's RWLocks, and audit entries from the device's
 :class:`~repro.core.audit.AuditLog`. This module merges those streams
 into one **bounded ring of causally ordered** :class:`Event` records per
 device: a monotonic per-device ``seq`` plus the scheduler's virtual
-clock, fed by listener taps that cost *nothing* until :meth:`FlightRecorder.arm`
-attaches them (the taps are plain listeners; a disarmed recorder leaves
+clock, fed by :class:`~repro.tap.Tap` subscriptions that cost *nothing*
+until :meth:`FlightRecorder.arm` makes them (a disarmed recorder leaves
 every plane's hot path untouched — the same zero-cost-when-off contract
 as ``OBS``/``FAULTS``/``SCHED``).
 
@@ -40,9 +40,10 @@ with the live device still standing for inspection — the
 from __future__ import annotations
 
 from itertools import takewhile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.digest import lines_digest
+from repro.tap import Tap
 
 __all__ = [
     "AnchorReached",
@@ -214,9 +215,9 @@ class FlightRecorder:
     the context's ``device_id`` and metrics registry (the ring's eviction
     counter lands in ``recorder.evicted`` so Prometheus exposition and
     fleet merges pick it up for free). Never enters any hot path itself:
-    :meth:`arm` registers listener taps on the tracer, the fault plane,
-    the scheduler, and an audit log; :meth:`disarm` detaches every one of
-    them, restoring the exact pre-arm state.
+    :meth:`arm` subscribes to the taps of the tracer, the fault plane,
+    the scheduler, and an audit log; :meth:`disarm` unsubscribes from
+    every one of them, restoring the exact pre-arm state.
     """
 
     def __init__(self, ctx: Any) -> None:
@@ -235,7 +236,8 @@ class FlightRecorder:
         self.decisions: List[Tuple[int, str, str]] = []
         self._halt_at: Optional[int] = None
         self._autoseal = True
-        self._audit_log: Optional[Any] = None
+        #: (tap, handler) per subscription :meth:`arm` made.
+        self._taps: List[Tuple[Tap, Callable[..., None]]] = []
         self._sched: Optional[Any] = None
         self._faults: Optional[Any] = None
         self._arm_config: Dict[str, Any] = {}
@@ -277,20 +279,23 @@ class FlightRecorder:
         self.decisions = []
         self._halt_at = halt_at
         self._autoseal = autoseal
-        self._audit_log = audit_log
         self._arm_config = {
             "capacity": capacity,
             "audit_log": audit_log,
             "halt_at": halt_at,
             "autoseal": autoseal,
         }
-        self._ctx.tracer.add_listener(self._on_span)
-        FAULTS.add_listener(self._on_fault)
-        SCHED.add_decision_listener(self._on_decision)
-        SCHED.add_trigger_listener(self._on_trigger)
-        SCHED.add_lock_listener(self._on_lock)
+        self._taps = [
+            (self._ctx.tracer.span_tap, self._on_span),
+            (FAULTS.consult_tap, self._on_fault),
+            (SCHED.decision_tap, self._on_decision),
+            (SCHED.trigger_tap, self._on_trigger),
+            (SCHED.lock_tap, self._on_lock),
+        ]
         if audit_log is not None:
-            audit_log.add_listener(self._on_audit)
+            self._taps.append((audit_log.entry_tap, self._on_audit))
+        for tap, fn in self._taps:
+            tap.add(fn)
         self.armed = True
         return self
 
@@ -299,15 +304,8 @@ class FlightRecorder:
         if not self.armed:
             return
         self.armed = False
-        self._ctx.tracer.remove_listener(self._on_span)
-        if self._faults is not None:
-            self._faults.remove_listener(self._on_fault)
-        if self._sched is not None:
-            self._sched.remove_decision_listener(self._on_decision)
-            self._sched.remove_trigger_listener(self._on_trigger)
-            self._sched.remove_lock_listener(self._on_lock)
-        if self._audit_log is not None:
-            self._audit_log.remove_listener(self._on_audit)
+        for tap, fn in self._taps:
+            tap.remove(fn)
 
     @property
     def arm_config(self) -> Dict[str, Any]:

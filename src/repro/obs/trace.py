@@ -27,7 +27,9 @@ import itertools
 import json
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
+
+from repro.tap import Tap
 
 __all__ = [
     "Span",
@@ -261,7 +263,13 @@ class Tracer:
         self.device_id = device_id
         self.ring = RingBufferSink()
         self._sinks: List[Any] = [self.ring]
-        self._listeners: List[Any] = []
+        #: ``fn(span)`` as each span finishes. Lighter-weight than sinks:
+        #: plain callables with no ``clear``/``close`` protocol, kept
+        #: across ``enable``/``disable`` cycles, and invoked *after* sinks
+        #: while the span's open ancestors are still on the stack, so
+        #: streaming subscribers (the security monitor) can read
+        #: inherited attributes off ancestors.
+        self.span_tap = Tap()
         self._stack: List[Span] = []
         self._ids = itertools.count(1)
         #: spans recorded (kept) since the last clear().
@@ -308,23 +316,6 @@ class Tracer:
 
     def add_sink(self, sink: Any) -> None:
         self._sinks.append(sink)
-
-    def add_listener(self, fn: Any) -> None:
-        """Register ``fn(span)`` to run as each span finishes.
-
-        Listeners are lighter-weight than sinks: plain callables with no
-        ``clear``/``close`` protocol, kept across ``enable``/``disable``
-        cycles, and invoked *after* sinks while the span's open ancestors
-        are still on the stack — streaming consumers (e.g. the security
-        monitor) can therefore read inherited attributes off ancestors.
-        """
-        if fn not in self._listeners:
-            self._listeners.append(fn)
-
-    def remove_listener(self, fn: Any) -> None:
-        """Unregister a listener added via :meth:`add_listener`."""
-        if fn in self._listeners:
-            self._listeners.remove(fn)
 
     def clear(self) -> None:
         """Drop recorded spans (the JSONL file, if any, is untouched).
@@ -389,8 +380,8 @@ class Tracer:
             self._stack.remove(span)
         for sink in self._sinks:
             sink.on_span(span)
-        for listener in self._listeners:
-            listener(span)
+        for fn in self.span_tap:
+            fn(span)
 
     @property
     def current(self) -> Optional[Span]:

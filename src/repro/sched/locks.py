@@ -169,9 +169,9 @@ class RWLock:
             self._writer = task
             self._writer_depth += 1
         task.held_locks.append((self, mode))
-        if SCHED._lock_listeners:
-            for listener in SCHED._lock_listeners:
-                listener(task, self, mode, "acquire")
+        if SCHED.lock_tap:
+            for fn in SCHED.lock_tap:
+                fn(task, self, mode, "acquire")
 
     def _release(self, task, mode: str) -> None:
         entry = (self, mode)

@@ -55,6 +55,7 @@ from repro.digest import canonical_bytes, lines_digest
 from repro.errors import DelegateTimeout
 from repro.obs import obs_contexts
 from repro.sched.locks import DeadlockError, LockOrderChecker, RWLock
+from repro.tap import Tap
 
 __all__ = [
     "SCHED",
@@ -181,42 +182,16 @@ class DeterministicScheduler:
         self._divergences = 0
         #: resource -> deduped {(task, rw, frozenset-of-held-lock-names)}
         self._accesses: Dict[str, Set[Tuple[str, str, frozenset]]] = {}
-        # -- flight-recorder taps (empty lists until a recorder arms) ----
+        # -- flight-recorder taps (empty until a recorder arms) ----------
         #: ``fn(step, task_name, point)`` per scheduling decision.
-        self._decision_listeners: List[Callable[[int, str, str], None]] = []
+        self.decision_tap = Tap()
         #: ``fn(kind, report)`` on a run-killing trigger (deadlock).
-        self._trigger_listeners: List[Callable[[str, str], None]] = []
-        #: ``fn(task, lock, mode, action)`` on RWLock grant/release.
-        self._lock_listeners: List[Callable[..., None]] = []
+        self.trigger_tap = Tap()
+        #: ``fn(task, lock, mode, action)`` on RWLock grant.
+        self.lock_tap = Tap()
         #: replay-to-anchor: set via :meth:`request_stop`; the loop exits
         #: at its next decision and teardown aborts the remaining tasks.
         self._stop_requested = False
-
-    # -- listener taps ----------------------------------------------------
-
-    def add_decision_listener(self, fn: Callable[[int, str, str], None]) -> None:
-        if fn not in self._decision_listeners:
-            self._decision_listeners.append(fn)
-
-    def remove_decision_listener(self, fn: Callable[[int, str, str], None]) -> None:
-        if fn in self._decision_listeners:
-            self._decision_listeners.remove(fn)
-
-    def add_trigger_listener(self, fn: Callable[[str, str], None]) -> None:
-        if fn not in self._trigger_listeners:
-            self._trigger_listeners.append(fn)
-
-    def remove_trigger_listener(self, fn: Callable[[str, str], None]) -> None:
-        if fn in self._trigger_listeners:
-            self._trigger_listeners.remove(fn)
-
-    def add_lock_listener(self, fn: Callable[..., None]) -> None:
-        if fn not in self._lock_listeners:
-            self._lock_listeners.append(fn)
-
-    def remove_lock_listener(self, fn: Callable[..., None]) -> None:
-        if fn in self._lock_listeners:
-            self._lock_listeners.remove(fn)
 
     def request_stop(self) -> None:
         """Stop scheduling at the next decision (replay-to-anchor halt).
@@ -439,9 +414,9 @@ class DeterministicScheduler:
                     self.clock = min(t.wake_at for t in sleepers)
                     continue
                 report = self._deadlock_report(pending)
-                if self._trigger_listeners:
-                    for listener in self._trigger_listeners:
-                        listener("deadlock", report)
+                if self.trigger_tap:
+                    for fn in self.trigger_tap:
+                        fn("deadlock", report)
                 raise DeadlockError(report)
             if step >= max_decisions:
                 raise RuntimeError(
@@ -451,9 +426,9 @@ class DeterministicScheduler:
                 )
             chosen = self._choose(runnable)
             self._decisions.append((step, chosen.name, chosen.last_point))
-            if self._decision_listeners:
-                for listener in self._decision_listeners:
-                    listener(step, chosen.name, chosen.last_point)
+            if self.decision_tap:
+                for fn in self.decision_tap:
+                    fn(step, chosen.name, chosen.last_point)
             step += 1
             self.clock += self.tick_ms
             self._dispatch(chosen)

@@ -76,32 +76,6 @@ def gated_missing(member: str) -> str:
     )
 
 
-#: An evidence plane that fans out to its listener list the way the
-#: flight recorder's tap contract requires (gated, so the disarmed path
-#: stays zero-cost), with the fanout one helper down for the inliner.
-TAPPED_OK = '''
-class TappedPlane:
-    def record(self, event):
-        self._events.append(event)
-        self._notify(event)
-        return event
-
-    def _notify(self, event):
-        if self._listeners:
-            for listener in self._listeners:
-                listener(event)
-'''
-
-#: The same plane with the fanout silently dropped: it still records,
-#: every dynamic test still passes, but the recorder is now blind to it.
-TAPPED_SILENT = '''
-class SilentPlane:
-    def record(self, event):
-        self._events.append(event)
-        return event
-'''
-
-
 #: A TOCTOU mirror of the planted IpcGuard race: one entry point rebuilds
 #: a registry without locks, another reads it — plus a properly locked
 #: sibling attribute as the negative control, and a scheduler-off

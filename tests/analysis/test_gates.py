@@ -8,18 +8,13 @@ from repro.analysis.gates import (
     GATE_REGISTRY,
     GateRule,
     QUARTET,
-    TAP_REGISTRY,
-    TapRule,
     check_gates,
-    check_recorder_taps,
     detect_members,
 )
 
 from .fixtures import (
     GATED_BARE,
     GATED_OK,
-    TAPPED_OK,
-    TAPPED_SILENT,
     build_fixture,
     gated_missing,
 )
@@ -77,42 +72,6 @@ class TestPlantedFixtures:
         assert [f.rule for f in findings] == ["unresolved-boundary"]
 
 
-def _tap_registry(cls: str) -> tuple:
-    return (TapRule(module="fixturepkg.mod", cls=cls, method="record"),)
-
-
-class TestTapFixtures:
-    def test_fanout_detected_through_helper(self, tmp_path):
-        index = build_fixture(tmp_path, "mod", TAPPED_OK)
-        assert check_recorder_taps(index, _tap_registry("TappedPlane")) == []
-
-    def test_silent_plane_is_a_finding(self, tmp_path):
-        index = build_fixture(tmp_path, "mod", TAPPED_SILENT)
-        findings = check_recorder_taps(index, _tap_registry("SilentPlane"))
-        assert [f.rule for f in findings] == ["missing-tap-fanout"]
-        assert findings[0].severity == "error"
-        assert findings[0].symbol == "SilentPlane.record"
-        assert findings[0].file.endswith("mod.py") and findings[0].line > 1
-
-    def test_tap_registry_drift_is_a_finding(self, tmp_path):
-        index = build_fixture(tmp_path, "mod", TAPPED_OK)
-        ghost = (
-            TapRule(
-                module="fixturepkg.mod", cls="TappedPlane", method="renamed_away"
-            ),
-        )
-        findings = check_recorder_taps(index, ghost)
-        assert [f.rule for f in findings] == ["unresolved-tap-site"]
-
-    def test_default_gate_run_folds_in_the_tap_contract(self, tmp_path):
-        """``check_gates`` with the default registry also proves the
-        recorder taps; custom registries (these fixtures) do not."""
-        index = build_fixture(tmp_path, "mod", TAPPED_OK)
-        rules = {f.rule for f in check_gates(index)}
-        assert "unresolved-tap-site" in rules
-        assert check_gates(index, registry=()) == []
-
-
 class TestLiveTree:
     @pytest.fixture(scope="class")
     def index(self, tree_index):
@@ -127,20 +86,6 @@ class TestLiveTree:
     def test_tree_is_gate_clean(self, index):
         findings = check_gates(index)
         assert findings == [], "\n".join(f.render() for f in findings)
-
-    def test_every_recorder_tap_site_fans_out(self, index):
-        findings = check_recorder_taps(index)
-        assert findings == [], "\n".join(f.render() for f in findings)
-
-    def test_tap_registry_covers_every_recorder_plane(self):
-        # One tap site per plane FlightRecorder.arm() attaches to.
-        assert {rule.qualname for rule in TAP_REGISTRY} == {
-            "Tracer._finish",
-            "FaultPlane.hit",
-            "AuditLog.record",
-            "DeterministicScheduler._loop",
-            "RWLock._acquire",
-        }
 
     def test_registry_spans_the_kernel_layers(self):
         layers = {rule.module.rsplit(".", 2)[-2] for rule in GATE_REGISTRY}

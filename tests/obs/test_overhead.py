@@ -118,16 +118,16 @@ def test_disabled_instrumentation_records_nothing(api):
 
 def test_profile_cycle_leaves_no_residue_on_the_disabled_path(api):
     """Arming and disarming ``OBS.profile`` must leave the disabled fast
-    path exactly as it found it: no tracer listeners, no histogram state,
+    path exactly as it found it: no span-tap subscribers, no histogram state,
     nothing recorded by the instrumented loop afterwards. The profile
-    switch is implemented as a span listener, so an empty listener list
+    switch is implemented as a span-tap subscriber, so an empty span tap
     *is* the zero-cost guarantee — the hot path re-checks only
     ``OBS.enabled``, same as before this subsystem existed."""
     OBS.enable_profile()
     OBS.disable()
     OBS.reset()
     assert not OBS.enabled and not OBS.profile
-    assert OBS.profiler.on_span not in OBS.tracer._listeners
+    assert OBS.profiler.on_span not in OBS.tracer.span_tap
 
     before = OBS.metrics.snapshot()
     for _ in range(OPS_PER_TRIAL):

@@ -132,9 +132,9 @@ def test_profile_capture_records_latency_histograms(api):
     row = summary["vfs.read"]
     assert row["count"] == 5
     assert 0.0 <= row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
-    # Switch and listener are both gone after the capture.
+    # Switch and subscription are both gone after the capture.
     assert not OBS.profile
-    assert OBS.profiler.on_span not in OBS.tracer._listeners
+    assert OBS.profiler.on_span not in OBS.tracer.span_tap
 
 
 def test_profile_off_records_no_latency_histograms(api):
@@ -153,7 +153,7 @@ def test_capture_restores_profile_armed_state():
         with OBS.capture():  # inner capture defaults profile off
             assert not OBS.profile
         assert OBS.profile, "outer profile arming lost across capture()"
-        assert OBS.profiler.on_span in OBS.tracer._listeners
+        assert OBS.profiler.on_span in OBS.tracer.span_tap
     finally:
         OBS.disable()
         OBS.reset()
@@ -166,7 +166,7 @@ def test_enable_profile_implies_enable_and_is_idempotent():
     try:
         assert OBS.enabled and OBS.profile
         OBS.enable_profile()
-        assert OBS.tracer._listeners.count(OBS.profiler.on_span) == 1
+        assert OBS.tracer.span_tap.count(OBS.profiler.on_span) == 1
     finally:
         OBS.disable()
         OBS.reset()

@@ -2,10 +2,10 @@
 
 The acceptance properties pinned here:
 
-- **zero cost when disarmed** — a disarmed recorder holds no listener on
-  any plane (tracer, fault plane, scheduler, audit log) and its
+- **zero cost when disarmed** — a disarmed recorder subscribes to no tap
+  on any plane (tracer, fault plane, scheduler, audit log) and its
   ``record()`` is a pure no-op; arm/disarm round-trips leave every
-  listener list exactly as found;
+  tap exactly as found;
 - **bounded ring** — overflow evicts oldest-first, counts into
   ``recorder.evicted``, and the counter surfaces as
   ``recorder_evicted_total`` in per-device Prometheus text and in the
@@ -72,28 +72,21 @@ class TestZeroCostGate:
     def test_arm_disarm_leaves_every_listener_list_as_found(self):
         ctx = ObsContext(device_id="gate1")
         audit = AuditLog()
-        before = {
-            "tracer": list(ctx.tracer._listeners),
-            "faults": list(FAULTS._listeners),
-            "decisions": list(SCHED._decision_listeners),
-            "triggers": list(SCHED._trigger_listeners),
-            "locks": list(SCHED._lock_listeners),
-            "audit": list(audit._listeners),
+        taps = {
+            "span": (ctx.tracer.span_tap, "_on_span"),
+            "consult": (FAULTS.consult_tap, "_on_fault"),
+            "decision": (SCHED.decision_tap, "_on_decision"),
+            "trigger": (SCHED.trigger_tap, "_on_trigger"),
+            "lock": (SCHED.lock_tap, "_on_lock"),
+            "audit": (audit.entry_tap, "_on_audit"),
         }
+        before = {name: list(tap) for name, (tap, _) in taps.items()}
         recorder = ctx.recorder.arm(audit_log=audit)
-        assert recorder._on_span in ctx.tracer._listeners
-        assert recorder._on_fault in FAULTS._listeners
-        assert recorder._on_decision in SCHED._decision_listeners
-        assert recorder._on_trigger in SCHED._trigger_listeners
-        assert recorder._on_lock in SCHED._lock_listeners
-        assert recorder._on_audit in audit._listeners
+        for name, (tap, handler) in taps.items():
+            assert getattr(recorder, handler) in tap, name
         recorder.disarm()
-        assert list(ctx.tracer._listeners) == before["tracer"]
-        assert list(FAULTS._listeners) == before["faults"]
-        assert list(SCHED._decision_listeners) == before["decisions"]
-        assert list(SCHED._trigger_listeners) == before["triggers"]
-        assert list(SCHED._lock_listeners) == before["locks"]
-        assert list(audit._listeners) == before["audit"]
+        for name, (tap, _) in taps.items():
+            assert list(tap) == before[name], name
 
     def test_disarmed_device_workload_feeds_no_recorder_state(self):
         # A per-device context: the global OBS recorder legitimately
@@ -249,8 +242,8 @@ class TestCaptureRestore:
             ctx.recorder.arm(capacity=8)
             ctx.recorder.record("span", "inner")
         assert not ctx.recorder.armed
-        assert ctx.tracer._listeners == []
-        assert ctx.recorder._on_fault not in FAULTS._listeners
+        assert ctx.tracer.span_tap == []
+        assert ctx.recorder._on_fault not in FAULTS.consult_tap
 
     def test_rearm_inside_block_restores_outer_config(self):
         ctx = ObsContext(device_id="cap2")

@@ -181,6 +181,7 @@ def test_spanless_boundary_counts_without_a_span():
     assert probe.done_spans == [None]
 
 
+@pytest.mark.recorder
 def test_order_is_span_then_fault_then_yield_then_body():
     """From the flight recorder: the fault consult and the scheduler's
     resumption at the boundary's yield point come first, in that order;
@@ -204,6 +205,7 @@ def test_order_is_span_then_fault_then_yield_then_body():
     ]
 
 
+@pytest.mark.recorder
 def test_fired_fault_closes_an_errored_span_before_the_body():
     probe = Probe()
     FAULTS.arm(POINT, fail_nth(1))
