@@ -14,7 +14,8 @@ The quartet members and their syntactic evidence (``@boundary`` is
 :func:`repro.boundary.boundary`, on the method or an inlined helper):
 
 - **obs** — a ``@boundary`` with a span (the default), ``count=`` or ``done=``;
-- **faults** — ``@boundary(fault=...)`` or an inline ``FAULTS.hit(...)``;
+- **faults** — ``@boundary(fault=...)`` or an inline consult on the
+  device's plane, ``self.obs.faults.hit(...)``;
 - **sched** — ``@boundary(sched=...)``, an inline ``SCHED.yield_point(...)``,
   or cooperative RWLock acquisition (``with <lock>.read()/.write():`` /
   ``with self._io_locks(...):``), each a scheduler preemption point;

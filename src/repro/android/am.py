@@ -17,7 +17,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.boundary import boundary, tag
 from repro.errors import ActivityNotFound, NoSuchProcess
 from repro.android.intents import Intent, IntentFilter
-from repro.faults import FAULTS as _FAULTS
 from repro.android.packages import PackageManager
 from repro.android.zygote import Zygote
 from repro.kernel.binder import BinderDriver, Transaction
@@ -176,13 +175,12 @@ class ActivityManagerService:
                 caller.pid, process.pid, str(caller.context), str(process.context)
             )
         self._in_flight.add(process.pid)
-        if _FAULTS.enabled:
-            _FAULTS.hit(
+        if self.obs.faults.enabled:
+            self.obs.faults.hit(
                 "am.delegate_bookkeeping",
                 target=target,
                 initiator=initiator,
                 pid=process.pid,
-                device_id=self.obs.device_id,
             )
         if _SCHED.enabled:
             # The fork happened but the endpoint/guard bookkeeping has

@@ -2,24 +2,25 @@
 
 Every Maxoid mediation point (syscall, Aufs, Binder, AM delegation, the
 COW proxy, the egress services) emits into the same planes: an obs span
-plus metrics, a fault-plane consult and a scheduler yield. A method
-declares that wiring once and its body is written once::
+plus metrics and a fault-plane consult, both on the device the object
+acts for (``self.obs``, ``self.obs.faults``), and a scheduler yield. A
+method declares that wiring once and its body is written once::
 
     @boundary("bt.send", attrs=..., count="bt.sends", fault=..., sched=...)
     def send(self, process, device, payload): ...
 
 ``attrs`` (span attributes), ``fault`` (the consult context at point
-``name``; the primitive adds ``device_id``) and ``sched`` (the yield
+``name``; the plane adds its ``device_id``) and ``sched`` (the yield
 context at point ``name``) take the method's own parameters; ``count``
 names a counter bumped on entry; ``done(self, span, result)`` records
 result-derived attributes and metrics (span is None when ``span=False``).
 
 Disarmed, a call costs the wrapper (generated with the method's own
 signature, so nothing is packed), one ``enabled`` check per declared
-plane (``self.obs``, plus ``FAULTS``/``SCHED`` only when ``fault``/
-``sched`` are declared), then the bare body; no hook runs. Armed, the
-order is span and count -> fault -> yield -> body -> ``done`` (obs
-only), so a fired fault closes an errored span. Yields inside a lock
+plane (``self.obs``, plus ``self.obs.faults``/``SCHED`` only when
+``fault``/``sched`` are declared), then the bare body; no hook runs.
+Armed, the order is span and count -> fault -> yield -> body -> ``done``
+(obs only), so a fired fault closes an errored span. Yields inside a lock
 scope and consults between the steps of a multi-step mutation stay
 inline in the body, where the lockset pass sees them.
 """
@@ -31,7 +32,6 @@ import inspect
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.faults import FAULTS as _FAULTS
 from repro.sched import SCHED as _SCHED
 
 __all__ = ["boundary", "tag"]
@@ -72,15 +72,14 @@ def boundary(
                 return result
 
         def consult(self, args, kwargs):
-            if fault is not None and _FAULTS.enabled:
-                _FAULTS.hit(
-                    name, **fault(self, *args, **kwargs), device_id=self.obs.device_id
-                )
+            if fault is not None and self.obs.faults.enabled:
+                self.obs.faults.hit(name, **fault(self, *args, **kwargs))
             if sched is not None and _SCHED.enabled:
                 _SCHED.yield_point(name, **sched(self, *args, **kwargs))
             return body(self, *args, **kwargs)
 
-        planes = [plane for plane, hook in (("_b_FAULTS", fault), ("_b_SCHED", sched)) if hook]
+        gates = (("{self}.obs.faults", fault), ("_b_SCHED", sched))
+        planes = [plane for plane, hook in gates if hook]
         return functools.update_wrapper(_forwarder(body, planes, armed), body)
 
     return decorate
@@ -89,11 +88,12 @@ def boundary(
 def _forwarder(body: Callable[..., Any], planes: List[str], armed: Callable[..., Any]):
     """``def <name>(<body's parameters>)`` calling ``armed(self, args,
     kwargs)`` when obs or one of ``planes`` is enabled, else ``body``.
+    ``{self}`` in a plane stands for the body's first parameter.
 
     Built from the body's own signature because packing and unpacking
     ``*args``/``**kwargs`` cost whole delegate invocations 2-3%.
     Generated names start with ``_b_``, which no parameter may use."""
-    scope = {"_b_armed": armed, "_b_body": body, "_b_FAULTS": _FAULTS, "_b_SCHED": _SCHED}
+    scope = {"_b_armed": armed, "_b_body": body, "_b_SCHED": _SCHED}
     params: List[str] = []
     positional: List[str] = []
     keyword: List[str] = []
@@ -108,7 +108,9 @@ def _forwarder(body: Callable[..., Any], planes: List[str], armed: Callable[...,
             scope[f"_b_default_{param.name}"] = param.default
             params[-1] += f"=_b_default_{param.name}"
     self_name, *args = positional
-    test = " or ".join([f"{self_name}.obs.enabled"] + [f"{p}.enabled" for p in planes])
+    test = " or ".join(
+        f"{plane.format(self=self_name)}.enabled" for plane in ["{self}.obs", *planes]
+    )
     packed = "".join(f"{arg}, " for arg in args)
     named = ", ".join(f"{kw!r}: {kw}" for kw in keyword)
     call = ", ".join(positional + [f"{kw}={kw}" for kw in keyword])

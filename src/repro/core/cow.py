@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.boundary import boundary, tag
 from repro.errors import SqlNameError
-from repro.faults import FAULTS as _FAULTS
 from repro.minisql import Database
 from repro.minisql import ast_nodes as ast
 from repro.minisql.engine import ResultSet, prepare
@@ -586,13 +585,12 @@ class CowProxy:
         selective commit, section 3.3). Returns False if no such record."""
         if not self.has_delta(name, initiator):
             return False
-        if _FAULTS.enabled:
-            _FAULTS.hit(
+        if self.obs.faults.enabled:
+            self.obs.faults.hit(
                 "cow.delta_commit",
                 table=name,
                 initiator=initiator,
                 row_id=row_id,
-                device_id=self.obs.device_id,
             )
         if _SCHED.enabled:
             _SCHED.yield_point(
@@ -618,13 +616,12 @@ class CowProxy:
         """
         if not self.has_delta(name, initiator):
             return 0
-        if _FAULTS.enabled:
-            _FAULTS.hit(
+        if self.obs.faults.enabled:
+            self.obs.faults.hit(
                 "cow.delta_commit",
                 table=name,
                 initiator=initiator,
                 rows=len(row_ids),
-                device_id=self.obs.device_id,
             )
         if _SCHED.enabled:
             _SCHED.yield_point(
@@ -728,12 +725,8 @@ class CowProxy:
 
     def _apply_commit_entries(self, entries: List[Dict[str, object]]) -> None:
         for entry in entries:
-            if _FAULTS.enabled:
-                _FAULTS.hit(
-                    "cow.delta_commit.apply",
-                    table=entry["tbl"],
-                    device_id=self.obs.device_id,
-                )
+            if self.obs.faults.enabled:
+                self.obs.faults.hit("cow.delta_commit.apply", table=entry["tbl"])
             if _SCHED.enabled:
                 _SCHED.yield_point(
                     "cow.delta_commit.apply",
@@ -752,12 +745,8 @@ class CowProxy:
                     entry["delta_pk"],
                     entry["initiator"],
                 )
-            if _FAULTS.enabled:
-                _FAULTS.hit(
-                    "cow.delta_commit.truncate",
-                    table=entry["tbl"],
-                    device_id=self.obs.device_id,
-                )
+            if self.obs.faults.enabled:
+                self.obs.faults.hit("cow.delta_commit.truncate", table=entry["tbl"])
             self.db.execute(
                 f"DELETE FROM {JOURNAL_TABLE} WHERE jid = ?", [entry["jid"]]
             )

@@ -42,7 +42,6 @@ from repro.core.manifest import MaxoidManifest
 from repro.core.views import plan_delegate_mounts, plan_initiator_mounts
 from repro.core.volatile import MaxoidSystemService
 from repro.errors import ReproError
-from repro.faults import FAULTS
 from repro.kernel import path as vpath
 from repro.kernel.binder import BinderDriver
 from repro.kernel.mounts import MountNamespace
@@ -87,11 +86,11 @@ class Device:
     ) -> None:
         self.maxoid_enabled = maxoid_enabled
         # -- observability ----------------------------------------------------
-        # Every instrumented layer below resolves its gating flags through
-        # this handle. The default is the process-global OBS context, so a
-        # bare Device() behaves exactly as before; naming the device (or
-        # passing a context) gives it an isolated ObsContext — the fleet
-        # sharding model.
+        # Every instrumented layer below resolves its gating flags, and its
+        # fault plane, through this handle. The default is the global OBS
+        # context and its fault plane, so a bare Device() behaves
+        # exactly as before; naming the device (or passing a context)
+        # gives it an isolated ObsContext — the fleet sharding model.
         if obs is not None:
             self.obs = obs
         elif device_id is not None:
@@ -312,13 +311,14 @@ class Device:
         mutation, reap processes stranded mid-bookkeeping, rebuild app
         mount namespaces from their installed state, and (with
         ``validate=True``) re-check the S1/S2 confinement goals over a
-        freshly traced probe workload. Every action lands in
-        ``self.audit_log`` for the post-mortem.
+        freshly traced probe workload. Every action, and every fault
+        injected through this device's plane (``self.obs.faults``), lands
+        in ``self.audit_log`` for the post-mortem.
         """
         report = RecoveryReport()
         if disarm_faults:
-            FAULTS.disarm()
-        self.audit_log.ingest_faults(FAULTS)
+            self.obs.faults.disarm()
+        self.audit_log.ingest_faults(self.obs.faults)
         # 1. Volatile file commits: replay complete intents, roll back torn.
         for entry_path, intent in self.commit_journal.pending():
             if intent is None:

@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.faults import FAULTS as _FAULTS
 from repro.kernel import path as vpath
 from repro.kernel.vfs import Filesystem, ROOT_CRED
 from repro.obs import OBS as _OBS
@@ -95,11 +94,9 @@ class CommitJournal:
         self._seq += 1
         entry_path = vpath.join(self._dir, f"{self._seq:08d}{INTENT_SUFFIX}")
         text = json.dumps(entry).encode()
-        if _FAULTS.enabled:
+        if self._obs.faults.enabled:
             try:
-                _FAULTS.hit(
-                    "vol.commit.journal", path=entry_path, device_id=self._obs.device_id
-                )
+                self._obs.faults.hit("vol.commit.journal", path=entry_path)
             except BaseException:
                 # The crash interrupted the entry write itself: leave a
                 # torn half-entry behind, which recovery must roll back.

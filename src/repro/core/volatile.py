@@ -22,7 +22,6 @@ from typing import List, Optional
 from repro.android.storage import DATA_ROOT, EXTDIR
 from repro.boundary import boundary
 from repro.errors import FileNotFound, IpcDenied
-from repro.faults import FAULTS as _FAULTS
 from repro.kernel import path as vpath
 from repro.kernel.binder import BinderDriver, Transaction
 from repro.kernel.proc import Process
@@ -105,12 +104,11 @@ class VolatileFiles:
             destination = vpath.join(DATA_ROOT, self._package or "", rel)
         else:
             raise FileNotFound(f"{tmp_path} is not a volatile path")
-        if _FAULTS.enabled:
-            _FAULTS.hit(
+        if self.obs.faults.enabled:
+            self.obs.faults.hit(
                 "vol.commit",
                 initiator=self._package,
                 path=tmp_path,
-                device_id=self.obs.device_id,
             )
         if _SCHED.enabled:
             _SCHED.yield_point(
@@ -131,12 +129,11 @@ class VolatileFiles:
                 uid=self._process.cred.uid,
                 gid=self._process.cred.gid,
             )
-        if _FAULTS.enabled:
-            _FAULTS.hit(
+        if self.obs.faults.enabled:
+            self.obs.faults.hit(
                 "vol.commit.apply",
                 initiator=self._package,
                 path=destination,
-                device_id=self.obs.device_id,
             )
         if _SCHED.enabled:
             _SCHED.yield_point(
@@ -152,12 +149,11 @@ class VolatileFiles:
             # explain() shows the commit edge even when the reading and
             # writing process taints have mixed other labels in.
             self.obs.provenance.commit_file(tmp_path, destination, self._package or "")
-        if _FAULTS.enabled:
-            _FAULTS.hit(
+        if self.obs.faults.enabled:
+            self.obs.faults.hit(
                 "vol.commit.truncate",
                 initiator=self._package,
                 path=destination,
-                device_id=self.obs.device_id,
             )
         if _SCHED.enabled:
             _SCHED.yield_point("vol.commit.truncate", path=destination)

@@ -1,16 +1,16 @@
 """Deterministic fault injection for every mutating layer.
 
-``FAULTS`` is the process-wide :class:`FaultPlane`; instrumented modules
-gate on ``FAULTS.enabled`` (one attribute check — the disabled path stays
-at seed speed) and consult ``FAULTS.hit("point", **ctx)`` when armed.
-Policies (:func:`fail_nth`, :func:`fail_prob`, :func:`crash_at`,
+Each device's :class:`FaultPlane` is ``device.obs.faults``; instrumented
+modules gate on its ``enabled`` (the disabled path stays at seed speed)
+and consult ``plane.hit("point", **ctx)`` when armed. ``FAULTS`` is the
+default context's plane (``FAULTS is OBS.faults``). Policies
+(:func:`fail_nth`, :func:`fail_prob`, :func:`crash_at`,
 :func:`fail_with`) are composable and reproducible; crashes raise
 :class:`SimulatedCrash` and are undone by ``Device.recover()``.
 """
 
 from .plane import (
     FAULT_POINTS,
-    FAULTS,
     FaultPlane,
     FaultPolicy,
     SimulatedCrash,
@@ -32,3 +32,13 @@ __all__ = [
     "fail_with",
     "register_point",
 ]
+
+
+def __getattr__(name: str):
+    # Resolved on use: repro.obs, which owns the default context,
+    # imports this package.
+    if name == "FAULTS":
+        from repro.obs import OBS
+
+        return OBS.faults
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

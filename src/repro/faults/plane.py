@@ -4,14 +4,14 @@ A *fault point* is a named place in a mutating hot path (``vfs.write``,
 ``aufs.copy_up``, ``cow.delta_commit``, ...). A kernel entry point
 declares its point with ``@boundary(..., fault=...)``
 (:mod:`repro.boundary`); a consult between the steps of a multi-step
-mutation gates inline on a single attribute check, exactly like
-:mod:`repro.obs`::
+mutation gates inline, exactly like :mod:`repro.obs`::
 
-    if _FAULTS.enabled:
-        _FAULTS.hit("cow.delta_commit.apply", table=table, device_id=...)
+    if self.obs.faults.enabled:
+        self.obs.faults.hit("cow.delta_commit.apply", table=table)
 
-so the disabled path costs one attribute load and a branch and nothing
-else. When the plane is armed, every ``hit()`` consults the policies armed
+so the disabled path costs attribute loads and a branch and nothing
+else. Each device's :class:`~repro.obs.ObsContext` owns its own plane.
+When the plane is armed, every ``hit()`` consults the policies armed
 at that point (first one that fires wins) and either returns normally,
 raises a substituted error (e.g. :class:`~repro.errors.ReadOnlyFilesystem`),
 or raises :class:`SimulatedCrash` — the "power went out here" signal that
@@ -119,10 +119,12 @@ class FaultPolicy:
 
 
 class FaultPlane:
-    """Armed fault points behind one enable switch (mirrors ``OBS``)."""
+    """Armed fault points behind one enable switch; :meth:`hit` adds the
+    owning device's ``device_id`` (when given) to every consult's context."""
 
-    def __init__(self) -> None:
+    def __init__(self, device_id: Optional[str] = None) -> None:
         self.enabled = False
+        self.device_id = device_id
         self._armed: Dict[str, List[FaultPolicy]] = {}
         self._hits: Dict[str, int] = {}
         self._seq = 0
@@ -175,7 +177,7 @@ class FaultPlane:
 
     @contextmanager
     def scope(self) -> Iterator["FaultPlane"]:
-        """``with FAULTS.scope(): ...`` — arm freely, always left clean."""
+        """``with plane.scope(): ...`` — arm freely, always left clean."""
         try:
             yield self
         finally:
@@ -194,6 +196,8 @@ class FaultPlane:
         Call sites gate on ``enabled`` *before* building ``ctx`` kwargs;
         this method is only entered once the plane is armed.
         """
+        if self.device_id is not None:
+            ctx["device_id"] = self.device_id
         hit = self._hits.get(point, 0) + 1
         self._hits[point] = hit
         self._seq += 1
@@ -245,7 +249,3 @@ class FaultPlane:
         return canonical_bytes(
             f"{seq} {point} {outcome}" for seq, point, outcome in self.schedule
         )
-
-
-#: The process-wide fault plane every instrumented module gates on.
-FAULTS = FaultPlane()

@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.apps.adversarial import exfil_browser, interpreter, launderer, leaky_provider
 from repro.fuzz.harness import FuzzWorld, RunResult, SECRET_PATH, VICTIM_PACKAGE
-from repro.obs import OBS
 from repro.obs.recorder import AnchorReached, BlackBox, Event
 from repro.fuzz.ops import (
     ArmFault,
@@ -216,11 +215,15 @@ class AnchorHalt:
 
     The caller inspects ``world.device`` (filesystems, audit log,
     provenance ledger) and the recorder's ring, then MUST call
-    ``halt.world.close()`` to leave the global planes clean."""
+    ``halt.world.close()`` to leave the device's planes clean."""
 
     world: FuzzWorld
     event: Event
-    recorder: Any  # the (still ring-bearing) FlightRecorder
+
+    @property
+    def recorder(self) -> Any:
+        """The world's (still ring-bearing) flight recorder."""
+        return self.world.device.obs.recorder
 
     def events_digest(self) -> str:
         """Digest of the replayed event prefix — compared against the
@@ -257,14 +260,15 @@ def replay_to_anchor(
         for op in minimal:
             world.step(op)
     except AnchorReached as reached:
-        return AnchorHalt(world=world, event=reached.event, recorder=OBS.recorder)
+        return AnchorHalt(world=world, event=reached.event)
     except BaseException:
         world.close()
         raise
     world.close()
     raise RuntimeError(
         f"replay never reached anchor event #{anchor_seq} "
-        f"(recorded {OBS.recorder.seq} events) — recording and scenario disagree"
+        f"(recorded {world.device.obs.recorder.seq} events) — recording and "
+        f"scenario disagree"
     )
 
 

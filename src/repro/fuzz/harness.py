@@ -33,8 +33,7 @@ from repro.apps.email_app import PACKAGE as VICTIM_PACKAGE
 from repro.core.device import Device
 from repro.digest import lines_digest
 from repro.errors import ReproError
-from repro.faults import FAULTS, SimulatedCrash
-from repro.obs import OBS
+from repro.faults import SimulatedCrash
 from repro.obs.monitor import SecurityMonitor
 from repro.obs.sweep import Violation
 
@@ -141,8 +140,8 @@ class FuzzWorld:
     def start(self) -> "FuzzWorld":
         """Stand the world up: device, corpus, secret, capture, monitor."""
         assert not self._started
-        FAULTS.reset()
         self.device = Device(maxoid_enabled=self.maxoid)
+        self.device.obs.faults.reset()
         self.apps = install_full_corpus(self.device)
         # The attacker's collection host exists; only Maxoid's delegate
         # network policy stands between a rendered secret and egress.
@@ -159,18 +158,19 @@ class FuzzWorld:
         )
         if self.planted is not None:
             PLANTED_VULNS[self.planted](self.device)
-        self._capture = OBS.capture(prov=True)
+        obs = self.device.obs
+        self._capture = obs.capture(prov=True)
         self._capture.__enter__()
         self.monitor = SecurityMonitor(
-            OBS.tracer,
+            obs.tracer,
             set(self.apps),
-            ledger=OBS.provenance,
+            ledger=obs.provenance,
             audit_log=self.device.audit_log,
         ).attach()
         if self.record:
             # The audit log is tapped too, so a violation the monitor
             # records seals a black box the moment it happens.
-            OBS.recorder.arm(
+            obs.recorder.arm(
                 capacity=self.record_capacity,
                 audit_log=self.device.audit_log,
                 halt_at=self.halt_at,
@@ -183,23 +183,23 @@ class FuzzWorld:
         """Seal the armed recorder's ring into a BlackBox (None when not
         recording). Must run before :meth:`close` — sealing captures the
         fault plane's armed policies and schedule, which close resets."""
-        if not OBS.recorder.armed:
-            return None
-        return OBS.recorder.seal(trigger, **extra)
+        recorder = self.device.obs.recorder
+        return recorder.seal(trigger, **extra) if recorder.armed else None
 
     def close(self) -> None:
-        """Tear the world down; global planes are left clean."""
+        """Tear the world down; the device's planes are left clean."""
         if not self._started:
             return
         self._started = False
         try:
             self.monitor.detach()
         finally:
-            if self.record and OBS.recorder.armed:
-                OBS.recorder.disarm()
+            obs = self.device.obs
+            if self.record and obs.recorder.armed:
+                obs.recorder.disarm()
             self._capture.__exit__(None, None, None)
             self._capture = None
-            FAULTS.reset()
+            obs.faults.reset()
 
     def __enter__(self) -> "FuzzWorld":
         return self.start() if not self._started else self
@@ -247,5 +247,5 @@ class FuzzWorld:
         return RunResult(
             outcomes=list(self.outcomes),
             violations=list(self.monitor.violations),
-            schedule=FAULTS.schedule_bytes(),
+            schedule=self.device.obs.faults.schedule_bytes(),
         )

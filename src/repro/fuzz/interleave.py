@@ -56,7 +56,6 @@ from repro.fuzz.ops import (
     WriteExternal,
 )
 from repro.fuzz.driver import AnchorHalt
-from repro.obs import OBS
 from repro.obs.recorder import AnchorReached, BlackBox
 from repro.sched import SCHED, schedule_bytes as _sched_bytes, schedule_digest
 
@@ -225,7 +224,7 @@ def run_interleaved(
     def _on_span(span) -> None:
         spans.append((span.name, span.attrs.get("ctx")))
 
-    OBS.tracer.span_tap.add(_on_span)
+    world.device.obs.tracer.span_tap.add(_on_span)
     try:
 
         def _track_fn(ops: List[Op]):
@@ -245,7 +244,7 @@ def run_interleaved(
         result = world.result()
         box = world.seal_recording("counterexample") if record else None
     finally:
-        OBS.tracer.span_tap.remove(_on_span)
+        world.device.obs.tracer.span_tap.remove(_on_span)
         world.close()
     return InterleaveResult(
         run=result,
@@ -484,20 +483,21 @@ def replay_to_anchor(
     except AnchorReached as reached:
         # The anchor was a scheduler decision: the recorder's tap raised
         # from the reactor loop itself.
-        return AnchorHalt(world=world, event=reached.event, recorder=OBS.recorder)
+        return AnchorHalt(world=world, event=reached.event)
     except BaseException:
         world.close()
         raise
     for error in srun.errors.values():
         if isinstance(error, AnchorReached):
-            return AnchorHalt(world=world, event=error.event, recorder=OBS.recorder)
+            return AnchorHalt(world=world, event=error.event)
     for error in srun.errors.values():
         world.close()
         raise error
     world.close()
     raise RuntimeError(
         f"replay never reached anchor event #{anchor_seq} "
-        f"(recorded {OBS.recorder.seq} events) — recording and tracks disagree"
+        f"(recorded {world.device.obs.recorder.seq} events) — recording and "
+        f"tracks disagree"
     )
 
 

@@ -23,7 +23,7 @@ from repro.android.content.provider import ContentValues
 from repro.android.content.user_dictionary import WORDS_URI
 from repro.android.uri import Uri
 from repro.apps.adversarial import exfil_browser, interpreter, launderer, leaky_provider
-from repro.faults import FAULTS, SimulatedCrash, fail_nth, crash_at
+from repro.faults import SimulatedCrash, fail_nth, crash_at
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fuzz.harness import FuzzWorld
@@ -380,7 +380,7 @@ class ArmFault(Op):
 
     def apply(self, world: "FuzzWorld") -> str:
         policy = crash_at(self.nth) if self.crash else fail_nth(self.nth)
-        FAULTS.arm(self.point, policy)
+        world.device.obs.faults.arm(self.point, policy)
         return f"armed {self.point}"
 
     def render(self) -> str:
@@ -393,7 +393,7 @@ class DisarmFaults(Op):
     """Disarm every fault point."""
 
     def apply(self, world: "FuzzWorld") -> str:
-        FAULTS.disarm()
+        world.device.obs.faults.disarm()
         return "disarmed"
 
     def render(self) -> str:

@@ -42,7 +42,6 @@ from repro.errors import (
     ReadOnlyFilesystem,
 )
 from repro.boundary import boundary
-from repro.faults import FAULTS as _FAULTS
 from repro.kernel import path as vpath
 from repro.obs import DEFAULT_BYTE_BUCKETS, OBS as _OBS
 from repro.kernel.vfs import (
@@ -315,12 +314,11 @@ class AufsMount(FilesystemAPI):
         )
         branch.fs.write_file(staging, data, ROOT_CRED, mode=stat.mode | 0o600)
         branch.fs.chown(staging, cred.uid, gid=cred.gid)
-        if _FAULTS.enabled:
-            _FAULTS.hit(
+        if self.obs.faults.enabled:
+            self.obs.faults.hit(
                 "aufs.copy_up.publish",
                 mount=self.label,
                 path=union_path,
-                device_id=self.obs.device_id,
             )
         if _SCHED.enabled:
             _SCHED.yield_point("aufs.copy_up.publish", path=union_path)

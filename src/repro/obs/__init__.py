@@ -2,23 +2,26 @@
 
 Observability is **per device**: each :class:`ObsContext` owns a
 :class:`~repro.obs.trace.Tracer`, a :class:`~repro.obs.metrics.Metrics`
-registry, a provenance ledger and a profiler, all behind one ``enabled``
-switch. A :class:`~repro.core.device.Device` owns its context
+registry, a provenance ledger, a profiler, a fault plane (``faults``)
+and a flight recorder, behind one ``enabled`` switch (the fault plane
+has its own). A :class:`~repro.core.device.Device` owns its context
 (``device.obs``) and hands it to everything it builds — processes, the
 binder driver, mount namespaces, the Aufs branches, the COW proxies, the
 SQL engines — so every instrumented layer resolves the gating attribute
 through the device/process it is acting *for*. Two devices therefore
-record into disjoint tracers and registries; nothing telemetry-shaped is
-process-global any more.
+record into disjoint tracers and registries and consult disjoint fault
+planes. Span, sampling and provenance-actor stacks are per thread, so
+flows the deterministic scheduler interleaves cannot cross.
 
-``OBS`` remains as the **default context**: objects constructed without a
-device (bare ``Device()``, unit-test fixtures, the workload harness)
-attach to it, so existing single-device call sites and ``OBS.capture()``
-keep working unchanged. The disabled fast path is preserved by
-construction — every kernel entry point opens its span through
-:func:`repro.boundary.boundary`, whose disarmed path is one attribute
-load plus a branch (``self.obs.enabled``) per declared plane, and nothing
-else runs when it is off.
+``OBS`` remains as the **default context**, and ``repro.faults.FAULTS``
+is its plane: objects constructed without a device (bare ``Device()``,
+unit-test fixtures, the workload harness) attach to it, so existing
+single-device call sites and ``OBS.capture()`` keep working unchanged.
+The disabled fast path is preserved by construction — every kernel
+entry point opens its span through :func:`repro.boundary.boundary`,
+whose disarmed path is one attribute load plus a branch
+(``self.obs.enabled``) per declared plane, and nothing else runs when
+it is off.
 
 Span taxonomy (the prefix is the layer):
 
@@ -81,9 +84,10 @@ Fleet use::
 
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
+
+from repro.faults.plane import FaultPlane
 
 from repro.obs.metrics import (
     DEFAULT_BYTE_BUCKETS,
@@ -177,7 +181,6 @@ __all__ = [
     "OBS",
     "ObsContext",
     "Observability",
-    "obs_contexts",
     "Tracer",
     "Span",
     "SpanNode",
@@ -205,19 +208,8 @@ __all__ = [
 ]
 
 
-#: Live contexts, weakly held. The deterministic scheduler swaps every
-#: context's span/actor stacks per task so interleaved flows from several
-#: devices cannot corrupt each other's attribution.
-_CONTEXTS: "weakref.WeakSet[ObsContext]" = weakref.WeakSet()
-
-
-def obs_contexts() -> List["ObsContext"]:
-    """All live observability contexts (the default ``OBS`` included)."""
-    return list(_CONTEXTS)
-
-
 class ObsContext:
-    """One device's tracer + metrics pair behind one enable switch."""
+    """One device's planes (see the module docstring)."""
 
     def __init__(self, device_id: str = "device0") -> None:
         self.device_id = device_id
@@ -233,6 +225,8 @@ class ObsContext:
         #: span-tap subscriber observes every closing span's duration;
         #: off, nothing is subscribed and span close runs the seed path.
         self.profile = False
+        #: The device's fault plane, with its own ``enabled`` switch.
+        self.faults = FaultPlane(device_id)
         #: The device's flight recorder (:mod:`repro.obs.recorder`). A
         #: disarmed recorder holds no tap subscriptions, so it adds
         #: nothing to any hot path until ``recorder.arm()``.
@@ -244,7 +238,6 @@ class ObsContext:
         self.sample_seed = 0
         self._jsonl_path: Optional[str] = None
         self._ring_capacity = 8192
-        _CONTEXTS.add(self)
 
     def enable(
         self,

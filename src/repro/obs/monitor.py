@@ -84,7 +84,7 @@ class SecurityMonitor:
         # The tracer pops a span off the stack *before* notifying
         # subscribers, so the open ancestors are still there: the nearest
         # one carrying a ctx is the span the tree walk would inherit from.
-        for ancestor in reversed(self._tracer._stack):
+        for ancestor in reversed(self._tracer._thread.stack):
             ctx = ancestor.attrs.get("ctx")
             if ctx is not None:
                 return ctx

@@ -23,6 +23,7 @@ off the ledger is never entered and the seed-speed fast path is intact.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
@@ -174,6 +175,14 @@ class Lineage:
         return bool(self.steps)
 
 
+class _ThreadActors(threading.local):
+    """The actor stack, one per thread: flows the scheduler interleaves
+    run on their own threads and keep their own attribution."""
+
+    def __init__(self) -> None:
+        self.actors: List[Tuple[Optional[str], Optional[int]]] = []
+
+
 class ProvenanceLedger:
     """Label storage plus the event API the instrumented layers call.
 
@@ -192,7 +201,7 @@ class ProvenanceLedger:
         self._paths: Dict[str, str] = {}
         self._process: Dict[int, TaintNode] = {}
         self._proc_ctx: Dict[int, str] = {}
-        self._actors: List[Tuple[Optional[str], Optional[int]]] = []
+        self._thread = _ThreadActors()
 
     # -- keys ------------------------------------------------------------
 
@@ -337,21 +346,23 @@ class ProvenanceLedger:
     def push_actor(self, ctx: Optional[str], pid: Optional[int] = None) -> None:
         """Enter a layer that has no process handle (binder, aufs, SQL):
         subsequent stamps attribute to this actor until the pop."""
-        self._actors.append((ctx, pid))
+        self._thread.actors.append((ctx, pid))
 
     def pop_actor(self) -> None:
         """Leave the innermost actor scope (balanced with push_actor)."""
-        if self._actors:
-            self._actors.pop()
+        actors = self._thread.actors
+        if actors:
+            actors.pop()
 
     def clear_actors(self) -> None:
-        """Drop any residual actor scopes (teardown after an aborted op
-        that raised between a push and its balancing pop)."""
-        self._actors.clear()
+        """Drop every thread's residual actor scopes (teardown after an
+        aborted op that raised between a push and its balancing pop)."""
+        self._thread = _ThreadActors()
 
     def current_actor(self) -> Tuple[Optional[str], Optional[int]]:
         """The innermost ``(ctx, pid)`` actor, or ``(None, None)``."""
-        return self._actors[-1] if self._actors else (None, None)
+        actors = self._thread.actors
+        return actors[-1] if actors else (None, None)
 
     def _actor_taint(self) -> Tuple[Optional[str], Optional[TaintNode]]:
         ctx, pid = self.current_actor()
@@ -578,4 +589,4 @@ class ProvenanceLedger:
         self._paths.clear()
         self._process.clear()
         self._proc_ctx.clear()
-        self._actors.clear()
+        self._thread = _ThreadActors()

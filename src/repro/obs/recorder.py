@@ -1,8 +1,8 @@
 """The flight recorder: one causal event ring per device, sealed on crash.
 
 Every verification plane already emits evidence — spans from the tracer,
-decisions from the deterministic scheduler, consults from the fault
-plane, lineage from the provenance ledger (as ``prov.*`` spans), lock
+decisions from the deterministic scheduler, consults from the device's
+fault plane, lineage from the provenance ledger (as ``prov.*`` spans), lock
 grants from the reactor's RWLocks, and audit entries from the device's
 :class:`~repro.core.audit.AuditLog`. This module merges those streams
 into one **bounded ring of causally ordered** :class:`Event` records per
@@ -10,7 +10,9 @@ device: a monotonic per-device ``seq`` plus the scheduler's virtual
 clock, fed by :class:`~repro.tap.Tap` subscriptions that cost *nothing*
 until :meth:`FlightRecorder.arm` makes them (a disarmed recorder leaves
 every plane's hot path untouched — the same zero-cost-when-off contract
-as ``OBS``/``FAULTS``/``SCHED``).
+as the obs, fault and scheduler planes). The span and fault taps, and
+the seal's fault metadata, are the owning context's own; the scheduler
+taps are the one reactor's, which drives every task of a run.
 
 When something goes wrong the recorder seals a **black box**: an
 immutable :class:`BlackBox` snapshot of the ring plus run metadata
@@ -43,6 +45,8 @@ from itertools import takewhile
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.digest import lines_digest
+from repro.obs.artifacts import run_metadata
+from repro.sched.reactor import SCHED, schedule_digest
 from repro.tap import Tap
 
 __all__ = [
@@ -215,8 +219,8 @@ class FlightRecorder:
     the context's ``device_id`` and metrics registry (the ring's eviction
     counter lands in ``recorder.evicted`` so Prometheus exposition and
     fleet merges pick it up for free). Never enters any hot path itself:
-    :meth:`arm` subscribes to the taps of the tracer, the fault plane,
-    the scheduler, and an audit log; :meth:`disarm` unsubscribes from
+    :meth:`arm` subscribes to the taps of the context's tracer and fault
+    plane, the scheduler, and an audit log; :meth:`disarm` unsubscribes from
     every one of them, restoring the exact pre-arm state.
     """
 
@@ -238,8 +242,6 @@ class FlightRecorder:
         self._autoseal = True
         #: (tap, handler) per subscription :meth:`arm` made.
         self._taps: List[Tuple[Tap, Callable[..., None]]] = []
-        self._sched: Optional[Any] = None
-        self._faults: Optional[Any] = None
         self._arm_config: Dict[str, Any] = {}
 
     # -- lifecycle -------------------------------------------------------
@@ -261,14 +263,6 @@ class FlightRecorder:
         """
         if self.armed:
             self.disarm()
-        # Lazy plane imports: this module must stay importable from
-        # ``repro.obs.__init__`` without dragging in sched/faults (both of
-        # which import repro.obs themselves).
-        from repro.faults.plane import FAULTS
-        from repro.sched.reactor import SCHED
-
-        self._sched = SCHED
-        self._faults = FAULTS
         self.capacity = int(capacity)
         self.seq = 0
         self.evicted = 0
@@ -287,7 +281,7 @@ class FlightRecorder:
         }
         self._taps = [
             (self._ctx.tracer.span_tap, self._on_span),
-            (FAULTS.consult_tap, self._on_fault),
+            (self._ctx.faults.consult_tap, self._on_fault),
             (SCHED.decision_tap, self._on_decision),
             (SCHED.trigger_tap, self._on_trigger),
             (SCHED.lock_tap, self._on_lock),
@@ -325,8 +319,7 @@ class FlightRecorder:
         if not self.armed:
             return None
         self.seq += 1
-        sched = self._sched
-        vclock = sched.clock if sched is not None and sched.enabled else 0.0
+        vclock = SCHED.clock if SCHED.enabled else 0.0
         event = Event(
             seq=self.seq,
             vclock=vclock,
@@ -343,8 +336,8 @@ class FlightRecorder:
         self._events.append(event)
         if self._halt_at is not None and event.seq == self._halt_at:
             self.halted_event = event
-            if sched is not None and sched.enabled:
-                sched.request_stop()
+            if SCHED.enabled:
+                SCHED.request_stop()
             raise AnchorReached(event)
         return event
 
@@ -393,38 +386,29 @@ class FlightRecorder:
 
     def schedule_digest(self) -> str:
         """sha256 of the scheduler decisions seen through the tap."""
-        from repro.sched.reactor import schedule_digest as _digest
-
-        return _digest(self.decisions)
+        return schedule_digest(self.decisions)
 
     def seal(self, trigger: str = "manual", **extra: Any) -> Optional[BlackBox]:
         """Freeze the ring into a :class:`BlackBox` dump.
 
         Metadata carries the run identity (:func:`~repro.obs.artifacts.run_metadata`),
-        the armed fault policies, the fault-plane consult schedule, and
+        the owning device's armed fault policies and consult schedule, and
         the scheduler decision digest — everything a postmortem needs to
         replay the run. Dumps beyond ``max_dumps`` are counted, not kept.
         """
         if len(self.dumps) >= self.max_dumps:
             self.dumps_suppressed += 1
             return None
-        from repro.obs.artifacts import run_metadata
-
-        faults = self._faults
-        armed: Dict[str, List[str]] = {}
-        fault_schedule = ""
-        if faults is not None:
-            armed = {
-                point: [policy.describe for policy in policies]
-                for point, policies in sorted(faults._armed.items())
-            }
-            fault_schedule = faults.schedule_bytes().decode()
+        faults = self._ctx.faults
         metadata: Dict[str, Any] = dict(run_metadata())
         metadata.update(
             {
                 "trigger": trigger,
-                "armed_faults": armed,
-                "fault_schedule": fault_schedule,
+                "armed_faults": {
+                    point: [policy.describe for policy in policies]
+                    for point, policies in sorted(faults._armed.items())
+                },
+                "fault_schedule": faults.schedule_bytes().decode(),
                 "schedule_digest": self.schedule_digest(),
                 "decisions": list(self.decisions),
                 "evicted": self.evicted,

@@ -19,12 +19,17 @@ Design constraints:
   called without the gate.
 - Spans are emitted to sinks at *exit* (children before parents); sinks
   and tests reconstruct the tree from ``parent_id``/``trace_id``.
+- **One stack per thread.** The open-span stack and the head-sampling
+  drop depth are thread-local, so flows that the deterministic scheduler
+  interleaves (each on its own thread) keep their own parentage and
+  sampling decisions.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
@@ -175,8 +180,9 @@ class _SampledOutSpan:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._tracer._drop_depth > 0:
-            self._tracer._drop_depth -= 1
+        state = self._tracer._thread
+        if state.drop_depth > 0:
+            state.drop_depth -= 1
 
     def set(self, **attrs: Any) -> "_SampledOutSpan":
         return self
@@ -202,6 +208,15 @@ def _sample_hash(seed: int, n: int) -> float:
     return (x >> 11) / float(1 << 53)
 
 
+class _ThreadState(threading.local):
+    """The tracer state each thread sees its own copy of."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+        #: >0 while inside a sampled-out trace.
+        self.drop_depth = 0
+
+
 class RingBufferSink:
     """Keeps the most recent finished spans in memory."""
 
@@ -223,9 +238,6 @@ class RingBufferSink:
         self._spans.clear()
         self.dropped = 0
 
-    def close(self) -> None:
-        pass
-
 
 class JsonlSink:
     """Appends each finished span as one JSON line (for offline analysis)."""
@@ -239,9 +251,6 @@ class JsonlSink:
         self._fh.write(json.dumps(span.to_dict(), default=str) + "\n")
         self.written += 1
 
-    def clear(self) -> None:
-        pass
-
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.flush()
@@ -249,7 +258,8 @@ class JsonlSink:
 
 
 class Tracer:
-    """Creates spans, tracks the active-span stack, fans out to sinks.
+    """Creates spans, tracks each thread's active-span stack, and keeps
+    finished spans in a ring (plus at most one JSONL file).
 
     ``device_id`` is stamped onto every span so traces from several
     devices' tracers separate cleanly after a fleet merge. Deterministic
@@ -262,15 +272,14 @@ class Tracer:
         self.enabled = False
         self.device_id = device_id
         self.ring = RingBufferSink()
-        self._sinks: List[Any] = [self.ring]
-        #: ``fn(span)`` as each span finishes. Lighter-weight than sinks:
-        #: plain callables with no ``clear``/``close`` protocol, kept
-        #: across ``enable``/``disable`` cycles, and invoked *after* sinks
-        #: while the span's open ancestors are still on the stack, so
-        #: streaming subscribers (the security monitor) can read
-        #: inherited attributes off ancestors.
+        self._jsonl: Optional[JsonlSink] = None
+        #: ``fn(span)`` as each span finishes: kept across ``enable``/
+        #: ``disable`` cycles, and invoked *after* the sinks while the
+        #: span's open ancestors are still on the stack, so streaming
+        #: subscribers (the security monitor) can read inherited
+        #: attributes off ancestors.
         self.span_tap = Tap()
-        self._stack: List[Span] = []
+        self._thread = _ThreadState()
         self._ids = itertools.count(1)
         #: spans recorded (kept) since the last clear().
         self.started = 0
@@ -278,7 +287,6 @@ class Tracer:
         self._sample_rate = 1.0
         self._sample_seed = 0
         self._sample_n = 0  # ordinal of the next trace root
-        self._drop_depth = 0  # >0 while inside a sampled-out trace
         self._dropped = _SampledOutSpan(self)
         #: trace roots dropped by head sampling since the last clear().
         self.sampled_out = 0
@@ -286,24 +294,24 @@ class Tracer:
     # -- lifecycle -------------------------------------------------------
 
     def enable(self, jsonl_path: Optional[str] = None, capacity: int = 8192) -> None:
-        """Turn tracing on; optionally tee finished spans to a JSONL file."""
+        """Turn tracing on; optionally tee finished spans to a JSONL file
+        (replacing any file an earlier call opened)."""
         if capacity != self.ring.capacity:
             self.ring = RingBufferSink(capacity)
-            self._sinks = [self.ring] + [
-                s for s in self._sinks if not isinstance(s, RingBufferSink)
-            ]
         if jsonl_path is not None:
-            self._sinks.append(JsonlSink(jsonl_path))
+            self._close_jsonl()
+            self._jsonl = JsonlSink(jsonl_path)
         self.enabled = True
 
     def disable(self) -> None:
         self.enabled = False
-        for sink in self._sinks:
-            if isinstance(sink, JsonlSink):
-                sink.close()
-        self._sinks = [s for s in self._sinks if not isinstance(s, JsonlSink)]
-        self._stack.clear()
-        self._drop_depth = 0
+        self._close_jsonl()
+        self._thread = _ThreadState()
+
+    def _close_jsonl(self) -> None:
+        if self._jsonl is not None:
+            self._jsonl.close()
+            self._jsonl = None
 
     def set_sampling(self, rate: float = 1.0, seed: int = 0) -> None:
         """Head-sample trace roots at ``rate`` (keep probability in
@@ -314,19 +322,16 @@ class Tracer:
         self._sample_rate = float(rate)
         self._sample_seed = int(seed)
 
-    def add_sink(self, sink: Any) -> None:
-        self._sinks.append(sink)
-
     def clear(self) -> None:
-        """Drop recorded spans (the JSONL file, if any, is untouched).
+        """Drop recorded spans and every thread's open ones (the JSONL
+        file, if any, is untouched).
 
         Also rewinds the sampling root ordinal, so a cleared tracer with
         the same seed reproduces the same keep/drop sequence."""
         self.ring.clear()
-        self._stack.clear()
+        self._thread = _ThreadState()
         self.started = 0
         self._sample_n = 0
-        self._drop_depth = 0
         self.sampled_out = 0
 
     # -- span creation ---------------------------------------------------
@@ -339,16 +344,18 @@ class Tracer:
         """
         if not self.enabled:
             return NOOP_SPAN
-        if self._drop_depth:
+        state = self._thread
+        if state.drop_depth:
             # Inside a sampled-out trace: the whole subtree is dropped.
-            self._drop_depth += 1
+            state.drop_depth += 1
             return self._dropped
-        parent = self._stack[-1] if self._stack else None
+        stack = state.stack
+        parent = stack[-1] if stack else None
         if parent is None and self._sample_rate < 1.0:
             n = self._sample_n
             self._sample_n += 1
             if _sample_hash(self._sample_seed, n) >= self._sample_rate:
-                self._drop_depth = 1
+                state.drop_depth = 1
                 self.sampled_out += 1
                 return self._dropped
         self.started += 1
@@ -361,7 +368,7 @@ class Tracer:
             attrs=attrs,
             device_id=self.device_id,
         )
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def event(self, name: str, **attrs: Any) -> None:
@@ -374,18 +381,21 @@ class Tracer:
     def _finish(self, span: Span) -> None:
         # The stack discipline is enforced by the context-manager protocol;
         # remove the span wherever it is in case of unusual exits.
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:  # pragma: no cover - defensive
-            self._stack.remove(span)
-        for sink in self._sinks:
-            sink.on_span(span)
+        stack = self._thread.stack
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:  # pragma: no cover - defensive
+            stack.remove(span)
+        self.ring.on_span(span)
+        if self._jsonl is not None:
+            self._jsonl.on_span(span)
         for fn in self.span_tap:
             fn(span)
 
     @property
     def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
+        stack = self._thread.stack
+        return stack[-1] if stack else None
 
     # -- inspection ------------------------------------------------------
 

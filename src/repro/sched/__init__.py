@@ -1,7 +1,7 @@
 """Deterministic concurrency kernel: seeded cooperative scheduler.
 
-``SCHED`` is the process-global reactor, gated exactly like ``OBS`` and
-``FAULTS``: every instrumented kernel boundary checks ``SCHED.enabled``
+``SCHED`` is the process-global reactor, gated exactly like a device's
+obs and fault planes: every instrumented kernel boundary checks ``SCHED.enabled``
 before touching the plane, so the single-threaded simulation pays
 nothing when no scheduled run is live. See :mod:`repro.sched.reactor`
 for the task model and :mod:`repro.sched.locks` for the cooperative

@@ -26,10 +26,11 @@ forward when every live task is sleeping. ``sleep()`` and the
 ``deadline()`` context manager are therefore deterministic, which is
 what makes bounded-retry backoff on binder delegate calls replayable.
 
-The reactor also context-switches the two process-global "registers"
-the observability plane keeps — the tracer's open-span stack and the
-provenance ledger's actor stack — so concurrent tasks cannot corrupt
-each other's span parentage or taint attribution.
+The reactor knows nothing about observability: each task runs on its
+own thread, and the tracer's span and sampling stacks and the
+provenance actor stack are per thread, so interleaved tasks (and the
+thread that called :meth:`~DeterministicScheduler.run`) keep their own
+span parentage and taint attribution.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from typing import (
 
 from repro.digest import canonical_bytes, lines_digest
 from repro.errors import DelegateTimeout
-from repro.obs import obs_contexts
 from repro.sched.locks import DeadlockError, LockOrderChecker, RWLock
 from repro.tap import Tap
 
@@ -114,13 +114,6 @@ class SchedTask:
         self.timed_out = False
         #: locks currently held, in acquisition order: (RWLock, mode).
         self.held_locks: List[Tuple[RWLock, str]] = []
-        #: saved per-task "registers": every live ObsContext's tracer span
-        #: stack and provenance actor stack, swapped in/out at each
-        #: dispatch. Keyed per context so two devices capturing
-        #: concurrently cannot clobber each other's stacks; a context not
-        #: yet in the map starts the task from empty stacks.
-        self.trace_stacks: Dict[Any, List[Any]] = {}
-        self.actor_stacks: Dict[Any, List[Any]] = {}
         self.aborted = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -304,16 +297,6 @@ class DeterministicScheduler:
         self._stop_requested = False
         self.lock_order = LockOrderChecker()
         self._accesses = {}
-        # Each task starts from empty span/actor stacks (a task models a
-        # fresh process flow, not a continuation of the driver's spans);
-        # the driver's own stacks are restored afterwards. Every live
-        # ObsContext is covered, so a multi-device run keeps each device's
-        # capture isolated across task switches.
-        contexts = obs_contexts()
-        outer_state = {
-            ctx: (ctx.tracer._stack[:], ctx.provenance._actors[:])
-            for ctx in contexts
-        }
         self.enabled = True
         self._wake.clear()
         for task in self._tasks:
@@ -328,9 +311,6 @@ class DeterministicScheduler:
             self._loop(max_decisions)
         finally:
             self._teardown()
-            for ctx, (spans, actors) in outer_state.items():
-                ctx.tracer._stack[:] = spans
-                ctx.provenance._actors[:] = actors
             self._current = None
             self.enabled = False
         run = SchedulerRun(
@@ -448,23 +428,11 @@ class DeterministicScheduler:
         return self._rng.choice(runnable)
 
     def _dispatch(self, task: SchedTask) -> None:
-        # Swap in the task's saved stacks for every live context (a
-        # context the task has never run under starts empty), run one
-        # slice, then park the stacks again. Contexts created mid-run
-        # (rare: a Device built inside a task) are picked up here because
-        # the registry is re-read at each dispatch.
-        contexts = obs_contexts()
-        for ctx in contexts:
-            ctx.tracer._stack[:] = task.trace_stacks.get(ctx, [])
-            ctx.provenance._actors[:] = task.actor_stacks.get(ctx, [])
         self._wake.clear()
         self._current = task
         task.resume.set()
         self._wake.wait()
         self._current = None
-        for ctx in contexts:
-            task.trace_stacks[ctx] = ctx.tracer._stack[:]
-            task.actor_stacks[ctx] = ctx.provenance._actors[:]
 
     def _switch(self, task: SchedTask) -> None:
         if task.aborted:
@@ -529,5 +497,7 @@ class DeterministicScheduler:
 
 
 #: The process-global reactor; instrumented kernel boundaries gate on
-#: ``SCHED.enabled`` exactly like ``OBS.enabled`` / ``FAULTS.enabled``.
+#: ``SCHED.enabled`` exactly like ``self.obs.enabled`` /
+#: ``self.obs.faults.enabled``. One reactor drives every task of a run,
+#: whichever devices those tasks act on.
 SCHED = DeterministicScheduler()

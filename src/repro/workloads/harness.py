@@ -21,7 +21,7 @@ from statistics import mean, median, stdev
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ReproError
-from repro.faults import FAULT_POINTS, FAULTS, FaultPlane, fail_prob
+from repro.faults import FAULT_POINTS, FaultPlane, fail_prob
 from repro.obs import OBS, MetricsSnapshot, counters_by_layer
 
 
@@ -170,13 +170,15 @@ def arm_chaos(
     pins the entire fault schedule: re-running the same workload with the
     same ``seed`` reproduces it byte-for-byte
     (:meth:`~repro.faults.FaultPlane.schedule_bytes`), independent of the
-    order the points are armed in. The plane is reset on exit.
+    order the points are armed in. The plane armed is the default
+    context's (``OBS.faults``), the one every bare ``Device()`` consults;
+    it is reset on exit.
     """
     selected = sorted(points) if points is not None else sorted(FAULT_POINTS)
-    with FAULTS.scope():
+    with OBS.faults.scope() as plane:
         for index, point in enumerate(selected):
-            FAULTS.arm(point, fail_prob(probability, seed=seed * 1009 + index))
-        yield FAULTS
+            plane.arm(point, fail_prob(probability, seed=seed * 1009 + index))
+        yield plane
 
 
 def overhead_pct(baseline: Measurement, treatment: Measurement) -> float:

@@ -39,6 +39,17 @@ class GoodGate:
         return len(data)
 '''
 
+#: A mid-body consult on the device's own fault plane, the form the
+#: multi-step mutations (copy-up publish, COW and volatile commits) use.
+GATED_INLINE_FAULT = '''
+class InlineGate:
+    def write(self, path, data):
+        if self.obs.faults.enabled:
+            self.obs.faults.hit("inline.write", path=path)
+        self.store[path] = data
+        return len(data)
+'''
+
 #: The same boundary with every quartet member removed.
 GATED_BARE = '''
 class BareGate:

@@ -14,6 +14,7 @@ from repro.analysis.gates import (
 
 from .fixtures import (
     GATED_BARE,
+    GATED_INLINE_FAULT,
     GATED_OK,
     build_fixture,
     gated_missing,
@@ -57,6 +58,11 @@ class TestPlantedFixtures:
         index = build_fixture(tmp_path, "mod", gated_missing(member))
         findings = check_gates(index, _registry("OneGate"))
         assert [f.rule for f in findings] == [f"missing-{member}"]
+
+    def test_inline_consult_on_the_device_plane_is_faults_evidence(self, tmp_path):
+        index = build_fixture(tmp_path, "mod", GATED_INLINE_FAULT)
+        fn = index.function("fixturepkg.mod", "InlineGate.write")
+        assert detect_members(index, fn) == {"faults"}
 
     def test_registry_drift_is_a_finding(self, tmp_path):
         index = build_fixture(tmp_path, "mod", GATED_OK)

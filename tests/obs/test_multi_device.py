@@ -2,17 +2,26 @@
 scheduler.
 
 Two devices recording concurrently must keep disjoint tracers, metric
-registries, provenance actor stacks, sinks and listeners — both when
-their flows run sequentially and when ``repro.sched`` interleaves them
-at every yield point (the scheduler swaps *every* live context's span
-and actor stacks per task, not just the default ``OBS`` ones).
+registries, fault planes, provenance actor stacks, sinks and listeners —
+both when their flows run sequentially and when ``repro.sched``
+interleaves them at every yield point (each task runs on its own thread,
+and the span, sampling and actor stacks are per thread).
 """
 
-import pytest
+from collections import Counter
+from contextlib import ExitStack
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.android.content.provider import ContentValues
+from repro.android.intents import Intent
 from repro.android.packages import AndroidManifest
+from repro.android.uri import Uri
 from repro.core.device import Device
-from repro.obs import OBS, ObsContext, obs_contexts
+from repro.errors import InjectedFault, ReproError
+from repro.faults import FAULT_POINTS, FAULTS, fail_nth, fail_prob
+from repro.obs import OBS, ObsContext
 from repro.sched import SCHED
 
 pytestmark = pytest.mark.trace
@@ -52,11 +61,7 @@ def test_bare_device_still_attaches_to_the_global_obs():
     assert device.obs is OBS
     assert device.zygote.obs is OBS
     assert device.binder.obs is OBS
-
-
-def test_named_device_contexts_are_registered_for_the_scheduler():
-    device = _device("registered")
-    assert device.obs in obs_contexts()
+    assert device.obs.faults is FAULTS
 
 
 def test_forked_processes_inherit_the_device_context():
@@ -121,10 +126,10 @@ def test_interleaved_captures_keep_sinks_and_spans_separate():
     # Both flows ran to completion with their own tracers armed.
     assert run.results["left"] > 0 and run.results["right"] > 0
     # No half-open spans leaked out of either context.
-    assert left.obs.tracer._stack == []
-    assert right.obs.tracer._stack == []
-    assert left.obs.provenance._actors == []
-    assert right.obs.provenance._actors == []
+    assert left.obs.tracer.current is None
+    assert right.obs.tracer.current is None
+    assert left.obs.provenance.current_actor() == (None, None)
+    assert right.obs.provenance.current_actor() == (None, None)
 
 
 def test_interleaved_runs_match_sequential_span_counts():
@@ -169,3 +174,191 @@ def test_scheduler_restores_the_driver_stacks_of_every_context():
         assert ctx.tracer.current is not None
         assert ctx.tracer.current.name == "driver.outer"
     ctx.disable()
+
+
+def test_head_sampling_decides_every_root_under_interleaving():
+    """Two tasks open sampled roots that yield mid-span: every root gets
+    its own keep/drop decision, whatever the schedule."""
+
+    def decided(seed):
+        ctx = ObsContext(device_id=f"sampled-{seed}")
+
+        def flow(tag):
+            def fn():
+                for index in range(6):
+                    with ctx.tracer.span(f"{tag}.root"):
+                        SCHED.yield_point(f"{tag}.inside.{index}")
+                        with ctx.tracer.span(f"{tag}.child"):
+                            pass
+
+            return fn
+
+        with ctx.capture(sample_rate=0.5, sample_seed=5):
+            SCHED.run({"a": flow("a"), "b": flow("b")}, seed=seed)
+            spans = ctx.spans()
+            kept = [span for span in spans if span.parent_id is None]
+            names = {span.span_id: span.name for span in spans}
+            # A kept child hangs under a root of its own task.
+            assert all(
+                names[span.parent_id][0] == span.name[0]
+                for span in spans
+                if span.parent_id is not None
+            )
+            return len(kept) + ctx.tracer.sampled_out
+
+    assert [decided(seed) for seed in range(3)] == [12, 12, 12]
+
+
+# ----------------------------------------------------------------------
+# One fault plane per device
+# ----------------------------------------------------------------------
+
+@pytest.mark.faults
+def test_faults_armed_for_one_device_stay_on_that_device():
+    left = _device("faults-left")
+    right = _device("faults-right")
+    writer = right.spawn(APP, initiator=INITIATOR)
+    left.obs.faults.arm("sms.send", fail_nth(99))
+    right.obs.faults.arm("vfs.write", fail_nth(1))
+    recorder = left.arm_flight_recorder()
+    try:
+        with pytest.raises(InjectedFault):
+            writer.write_internal("right.bin", b"r")
+        box = recorder.seal()
+    finally:
+        recorder.disarm()
+    assert len(right.obs.faults.injection_log) == 1
+    assert [event for event in recorder.events() if event.plane == "fault"] == []
+    assert box.metadata["armed_faults"] == {"sms.send": ["fail_nth(99)"]}
+    assert box.metadata["fault_schedule"] == ""
+    left.recover(validate=False)
+    assert left.obs.faults.armed_points() == []
+    assert right.obs.faults.armed_points() == ["vfs.write"]
+    assert left.audit_log.events("fault") == []
+
+
+# ----------------------------------------------------------------------
+# Oracle: interleaving devices changes no device's evidence
+# ----------------------------------------------------------------------
+
+WORDS = Uri.content("user_dictionary", "words")
+SHARED = "/storage/sdcard/shared.txt"
+MAIN = "android.intent.action.MAIN"
+
+#: The consults made inline in a method body rather than by ``@boundary``.
+INLINE_POINTS = {
+    "aufs.copy_up.publish",
+    "am.delegate_bookkeeping",
+    "vol.commit",
+    "vol.commit.journal",
+    "vol.commit.apply",
+    "vol.commit.truncate",
+    "cow.delta_commit",
+    "cow.delta_commit.apply",
+    "cow.delta_commit.truncate",
+}
+#: Where each device's seeded ``fail_prob`` policy is armed.
+CHAOS_POINTS = ("vfs.write", "binder.transact", "vol.commit.apply", "cow.delta_commit.apply")
+
+
+class _Nop:
+    def main(self, api, intent):
+        return None
+
+
+def _oracle_device(device_id: str) -> Device:
+    device = Device(maxoid_enabled=True, device_id=device_id)
+    device.install(AndroidManifest(package=APP), _Nop())
+    device.install(AndroidManifest(package=INITIATOR), _Nop())
+    device.spawn(INITIATOR).sys.write_file(SHARED, b"public")
+    return device
+
+
+def _oracle_flow(device: Device):
+    """One task body that reaches every inline consult site; injected
+    errors end a step, not the flow."""
+
+    def insert_words(delegate):
+        for word in ("alpha", "beta", "gamma"):
+            delegate.insert(WORDS, ContentValues({"word": word}))
+
+    def commit_words():
+        proxy = device.user_dictionary.proxy
+        volatile = proxy.volatile_rows("words", INITIATOR)
+        pk = [column.lower() for column in volatile.columns].index("_id")
+        row_ids = [row[pk] for row in volatile.rows]
+        if row_ids:
+            proxy.commit_volatile("words", INITIATOR, row_ids[0])
+            proxy.commit_volatile_batch("words", INITIATOR, row_ids[1:])
+
+    def fn():
+        delegate = device.spawn(APP, initiator=INITIATOR)
+        steps = (
+            lambda: delegate.write_external("doc.bin", b"volatile"),
+            lambda: delegate.sys.append_file(SHARED, b" +delegate"),  # copy-up
+            lambda: insert_words(delegate),
+            lambda: device.spawn(INITIATOR).volatile.commit("/storage/sdcard/tmp/doc.bin"),
+            commit_words,
+            lambda: device.launch_as_delegate(APP, INITIATOR, Intent(MAIN)),
+        )
+        for index, step in enumerate(steps):
+            SCHED.yield_point(f"{device.device_id}.step.{index}")
+            try:
+                step()
+            except ReproError:
+                pass
+
+    return fn
+
+
+def _oracle_run(seeds, sched_seed, interleave):
+    """Per device: consult schedule, injection log, recorded fault events
+    and span-name multiset, after running every flow alone or all of
+    them interleaved."""
+    devices = [_oracle_device(f"oracle-{index}") for index in range(len(seeds))]
+    with ExitStack() as stack:
+        for device, seed in zip(devices, seeds):
+            stack.enter_context(device.obs.capture())
+            stack.callback(device.arm_flight_recorder().disarm)
+            for index, point in enumerate(CHAOS_POINTS):
+                device.obs.faults.arm(point, fail_prob(0.2, seed=seed * 31 + index))
+        flows = [(device.device_id, _oracle_flow(device)) for device in devices]
+        if interleave:
+            SCHED.run(flows, seed=sched_seed)
+        else:
+            for flow in flows:
+                SCHED.run([flow], seed=sched_seed)
+        return {
+            device.device_id: (
+                device.obs.faults.schedule_bytes(),
+                device.obs.faults.injection_log,
+                [
+                    (event.name, event.detail)
+                    for event in device.obs.recorder.events()
+                    if event.plane == "fault"
+                ],
+                Counter(span.name for span in device.obs.spans()),
+            )
+            for device in devices
+        }
+
+
+@pytest.mark.faults
+@given(
+    seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=3),
+    sched_seed=st.integers(0, 2**16),
+)
+def test_interleaving_devices_changes_no_device_evidence(seeds, sched_seed):
+    with FAULTS.scope():
+        # Armed but never firing: a consult that reaches the default
+        # plane instead of its device's shows up in its schedule.
+        for point in FAULT_POINTS:
+            FAULTS.arm(point, fail_nth(2**31))
+        alone = _oracle_run(seeds, sched_seed, interleave=False)
+        together = _oracle_run(seeds, sched_seed, interleave=True)
+        assert FAULTS.schedule == []
+    assert together == alone
+    for schedule, injections, _events, _spans in alone.values():
+        consulted = {line.split()[1] for line in schedule.decode().splitlines()}
+        if not injections:
+            assert INLINE_POINTS <= consulted

@@ -74,7 +74,7 @@ class TestZeroCostGate:
         audit = AuditLog()
         taps = {
             "span": (ctx.tracer.span_tap, "_on_span"),
-            "consult": (FAULTS.consult_tap, "_on_fault"),
+            "consult": (ctx.faults.consult_tap, "_on_fault"),
             "decision": (SCHED.decision_tap, "_on_decision"),
             "trigger": (SCHED.trigger_tap, "_on_trigger"),
             "lock": (SCHED.lock_tap, "_on_lock"),
@@ -243,7 +243,7 @@ class TestCaptureRestore:
             ctx.recorder.record("span", "inner")
         assert not ctx.recorder.armed
         assert ctx.tracer.span_tap == []
-        assert ctx.recorder._on_fault not in FAULTS.consult_tap
+        assert ctx.recorder._on_fault not in ctx.faults.consult_tap
 
     def test_rearm_inside_block_restores_outer_config(self):
         ctx = ObsContext(device_id="cap2")

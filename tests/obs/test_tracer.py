@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import FileNotFound
-from repro.obs import OBS, Observability, build_trees
+from repro.obs import OBS, ObsContext, Observability, build_trees
 from repro.obs.trace import NOOP_SPAN, JsonlSink, RingBufferSink, Tracer
 
 pytestmark = pytest.mark.trace
@@ -120,6 +120,16 @@ class TestSinks:
         with t.span("vfs.open"):
             pass
         assert open(path).read() == ""
+
+    def test_enabling_twice_with_a_path_writes_each_span_once(self, tmp_path):
+        path = str(tmp_path / "twice.jsonl")
+        ctx = ObsContext(device_id="twice")
+        ctx.enable(jsonl_path=path)
+        ctx.enable(jsonl_path=path)  # enable() is idempotent
+        with ctx.tracer.span("vfs.open"):
+            pass
+        ctx.disable()
+        assert [json.loads(line)["name"] for line in open(path)] == ["vfs.open"]
 
 
 class TestTreeBuilding:

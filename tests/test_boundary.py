@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 from repro.boundary import boundary, tag
-from repro.faults import FAULTS, FaultPolicy, fail_nth
+from repro.faults import FaultPolicy, fail_nth
 from repro.faults.plane import FAULT_POINTS
 from repro.errors import InjectedFault
 from repro.obs import ObsContext
@@ -88,8 +88,6 @@ class Spanless:
 @pytest.fixture(autouse=True)
 def probe_point(monkeypatch):
     monkeypatch.setitem(FAULT_POINTS, POINT, "boundary primitive test point")
-    yield
-    FAULTS.reset()
 
 
 def test_decorated_method_is_a_plain_function_over_its_body():
@@ -141,13 +139,13 @@ def test_disarmed_runs_no_hook_and_records_nothing():
     assert probe.op("/b", 4) == 8
     assert probe.obs.spans() == []
     assert probe.obs.metrics.snapshot().counters == {}
-    assert FAULTS.schedule == []
+    assert probe.obs.faults.schedule == []
 
 
 def test_armed_span_count_done_and_fault_context():
     probe = Probe()
     policy = _Recording()
-    FAULTS.arm(POINT, policy)
+    probe.obs.faults.arm(POINT, policy)
     with probe.obs.capture() as obs:
         assert probe.op("/data/x", size=5) == 10
         spans = {span.name: span for span in obs.spans()}
@@ -159,13 +157,13 @@ def test_armed_span_count_done_and_fault_context():
     assert spans["probe.body"].parent_id == span.span_id
     assert counters == {"probe.ops": 1}
     assert policy.contexts == [{"path": "/data/x", "device_id": "probe-dev"}]
-    assert FAULTS.schedule == [(1, POINT, "pass")]
+    assert probe.obs.faults.schedule == [(1, POINT, "pass")]
 
 
 def test_faults_armed_obs_off_consults_without_span_hooks():
     probe = Probe()
     policy = _Recording()
-    FAULTS.arm(POINT, policy)
+    probe.obs.faults.arm(POINT, policy)
     assert probe.op("/y") == 0
     assert policy.contexts == [{"path": "/y", "device_id": "probe-dev"}]
     assert probe.obs.spans() == []
@@ -188,7 +186,7 @@ def test_order_is_span_then_fault_then_yield_then_body():
     the body's child span closes next, the boundary span last (spans are
     recorded as they close), so both consults ran inside the span."""
     probe = Probe()
-    FAULTS.arm(POINT, fail_nth(99))
+    probe.obs.faults.arm(POINT, fail_nth(99))
     with probe.obs.capture() as obs:
         recorder = obs.recorder.arm()
         try:
@@ -208,7 +206,7 @@ def test_order_is_span_then_fault_then_yield_then_body():
 @pytest.mark.recorder
 def test_fired_fault_closes_an_errored_span_before_the_body():
     probe = Probe()
-    FAULTS.arm(POINT, fail_nth(1))
+    probe.obs.faults.arm(POINT, fail_nth(1))
     with probe.obs.capture() as obs:
         recorder = obs.recorder.arm()
         try:
