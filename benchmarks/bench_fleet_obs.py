@@ -15,14 +15,12 @@ delegate workload):
   ``traced_write_4kb`` (rate 1.0) and ``disabled_write_4kb`` (off): the
   sampled-on overhead the zero-cost gate acceptance tracks.
 
-Results land in the ``fleet`` section of ``BENCH_perf.json`` (same
-median/MAD shape the regression gate consumes), so once baselined the
-trajectory tracks fleet-plane regressions like any other op.
+It prints the median and MAD of every op and the sampled and traced
+overheads against the disabled write.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_fleet_obs.py \
-        [--devices N] [--trials N] [--out BENCH_perf.json]
+    PYTHONPATH=src python benchmarks/bench_fleet_obs.py [--devices N] [--trials N]
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ if __package__ in (None, ""):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import AndroidManifest, Device  # noqa: E402
-from repro.obs.artifacts import update_bench_json  # noqa: E402
 from repro.obs.fleet import FleetTelemetry  # noqa: E402
 from repro.workloads.generators import deterministic_bytes  # noqa: E402
 from repro.workloads.harness import measure  # noqa: E402
@@ -43,7 +40,6 @@ from repro.workloads.harness import measure  # noqa: E402
 APP = "com.fleet.app"
 INITIATOR = "com.fleet.initiator"
 
-DEFAULT_OUT = "BENCH_perf.json"
 DEFAULT_DEVICES = 8
 
 
@@ -111,17 +107,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--devices", type=int, default=DEFAULT_DEVICES)
     parser.add_argument("--trials", type=int, default=30, help="trials per op")
-    parser.add_argument("--out", default=DEFAULT_OUT, help="artifact path")
     args = parser.parse_args(argv)
     results = fleet_measurements(args.devices, args.trials)
-    update_bench_json(
-        args.out, "fleet", {op: m.as_dict() for op, m in sorted(results.items())}
-    )
     width = max(len(op) for op in results)
-    print(
-        f"-- fleet obs bench ({args.devices} devices, {args.trials} trials/op)"
-        f" -> {args.out} --"
-    )
+    print(f"-- fleet obs bench ({args.devices} devices, {args.trials} trials/op) --")
     for op, m in sorted(results.items()):
         print(f"  {op:<{width}}  median {m.median_ms:8.3f} ms  mad {m.mad_ms:7.3f} ms")
     disabled = results["disabled_write_4kb"].median_ms

@@ -19,8 +19,7 @@ writes nothing).
 
 Every write also refreshes a ``run`` section with the run's metadata
 (:func:`run_metadata`: artifact schema version, python/platform, seed,
-git sha when available), which ``benchmarks/regress.py`` uses to refuse
-comparisons between incompatible runs.
+git sha when available), so a reader can tell which run wrote a section.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ import subprocess
 import sys
 from typing import Any, Dict, Iterable, Optional
 
-from repro.obs.metrics import MetricsSnapshot
-from repro.obs.profile import latency_summary
 from repro.obs.report import layer_self_times
 from repro.obs.trace import Span
 
@@ -45,7 +42,6 @@ __all__ = [
     "git_sha",
     "run_metadata",
     "layer_section",
-    "latency_section",
     "load_blackbox",
     "update_bench_json",
     "write_blackbox",
@@ -58,7 +54,7 @@ BENCH_OBS_ENV = "BENCH_OBS_JSON"
 DEFAULT_BENCH_JSON = "BENCH_obs.json"
 
 #: Version of the artifact layout; bump on incompatible shape changes.
-#: ``regress.py`` refuses to compare artifacts with different versions.
+#: Stamped into every artifact and flight-recorder black box.
 SCHEMA_VERSION = 1
 
 _GIT_SHA_CACHE: Optional[str] = None
@@ -223,9 +219,3 @@ def layer_section(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
         }
         for layer, ms in sorted(times.items())
     }
-
-
-def latency_section(snapshot: MetricsSnapshot) -> Dict[str, Dict[str, float]]:
-    """Per-span-name latency quantiles (``OBS.profile`` histograms) as an
-    artifact section: count, mean, p50/p95/p99 per operation."""
-    return latency_summary(snapshot)

@@ -58,9 +58,8 @@ class Measurement:
 
     @property
     def mad_ms(self) -> float:
-        """Median absolute deviation — the robust spread estimate the
-        perf regression gate (``benchmarks/regress.py``) pairs with the
-        median for its noise-aware comparison rule."""
+        """Median absolute deviation: a spread estimate that one slow
+        trial cannot inflate, printed beside the median."""
         self._require_trials("mad")
         center = median(self.trials_ms)
         return median(abs(sample - center) for sample in self.trials_ms)
@@ -73,17 +72,6 @@ class Measurement:
         ordered = sorted(self.trials_ms)
         index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
         return ordered[index]
-
-    def as_dict(self) -> Dict[str, float]:
-        """The artifact shape ``benchmarks/perf_suite.py`` emits per op:
-        median + MAD (the gate's inputs) plus mean/p95 for the record."""
-        return {
-            "median_ms": round(self.median_ms, 6),
-            "mad_ms": round(self.mad_ms, 6),
-            "mean_ms": round(self.mean_ms, 6),
-            "p95_ms": round(self.quantile(0.95), 6),
-            "trials": len(self.trials_ms),
-        }
 
     def layer_counters(self) -> Dict[str, Dict[str, int]]:
         """The captured metrics delta grouped by taxonomy layer (empty when

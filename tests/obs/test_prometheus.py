@@ -240,13 +240,13 @@ def test_latency_histograms_absent_when_profile_off():
     assert "lat_vfs_open" not in text
 
 
-def test_latency_section_shapes_quantiles(tmp_path):
-    from repro.obs.artifacts import latency_section
+def test_latency_summary_is_a_bench_json_section(tmp_path):
+    from repro.obs import latency_summary
 
     with OBS.capture(profile=True) as obs:
         with OBS.tracer.span("cow.query"):
             pass
-        section = latency_section(obs.metrics.snapshot())
+        section = latency_summary(obs.metrics.snapshot())
     assert set(section) == {"cow.query"}
     row = section["cow.query"]
     assert row["count"] == 1
@@ -255,6 +255,6 @@ def test_latency_section_shapes_quantiles(tmp_path):
     update_bench_json(str(target), "latency", section)
     data = json.loads(target.read_text())
     assert data["latency"]["cow.query"]["count"] == 1
-    # Every artifact write stamps the run metadata used by regress.py.
+    # Every artifact write stamps the run metadata.
     assert data["run"]["schema_version"] >= 1
     assert data["run"]["python"]
