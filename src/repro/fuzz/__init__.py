@@ -1,7 +1,7 @@
 """Property-based delegation fuzzing with lineage counterexamples.
 
 The adversarial corpus (:mod:`repro.apps.adversarial`) gives the
-reproduction apps that *try* to leak; this package drives them. Three
+reproduction apps that *try* to leak; this package drives them. Four
 pieces cooperate:
 
 - :mod:`repro.fuzz.reachability` — a PolyScope-style triage pass that
@@ -17,7 +17,13 @@ pieces cooperate:
   :class:`RuleBasedStateMachine` over the reachable pool, and a seeded
   scenario driver whose every violation shrinks to a minimal op sequence
   rendered with its ``provenance.explain()`` derivation chain and a
-  byte-identical replay fingerprint.
+  byte-identical replay fingerprint;
+- :mod:`repro.fuzz.interleave` — the same sweep over concurrent tracks
+  under the deterministic scheduler, shrinking ops and then schedule.
+
+Both sweeps share one counterexample pipeline: ``record=True`` on
+``run_scenario`` / ``run_interleaved``, one :class:`SweepReport`, one
+artifact writer, and :func:`replay_to_anchor` for either kind.
 
 A planted-vulnerability mode (:data:`repro.fuzz.harness.PLANTED_VULNS`)
 disables exactly one Maxoid enforcement point so the unmodified rule
@@ -57,8 +63,8 @@ from repro.fuzz.ops import (
 from repro.fuzz.driver import (
     AnchorHalt,
     Counterexample,
+    SweepReport,
     fuzz_sweep,
-    record_scenario,
     replay_to_anchor,
     run_scenario,
     scenario_from_seed,
@@ -66,7 +72,6 @@ from repro.fuzz.driver import (
 )
 from repro.fuzz.interleave import (
     InterleaveResult,
-    InterleaveSweepReport,
     RaceCounterexample,
     concurrent_scenario_from_seed,
     interleave_sweep,
@@ -107,14 +112,13 @@ __all__ = [
     "CrashNow",
     "AnchorHalt",
     "Counterexample",
+    "SweepReport",
     "scenario_from_seed",
-    "record_scenario",
     "replay_to_anchor",
     "run_scenario",
     "shrink",
     "fuzz_sweep",
     "InterleaveResult",
-    "InterleaveSweepReport",
     "RaceCounterexample",
     "concurrent_scenario_from_seed",
     "interleave_sweep",

@@ -13,7 +13,9 @@ whose removal preserves the violation — valid because ops on missing
 actors are skips, so any subsequence is a legal scenario) and packaged
 as a :class:`Counterexample`: the minimal rendered op listing, every
 violation with its full ``provenance.explain()`` lineage chain, the
-fault schedule, and the replay fingerprint.
+fault schedule, and the replay fingerprint. :func:`replay_to_anchor`,
+:class:`SweepReport` and the artifact writer serve the interleave sweep
+(:mod:`repro.fuzz.interleave`) too.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+)
 
 from repro.apps.adversarial import exfil_browser, interpreter, launderer, leaky_provider
 from repro.fuzz.harness import FuzzWorld, RunResult, SECRET_PATH, VICTIM_PACKAGE
-from repro.obs.recorder import AnchorReached, BlackBox, Event
+from repro.obs.artifacts import write_blackbox
+from repro.obs.recorder import AnchorReached, BlackBox, Event, events_digest
 from repro.fuzz.ops import (
     ArmFault,
     BrowseFile,
@@ -47,13 +52,15 @@ from repro.fuzz.ops import (
     WriteExternal,
 )
 
+if TYPE_CHECKING:
+    from repro.fuzz.interleave import RaceCounterexample
+
 __all__ = [
     "AnchorHalt",
     "Counterexample",
     "SweepReport",
     "delta_debug",
     "fuzz_sweep",
-    "record_scenario",
     "replay_to_anchor",
     "run_scenario",
     "scenario_from_seed",
@@ -170,43 +177,24 @@ def scenario_from_seed(seed: int, noise: int = 6) -> List[Op]:
     return ops
 
 
+def _drive_ops(world: FuzzWorld, ops: Sequence[Op]) -> None:
+    """The sequential mode's world driver (run, record and replay)."""
+    for op in ops:
+        world.step(op)
+
+
 def run_scenario(
-    ops: Sequence[Op], planted: Optional[str] = None, maxoid: bool = True
-) -> RunResult:
-    """Run one op sequence in a fresh world; returns its RunResult."""
-    world = FuzzWorld(planted=planted, maxoid=maxoid)
-    world.start()
-    try:
-        for op in ops:
-            world.step(op)
-        return world.result()
-    finally:
-        world.close()
-
-
-def record_scenario(
     ops: Sequence[Op],
     planted: Optional[str] = None,
     maxoid: bool = True,
-    capacity: int = 4096,
-    **seal_extra: Any,
-) -> Tuple[RunResult, BlackBox]:
-    """Run one op sequence with the flight recorder armed; returns the
-    RunResult plus the sealed ``counterexample`` black box.
-
-    The dump is sealed *inside* the world's lifetime so its metadata
-    carries the still-armed fault policies and consult schedule."""
-    world = FuzzWorld(planted=planted, maxoid=maxoid, record=True, record_capacity=capacity)
-    world.start()
-    try:
-        for op in ops:
-            world.step(op)
-        result = world.result()
-        box = world.seal_recording("counterexample", **seal_extra)
-        assert box is not None
-        return result, box
-    finally:
-        world.close()
+    record: bool = False,
+) -> RunResult:
+    """Run one op sequence in a fresh world; returns its RunResult.
+    ``record=True`` arms the flight recorder for the run and seals a
+    ``counterexample`` dump into ``.blackbox``."""
+    with FuzzWorld(planted=planted, maxoid=maxoid, record=record) as world:
+        _drive_ops(world, ops)
+        return world.result()
 
 
 @dataclass
@@ -228,27 +216,27 @@ class AnchorHalt:
     def events_digest(self) -> str:
         """Digest of the replayed event prefix — compared against the
         recorded dump's digest for the byte-identity acceptance check."""
-        from repro.obs.recorder import events_digest
-
         return events_digest(tuple(self.recorder.events()))
 
 
 def replay_to_anchor(
-    counterexample: "Counterexample", anchor_seq: Optional[int] = None
+    counterexample: Union["Counterexample", "RaceCounterexample"],
+    anchor_seq: Optional[int] = None,
 ) -> AnchorHalt:
-    """Re-run a counterexample's minimal sequence with the recorder armed
+    """Re-run a counterexample's minimal scenario with the recorder armed
     and halt at the anchor event — the replay-to-anchor postmortem.
 
+    Either counterexample kind replays through its own ``drive(world)``.
+    The anchor may be reached from an op or, under the scheduler, from
+    the reactor's decision loop; both leave the world standing.
     ``anchor_seq`` defaults to the recorded black box's anchor (its last
     event). Returns an :class:`AnchorHalt` whose world is still open for
-    inspection; raises RuntimeError if the replay drifts and never
-    reaches the anchor."""
+    inspection; raises RuntimeError, with the world closed, if the
+    replay drifts and never reaches the anchor."""
     if anchor_seq is None:
         if counterexample.blackbox is None:
             raise ValueError("counterexample carries no flight recording")
         anchor_seq = counterexample.blackbox.anchor_seq
-    ops = scenario_from_seed(counterexample.seed)
-    minimal = [ops[i] for i in counterexample.kept]
     world = FuzzWorld(
         planted=counterexample.planted,
         maxoid=counterexample.maxoid,
@@ -257,8 +245,7 @@ def replay_to_anchor(
     )
     world.start()
     try:
-        for op in minimal:
-            world.step(op)
+        counterexample.drive(world)
     except AnchorReached as reached:
         return AnchorHalt(world=world, event=reached.event)
     except BaseException:
@@ -342,9 +329,11 @@ class Counterexample:
     kept: Tuple[int, ...]
     ops: Tuple[Op, ...]
     result: RunResult
-    #: The flight recording of the minimal run (when the sweep recorded
-    #: one) — the replay-to-anchor postmortem's input.
-    blackbox: Optional[BlackBox] = None
+
+    @property
+    def blackbox(self) -> Optional[BlackBox]:
+        """The minimal run's flight recording (replay-to-anchor input)."""
+        return self.result.blackbox
 
     @property
     def fingerprint(self) -> str:
@@ -376,35 +365,48 @@ class Counterexample:
             "violations": self.result.violation_renders(),
             "schedule": self.result.schedule.decode(),
             "fingerprint": self.fingerprint,
-            "blackbox": (
-                None
-                if self.blackbox is None
-                else {
-                    "anchor_seq": self.blackbox.anchor_seq,
-                    "events": len(self.blackbox.events),
-                    "events_digest": self.blackbox.events_digest(),
-                }
-            ),
+            "blackbox": None if self.blackbox is None else self.blackbox.summary(),
         }
+
+    def _minimal(self) -> List[Op]:
+        """The minimal sequence, re-derived from the recorded seed."""
+        ops = scenario_from_seed(self.seed)
+        return [ops[i] for i in self.kept]
+
+    def drive(self, world: FuzzWorld) -> None:
+        """Replay driver: the minimal sequence, stepped through ``world``."""
+        _drive_ops(world, self._minimal())
 
     def replay(self) -> RunResult:
         """Re-derive the minimal sequence from the recorded seed and run
         it again; the caller asserts fingerprint equality."""
-        ops = scenario_from_seed(self.seed)
-        minimal = [ops[i] for i in self.kept]
-        return run_scenario(minimal, planted=self.planted, maxoid=self.maxoid)
+        return run_scenario(self._minimal(), planted=self.planted, maxoid=self.maxoid)
 
 
 @dataclass
 class SweepReport:
-    """What a fuzz sweep covered and (maybe) found."""
+    """What a fuzz or interleave sweep covered and (maybe) found."""
 
     examples: int
-    counterexample: Optional[Counterexample] = None
+    counterexample: Optional[Union[Counterexample, "RaceCounterexample"]] = None
 
     @property
     def found(self) -> bool:
         return self.counterexample is not None
+
+
+def _write_artifacts(
+    counterexample: Union[Counterexample, "RaceCounterexample"],
+    artifact_path: Optional[str],
+    blackbox_path: Optional[str],
+) -> None:
+    """Write the counterexample JSON to ``artifact_path`` and its flight
+    recording to ``blackbox_path`` (JSONL); a None path is skipped."""
+    if artifact_path is not None:
+        with open(artifact_path, "w", encoding="utf-8") as sink:
+            json.dump(counterexample.to_dict(), sink, indent=2)
+    if blackbox_path is not None and counterexample.blackbox is not None:
+        write_blackbox(blackbox_path, counterexample.blackbox)
 
 
 def fuzz_sweep(
@@ -430,24 +432,14 @@ def fuzz_sweep(
             continue
         kept = shrink(ops, planted=planted, maxoid=maxoid)
         minimal = [ops[i] for i in kept]
-        final, box = record_scenario(
-            minimal, planted=planted, maxoid=maxoid, seed=seed, kept=list(kept)
-        )
         counterexample = Counterexample(
             seed=seed,
             planted=planted,
             maxoid=maxoid,
             kept=tuple(kept),
             ops=tuple(minimal),
-            result=final,
-            blackbox=box,
+            result=run_scenario(minimal, planted=planted, maxoid=maxoid, record=True),
         )
-        if artifact_path is not None:
-            with open(artifact_path, "w", encoding="utf-8") as sink:
-                json.dump(counterexample.to_dict(), sink, indent=2)
-        if blackbox_path is not None:
-            from repro.obs.artifacts import write_blackbox
-
-            write_blackbox(blackbox_path, box)
+        _write_artifacts(counterexample, artifact_path, blackbox_path)
         return SweepReport(examples=index + 1, counterexample=counterexample)
     return SweepReport(examples=n)

@@ -35,6 +35,7 @@ from repro.digest import lines_digest
 from repro.errors import ReproError
 from repro.faults import SimulatedCrash
 from repro.obs.monitor import SecurityMonitor
+from repro.obs.recorder import BlackBox
 from repro.obs.sweep import Violation
 
 __all__ = [
@@ -84,6 +85,8 @@ class RunResult:
     outcomes: List[Tuple[str, str]] = field(default_factory=list)
     violations: List[Violation] = field(default_factory=list)
     schedule: bytes = b""
+    #: The sealed ``counterexample`` flight recording of a recording run.
+    blackbox: Optional[BlackBox] = None
 
     def violation_renders(self) -> List[str]:
         return [violation.render() for violation in self.violations]
@@ -107,7 +110,6 @@ class FuzzWorld:
         planted: Optional[str] = None,
         maxoid: bool = True,
         record: bool = False,
-        record_capacity: int = 4096,
         halt_at: Optional[int] = None,
     ) -> None:
         if planted is not None and planted not in PLANTED_VULNS:
@@ -122,7 +124,6 @@ class FuzzWorld:
         #: halt_at`` raises AnchorReached through the op that produced it
         #: (callers leave the world open for inspection).
         self.record = record
-        self.record_capacity = record_capacity
         self.halt_at = halt_at
         self.device: Device = None  # type: ignore[assignment]
         self.apps: Dict[str, SimApp] = {}
@@ -170,21 +171,10 @@ class FuzzWorld:
         if self.record:
             # The audit log is tapped too, so a violation the monitor
             # records seals a black box the moment it happens.
-            obs.recorder.arm(
-                capacity=self.record_capacity,
-                audit_log=self.device.audit_log,
-                halt_at=self.halt_at,
-            )
+            obs.recorder.arm(audit_log=self.device.audit_log, halt_at=self.halt_at)
         self.apis[VICTIM_PACKAGE] = victim
         self._started = True
         return self
-
-    def seal_recording(self, trigger: str = "counterexample", **extra):
-        """Seal the armed recorder's ring into a BlackBox (None when not
-        recording). Must run before :meth:`close` — sealing captures the
-        fault plane's armed policies and schedule, which close resets."""
-        recorder = self.device.obs.recorder
-        return recorder.seal(trigger, **extra) if recorder.armed else None
 
     def close(self) -> None:
         """Tear the world down; the device's planes are left clean."""
@@ -244,8 +234,14 @@ class FuzzWorld:
         return self.monitor.violations
 
     def result(self) -> RunResult:
+        """The run so far. A recording world seals its ``counterexample``
+        black box onto the result, so call this before :meth:`close`:
+        the seal captures the fault plane's armed policies and schedule,
+        which close resets."""
+        obs = self.device.obs
         return RunResult(
             outcomes=list(self.outcomes),
             violations=list(self.monitor.violations),
-            schedule=self.device.obs.faults.schedule_bytes(),
+            schedule=obs.faults.schedule_bytes(),
+            blackbox=obs.recorder.seal("counterexample") if self.record else None,
         )

@@ -25,19 +25,20 @@ probe that catches windows random sampling misses.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.apps.adversarial import interpreter, launderer
 from repro.digest import lines_digest
 from repro.fuzz.driver import (
+    SweepReport,
     _chain_browser,
     _chain_clip_launder,
     _chain_interpreter,
     _chain_provider,
     _delegate,
+    _write_artifacts,
     delta_debug,
 )
 from repro.fuzz.harness import FuzzWorld, RunResult, VICTIM_PACKAGE
@@ -55,17 +56,14 @@ from repro.fuzz.ops import (
     VolatileCommit,
     WriteExternal,
 )
-from repro.fuzz.driver import AnchorHalt
 from repro.obs.recorder import AnchorReached, BlackBox
-from repro.sched import SCHED, schedule_bytes as _sched_bytes, schedule_digest
+from repro.sched import SCHED, SchedulerRun, schedule_bytes as _sched_bytes, schedule_digest
 
 __all__ = [
     "InterleaveResult",
-    "InterleaveSweepReport",
     "RaceCounterexample",
     "concurrent_scenario_from_seed",
     "interleave_sweep",
-    "replay_to_anchor",
     "run_interleaved",
     "shrink_schedule",
     "shrink_tracks",
@@ -181,8 +179,6 @@ class InterleaveResult:
     #: closed spans in close order, as counter-free (name, ctx) pairs.
     spans: List[Tuple[str, Optional[str]]] = field(default_factory=list)
     race_candidates: List[Tuple[str, str, str]] = field(default_factory=list)
-    #: The run's flight recording, when ``run_interleaved(record=True)``.
-    blackbox: Optional[BlackBox] = None
 
     @property
     def violations(self):
@@ -201,6 +197,36 @@ class InterleaveResult:
         return _fingerprint(self.run, self.decisions)
 
 
+def _drive_tracks(
+    world: FuzzWorld,
+    tracks: Mapping[str, Sequence[Op]],
+    sched_seed: Optional[int],
+    schedule: Optional[Sequence[str]],
+) -> SchedulerRun:
+    """The scheduled mode's world driver (run, record and replay): one
+    task per track, each op behind an ``op.boundary`` yield point.
+    Returns the scheduler run. world.step absorbs every simulation-level
+    error, so a task error is a harness bug or a replay halt and is
+    raised here — :class:`AnchorReached` ahead of any other."""
+
+    def track(ops: Sequence[Op]) -> Callable[[], None]:
+        def fn() -> None:
+            for op in ops:
+                SCHED.yield_point("op.boundary")
+                world.step(op)
+
+        return fn
+
+    named = [(name, track(ops)) for name, ops in sorted(tracks.items())]
+    srun = SCHED.run(named, seed=sched_seed, replay=schedule, reraise=False)
+    errors = sorted(
+        srun.errors.values(), key=lambda error: not isinstance(error, AnchorReached)
+    )
+    if errors:
+        raise errors[0]
+    return srun
+
+
 def run_interleaved(
     tracks: Tracks,
     *,
@@ -216,36 +242,19 @@ def run_interleaved(
     recorded task-name sequence) replays it instead, with deterministic
     fallback on divergence — the replay half of the ``(seed, schedule)``
     reproducibility contract. ``record=True`` arms the flight recorder
-    for the run and seals a ``counterexample`` dump into ``.blackbox``."""
-    world = FuzzWorld(planted=planted, maxoid=maxoid, record=record)
-    world.start()
+    for the run and seals a ``counterexample`` dump into ``.run.blackbox``."""
     spans: List[Tuple[str, Optional[str]]] = []
 
     def _on_span(span) -> None:
         spans.append((span.name, span.attrs.get("ctx")))
 
-    world.device.obs.tracer.span_tap.add(_on_span)
-    try:
-
-        def _track_fn(ops: List[Op]):
-            def fn() -> None:
-                for op in ops:
-                    SCHED.yield_point("op.boundary")
-                    world.step(op)
-
-            return fn
-
-        named = [(name, _track_fn(ops)) for name, ops in sorted(tracks.items())]
-        srun = SCHED.run(named, seed=sched_seed, replay=schedule, reraise=False)
-        for error in srun.errors.values():
-            # world.step absorbs every simulation-level error; anything
-            # escaping a track is a harness bug and must surface.
-            raise error
-        result = world.result()
-        box = world.seal_recording("counterexample") if record else None
-    finally:
-        world.device.obs.tracer.span_tap.remove(_on_span)
-        world.close()
+    with FuzzWorld(planted=planted, maxoid=maxoid, record=record) as world:
+        world.device.obs.tracer.span_tap.add(_on_span)
+        try:
+            srun = _drive_tracks(world, tracks, sched_seed, schedule)
+            result = world.result()
+        finally:
+            world.device.obs.tracer.span_tap.remove(_on_span)
     return InterleaveResult(
         run=result,
         decisions=srun.decisions,
@@ -253,7 +262,6 @@ def run_interleaved(
         sched_seed=sched_seed if schedule is None else None,
         spans=spans,
         race_candidates=srun.race_candidates,
-        blackbox=box,
     )
 
 
@@ -366,9 +374,12 @@ class RaceCounterexample:
     schedule: Tuple[str, ...]
     decisions: Tuple[Tuple[int, str, str], ...]
     result: RunResult
-    #: The flight recording of the final minimal run under the shrunk
-    #: schedule — the replay-to-anchor postmortem's input.
-    blackbox: Optional[BlackBox] = None
+
+    @property
+    def blackbox(self) -> Optional[BlackBox]:
+        """The final minimal run's flight recording under the shrunk
+        schedule (replay-to-anchor input)."""
+        return self.result.blackbox
 
     @property
     def digest(self) -> str:
@@ -377,6 +388,10 @@ class RaceCounterexample:
     @property
     def fingerprint(self) -> str:
         return _fingerprint(self.result, self.decisions)
+
+    def drive(self, world: FuzzWorld) -> None:
+        """Replay driver: the minimal tracks under the recorded schedule."""
+        _drive_tracks(world, self.tracks, self.sched_seed, list(self.schedule))
 
     def replay(self) -> InterleaveResult:
         """Re-run the minimal tracks under the recorded schedule; the
@@ -428,103 +443,19 @@ class RaceCounterexample:
             "outcomes": [list(pair) for pair in self.result.outcomes],
             "violations": self.result.violation_renders(),
             "fingerprint": self.fingerprint,
-            "blackbox": (
-                None
-                if self.blackbox is None
-                else {
-                    "anchor_seq": self.blackbox.anchor_seq,
-                    "events": len(self.blackbox.events),
-                    "events_digest": self.blackbox.events_digest(),
-                }
-            ),
+            "blackbox": None if self.blackbox is None else self.blackbox.summary(),
         }
 
 
-def replay_to_anchor(
-    counterexample: RaceCounterexample, anchor_seq: Optional[int] = None
-) -> AnchorHalt:
-    """Replay a race counterexample under its recorded schedule with the
-    recorder armed, halting at the anchor event.
-
-    The anchor can be reached from a task thread (a span/fault/audit
-    event) or from the reactor's own decision loop (a ``sched decision``
-    event); both paths stop the scheduler and leave the world standing.
-    Returns an :class:`~repro.fuzz.driver.AnchorHalt` — the caller
-    inspects, then MUST ``halt.world.close()``."""
-    if anchor_seq is None:
-        if counterexample.blackbox is None:
-            raise ValueError("race counterexample carries no flight recording")
-        anchor_seq = counterexample.blackbox.anchor_seq
-    tracks = {name: list(ops) for name, ops in counterexample.tracks.items()}
-    world = FuzzWorld(
-        planted=counterexample.planted,
-        maxoid=counterexample.maxoid,
-        record=True,
-        halt_at=anchor_seq,
-    )
-    world.start()
-
-    def _track_fn(ops: List[Op]):
-        def fn() -> None:
-            for op in ops:
-                SCHED.yield_point("op.boundary")
-                world.step(op)
-
-        return fn
-
-    named = [(name, _track_fn(ops)) for name, ops in sorted(tracks.items())]
-    try:
-        srun = SCHED.run(
-            named,
-            seed=counterexample.sched_seed,
-            replay=list(counterexample.schedule),
-            reraise=False,
-        )
-    except AnchorReached as reached:
-        # The anchor was a scheduler decision: the recorder's tap raised
-        # from the reactor loop itself.
-        return AnchorHalt(world=world, event=reached.event)
-    except BaseException:
-        world.close()
-        raise
-    for error in srun.errors.values():
-        if isinstance(error, AnchorReached):
-            return AnchorHalt(world=world, event=error.event)
-    for error in srun.errors.values():
-        world.close()
-        raise error
-    world.close()
-    raise RuntimeError(
-        f"replay never reached anchor event #{anchor_seq} "
-        f"(recorded {world.device.obs.recorder.seq} events) — recording and "
-        f"tracks disagree"
-    )
-
-
-@dataclass
-class InterleaveSweepReport:
-    """What the sweep covered and (maybe) found."""
-
-    examples: int
-    counterexample: Optional[RaceCounterexample] = None
-
-    @property
-    def found(self) -> bool:
-        return self.counterexample is not None
-
-
 def _package(
-    scenario_seed: Optional[int],
+    scenario_seed: int,
     noise: int,
     tracks: Tracks,
     found: InterleaveResult,
     sched_seed: Optional[int],
     planted: Optional[str],
     maxoid: bool,
-    artifact_path: Optional[str],
-    examples: int,
-    blackbox_path: Optional[str] = None,
-) -> InterleaveSweepReport:
+) -> RaceCounterexample:
     """Shrink a violating run (ops, then schedule) into a counterexample."""
     recorded = found.schedule()
     kept = shrink_tracks(
@@ -556,7 +487,7 @@ def _package(
         maxoid=maxoid,
         record=True,
     )
-    counterexample = RaceCounterexample(
+    return RaceCounterexample(
         scenario_seed=scenario_seed,
         noise=noise,
         sched_seed=sched_seed,
@@ -567,16 +498,43 @@ def _package(
         schedule=tuple(recorded.schedule()),
         decisions=tuple(recorded.decisions),
         result=recorded.run,
-        blackbox=recorded.blackbox,
     )
-    if artifact_path is not None:
-        with open(artifact_path, "w", encoding="utf-8") as sink:
-            json.dump(counterexample.to_dict(), sink, indent=2)
-    if blackbox_path is not None and counterexample.blackbox is not None:
-        from repro.obs.artifacts import write_blackbox
 
-        write_blackbox(blackbox_path, counterexample.blackbox)
-    return InterleaveSweepReport(examples=examples, counterexample=counterexample)
+
+def _schedules(
+    tracks: Tracks,
+    scenario_seed: int,
+    count: int,
+    perturb: int,
+    planted: Optional[str],
+    maxoid: bool,
+) -> Iterator[Tuple[int, InterleaveResult]]:
+    """Yield ``(sched_seed, run)`` for ``count`` randomized schedules,
+    then for systematic perturbations of the last one: a foreign task
+    spliced into the observed schedule at evenly spaced points — forced
+    preemptions where the random sampler happened not to switch."""
+    for schedule_index in range(count):
+        sched_seed = 1000 * scenario_seed + schedule_index
+        observed = run_interleaved(
+            tracks, sched_seed=sched_seed, planted=planted, maxoid=maxoid
+        )
+        yield sched_seed, observed
+    names = observed.schedule()
+    task_names = sorted(tracks)
+    if len(task_names) < 2 or not names:
+        return
+    step_size = max(1, len(names) // (perturb + 1))
+    for position in list(range(step_size, len(names), step_size))[:perturb]:
+        current = names[position]
+        alternate = task_names[(task_names.index(current) + 1) % len(task_names)]
+        candidate = names[:position] + [alternate] + names[position:]
+        yield sched_seed, run_interleaved(
+            tracks,
+            sched_seed=sched_seed,
+            schedule=candidate,
+            planted=planted,
+            maxoid=maxoid,
+        )
 
 
 def interleave_sweep(
@@ -589,7 +547,7 @@ def interleave_sweep(
     perturb: int = 3,
     artifact_path: Optional[str] = None,
     blackbox_path: Optional[str] = None,
-) -> InterleaveSweepReport:
+) -> SweepReport:
     """Drive seeded concurrent scenarios through randomized and
     systematically-perturbed schedules; shrink and report the first
     S1-S4 violation. ``artifact_path`` (used by the CI interleave lane)
@@ -599,48 +557,14 @@ def interleave_sweep(
     for scenario_index in range(n_scenarios):
         scenario_seed = base_seed + scenario_index
         tracks = concurrent_scenario_from_seed(scenario_seed, noise=noise)
-        last: Optional[Tuple[int, InterleaveResult]] = None
-        for schedule_index in range(schedules_per_scenario):
-            sched_seed = 1000 * scenario_seed + schedule_index
+        for sched_seed, result in _schedules(
+            tracks, scenario_seed, schedules_per_scenario, perturb, planted, maxoid
+        ):
             examples += 1
-            result = run_interleaved(
-                tracks, sched_seed=sched_seed, planted=planted, maxoid=maxoid
-            )
-            last = (sched_seed, result)
             if result.violations:
-                return _package(
-                    scenario_seed, noise, tracks, result, sched_seed,
-                    planted, maxoid, artifact_path, examples,
-                    blackbox_path=blackbox_path,
+                counterexample = _package(
+                    scenario_seed, noise, tracks, result, sched_seed, planted, maxoid
                 )
-        # Systematic perturbation: splice a foreign task into the last
-        # observed schedule at evenly spaced points — forced preemptions
-        # where the random sampler happened not to switch.
-        assert last is not None
-        sched_seed, observed = last
-        names = observed.schedule()
-        task_names = sorted(tracks)
-        if len(task_names) > 1 and names:
-            step_size = max(1, len(names) // (perturb + 1))
-            positions = list(range(step_size, len(names), step_size))[:perturb]
-            for position in positions:
-                current = names[position]
-                alternate = task_names[
-                    (task_names.index(current) + 1) % len(task_names)
-                ]
-                candidate = names[:position] + [alternate] + names[position:]
-                examples += 1
-                result = run_interleaved(
-                    tracks,
-                    sched_seed=sched_seed,
-                    schedule=candidate,
-                    planted=planted,
-                    maxoid=maxoid,
-                )
-                if result.violations:
-                    return _package(
-                        scenario_seed, noise, tracks, result, sched_seed,
-                        planted, maxoid, artifact_path, examples,
-                        blackbox_path=blackbox_path,
-                    )
-    return InterleaveSweepReport(examples=examples)
+                _write_artifacts(counterexample, artifact_path, blackbox_path)
+                return SweepReport(examples=examples, counterexample=counterexample)
+    return SweepReport(examples=examples)

@@ -180,7 +180,6 @@ __all__ = [
     "SecurityMonitor",
     "OBS",
     "ObsContext",
-    "Observability",
     "Tracer",
     "Span",
     "SpanNode",
@@ -391,9 +390,6 @@ class ObsContext:
         state = "on" if self.enabled else "off"
         return f"<ObsContext {self.device_id} ({state})>"
 
-
-#: Backwards-compatible name from the singleton era.
-Observability = ObsContext
 
 #: The default observability context. Devices built without an explicit
 #: context — and every object constructed outside a device — attach here,

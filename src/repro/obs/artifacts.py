@@ -160,29 +160,23 @@ def write_blackbox(path: str, box: Any) -> str:
     streamable — the timeline CLI and CI artifact uploads read these.
     Returns ``path``.
     """
-    header = {
-        "kind": "blackbox",
-        "blackbox_schema": BLACKBOX_SCHEMA_VERSION,
-        "trigger": box.trigger,
-        "device_id": box.device_id,
-        "anchor_seq": box.anchor_seq,
-        "events_digest": box.events_digest(),
-        "metadata": dict(box.metadata),
-    }
+    header = box.to_dict()
+    events = header.pop("events")
+    header["blackbox_schema"] = BLACKBOX_SCHEMA_VERSION
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as sink:
         sink.write(json.dumps(header, sort_keys=True, default=str) + "\n")
-        for event in box.events:
-            sink.write(json.dumps(event.to_dict(), sort_keys=True, default=str) + "\n")
+        for event in events:
+            sink.write(json.dumps(event, sort_keys=True, default=str) + "\n")
     return path
 
 
 def load_blackbox(path: str) -> Any:
     """Load a dump written by :func:`write_blackbox`; verifies the
     recorded events digest (a corrupt dump raises ValueError)."""
-    from repro.obs.recorder import BlackBox, Event
+    from repro.obs.recorder import BlackBox
 
     with open(path, "r", encoding="utf-8") as source:
         lines = [line for line in source if line.strip()]
@@ -191,12 +185,8 @@ def load_blackbox(path: str) -> Any:
     header = json.loads(lines[0])
     if header.get("kind") != "blackbox":
         raise ValueError(f"{path}: not a black-box dump (kind={header.get('kind')!r})")
-    events = tuple(Event.from_dict(json.loads(line)) for line in lines[1:])
-    box = BlackBox(
-        trigger=str(header["trigger"]),
-        device_id=str(header["device_id"]),
-        events=events,
-        metadata=dict(header.get("metadata", {})),
+    box = BlackBox.from_dict(
+        {**header, "events": [json.loads(line) for line in lines[1:]]}
     )
     recorded = header.get("events_digest")
     if recorded is not None and recorded != box.events_digest():

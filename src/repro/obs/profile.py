@@ -22,10 +22,10 @@ Two pieces, both built on data the tracer already records:
   ``BENCH_*.json`` artifacts, and what the Table 1 trace tests hold to
   the ">= 95% of wall time attributed" bar.
 
-Self time is a span's duration minus its direct children's durations
-(clamped at zero), so layer totals sum to the root's duration up to clock
-granularity — the same accounting as :func:`repro.obs.report
-.layer_self_times`, restricted to one tree.
+Self time is :attr:`~repro.obs.trace.SpanNode.self_ms` (a span's
+duration minus its direct children's, clamped at zero), so layer totals
+sum to the root's duration up to clock granularity — the same accounting
+as :func:`repro.obs.report.layer_self_times`, restricted to one tree.
 """
 
 from __future__ import annotations
@@ -194,17 +194,12 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def _self_ms(node: SpanNode) -> float:
-    child_ms = sum(child.span.duration_ms for child in node.children)
-    return max(node.span.duration_ms - child_ms, 0.0)
-
-
 def critical_path(tree: SpanNode) -> CriticalPathReport:
     """Analyze one trace tree: layer attribution plus the hot chain."""
     by_layer: Dict[str, float] = {}
     for node in tree.walk():
         layer = node.span.layer
-        by_layer[layer] = by_layer.get(layer, 0.0) + _self_ms(node)
+        by_layer[layer] = by_layer.get(layer, 0.0) + node.self_ms
     steps: List[CriticalPathStep] = []
     node = tree
     while True:
@@ -213,7 +208,7 @@ def critical_path(tree: SpanNode) -> CriticalPathReport:
                 name=node.span.name,
                 layer=node.span.layer,
                 duration_ms=node.span.duration_ms,
-                self_ms=_self_ms(node),
+                self_ms=node.self_ms,
             )
         )
         if not node.children:

@@ -35,8 +35,8 @@ string), a black box replays byte-identically: re-running the recorded
 scenario under ``SCHED.replay`` with ``halt_at=<anchor seq>`` reproduces
 the exact event prefix and raises :class:`AnchorReached` at the anchor,
 with the live device still standing for inspection — the
-**replay-to-anchor** postmortem (see :mod:`repro.fuzz.driver` /
-:mod:`repro.fuzz.interleave` and ``python -m repro.obs.timeline``).
+**replay-to-anchor** postmortem (see :func:`repro.fuzz.replay_to_anchor`
+and ``python -m repro.obs.timeline``).
 """
 
 from __future__ import annotations
@@ -180,6 +180,14 @@ class BlackBox:
 
     def events_digest(self, upto: Optional[int] = None) -> str:
         return events_digest(self.events, upto=upto)
+
+    def summary(self) -> Dict[str, Any]:
+        """The dump's identity as a counterexample artifact cites it."""
+        return {
+            "anchor_seq": self.anchor_seq,
+            "events": len(self.events),
+            "events_digest": self.events_digest(),
+        }
 
     def render(self) -> str:
         lines = [

@@ -32,10 +32,8 @@ def layer_self_times(spans: Iterable[Span]) -> Dict[str, float]:
     totals: Dict[str, float] = {}
     for root in build_trees(list(spans)):
         for node in root.walk():
-            child_ms = sum(child.span.duration_ms for child in node.children)
-            self_ms = max(node.span.duration_ms - child_ms, 0.0)
             layer = node.span.layer
-            totals[layer] = totals.get(layer, 0.0) + self_ms
+            totals[layer] = totals.get(layer, 0.0) + node.self_ms
     return totals
 
 

@@ -421,6 +421,12 @@ class SpanNode:
     def name(self) -> str:
         return self.span.name
 
+    @property
+    def self_ms(self) -> float:
+        """Duration minus the direct children's durations, floored at 0."""
+        child_ms = sum(child.span.duration_ms for child in self.children)
+        return max(self.span.duration_ms - child_ms, 0.0)
+
     def walk(self):
         """Yield this node and all descendants (pre-order)."""
         yield self

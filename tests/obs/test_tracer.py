@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import FileNotFound
-from repro.obs import OBS, ObsContext, Observability, build_trees
+from repro.obs import OBS, ObsContext, build_trees
 from repro.obs.trace import NOOP_SPAN, JsonlSink, RingBufferSink, Tracer
 
 pytestmark = pytest.mark.trace
@@ -156,14 +156,14 @@ class TestTreeBuilding:
 
 class TestObservabilityFacade:
     def test_capture_enables_then_restores(self):
-        obs = Observability()
+        obs = ObsContext()
         assert not obs.enabled
         with obs.capture() as captured:
             assert captured is obs and obs.enabled
         assert not obs.enabled
 
     def test_capture_restores_prior_enabled_state(self):
-        obs = Observability()
+        obs = ObsContext()
         obs.enable()
         with obs.capture():
             pass
@@ -171,7 +171,7 @@ class TestObservabilityFacade:
         obs.disable()
 
     def test_capture_starts_from_clean_slate(self):
-        obs = Observability()
+        obs = ObsContext()
         obs.enable()
         with obs.tracer.span("vfs.open"):
             pass
