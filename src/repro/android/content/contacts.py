@@ -3,7 +3,9 @@
 The paper ports three system content providers (User Dictionary,
 Downloads, Media) and lists Contacts among the shared resources that are
 "potentially sources of serious data leaks" (section 5.1). This module
-ports Contacts the same way, demonstrating the proxy's generality on a
+ports Contacts the same way: its schema on
+:class:`~repro.android.content.provider.CowProvider`, with no code of its
+own beyond a convenience insert. It shows the proxy's generality on a
 provider with a two-table schema plus a provider-defined join view:
 
 - ``contacts`` — one row per person;
@@ -20,14 +22,9 @@ volatile rows and cannot exfiltrate them (no network).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.errors import SecurityException
-from repro.android.content.provider import ContentProvider, ContentValues
+from repro.android.content.provider import ContentValues, CowProvider
 from repro.android.uri import Uri
 from repro.core.cow import CowProxy
-from repro.kernel.proc import TaskContext
-from repro.minisql.engine import ResultSet
 
 AUTHORITY = "com.android.contacts"
 CONTACTS_URI = Uri.content(AUTHORITY, "contacts")
@@ -35,14 +32,15 @@ PHONES_URI = Uri.content(AUTHORITY, "phones")
 DETAILS_URI = Uri.content(AUTHORITY, "contact_details")
 
 
-class ContactsProvider(ContentProvider):
+class ContactsProvider(CowProvider):
     """Contacts store backed by the COW proxy."""
 
     authority = AUTHORITY
-    owner = None
-
-    _TABLES = {"contacts": "contacts", "phones": "phones"}
-    _VIEWS = {"contact_details": "contact_details"}
+    routes = {
+        "contacts": "contacts",
+        "phones": "phones",
+        "contact_details": "contact_details",
+    }
 
     def __init__(self) -> None:
         self.proxy = CowProxy()
@@ -64,103 +62,6 @@ class ContactsProvider(ContentProvider):
             "contact_details",
             "SELECT c._id, c.display_name, p.number, p.label "
             "FROM contacts c, phones p WHERE p.contact_id = c._id",
-        )
-
-    # ------------------------------------------------------------------
-
-    def _source_for(self, uri: Uri) -> str:
-        normal = uri.to_normal()
-        first = normal.segments[0] if normal.segments else ""
-        if first in self._TABLES:
-            return self._TABLES[first]
-        if first in self._VIEWS:
-            return self._VIEWS[first]
-        raise SecurityException(f"unknown contacts uri: {uri}")
-
-    @staticmethod
-    def _where_for(uri: Uri, where: Optional[str], params: Sequence[object]):
-        row_id = uri.to_normal().row_id
-        if row_id is None:
-            return where, list(params)
-        clause = "_id = ?"
-        if where:
-            clause = f"({where}) AND _id = ?"
-        return clause, list(params) + [row_id]
-
-    # ------------------------------------------------------------------
-
-    def insert(self, uri: Uri, values: ContentValues, context: TaskContext) -> Uri:
-        source = self._source_for(uri)
-        if source in self._VIEWS:
-            raise SecurityException(f"{source} is a read-only view")
-        record = values.as_dict()
-        if values.is_volatile:
-            if context.is_delegate:
-                raise SecurityException("only initiators may create volatile records explicitly")
-            if context.app is None:
-                raise SecurityException("isVolatile requires an app caller")
-            row_id = self.proxy.insert_volatile(source, context.app, record)
-            return Uri.content(AUTHORITY, source).to_volatile().with_appended_id(row_id)
-        initiator = self.initiator_of(context)
-        row_id = self.proxy.insert(source, initiator, record)
-        return Uri.content(AUTHORITY, source).with_appended_id(row_id)
-
-    def update(
-        self,
-        uri: Uri,
-        values: ContentValues,
-        where: Optional[str],
-        params: Sequence[object],
-        context: TaskContext,
-    ) -> int:
-        source = self._source_for(uri)
-        if source in self._VIEWS:
-            raise SecurityException(f"{source} is a read-only view")
-        clause, bound = self._where_for(uri, where, params)
-        return self.proxy.update(source, self.initiator_of(context), values.as_dict(), clause, bound)
-
-    def delete(
-        self, uri: Uri, where: Optional[str], params: Sequence[object], context: TaskContext
-    ) -> int:
-        source = self._source_for(uri)
-        if source in self._VIEWS:
-            raise SecurityException(f"{source} is a read-only view")
-        clause, bound = self._where_for(uri, where, params)
-        return self.proxy.delete(source, self.initiator_of(context), clause, bound)
-
-    def query(
-        self,
-        uri: Uri,
-        projection: Optional[Sequence[str]],
-        where: Optional[str],
-        params: Sequence[object],
-        order_by: Optional[str],
-        context: TaskContext,
-    ) -> ResultSet:
-        source = self._source_for(uri)
-        if uri.is_volatile:
-            if context.is_delegate:
-                raise SecurityException("volatile URIs are reserved for initiators")
-            if context.app is None:
-                return ResultSet()
-            if source in self._VIEWS:
-                raise SecurityException("volatile URIs address base tables")
-            result = self.proxy.volatile_rows(source, context.app)
-            row_id = uri.to_normal().row_id
-            if row_id is not None and result.rows:
-                result = ResultSet(
-                    columns=result.columns,
-                    rows=[r for r in result.rows if r[0] == row_id],
-                )
-            return result
-        clause, bound = self._where_for(uri, where, params)
-        return self.proxy.query(
-            source,
-            self.initiator_of(context),
-            projection=projection,
-            where=clause,
-            params=bound,
-            order_by=order_by,
         )
 
     # -- convenience for apps ------------------------------------------------

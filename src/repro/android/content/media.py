@@ -12,21 +12,24 @@ record belongs to, and puts side artifacts (thumbnails) in the same state
 — a *public* scan leaves a public thumbnail on the SD card (one of the
 Table 1 traces), a *delegate's* scan leaves it in the initiator's
 volatile branch.
+
+Routing, row URIs, volatile URIs and the file open come from
+:class:`~repro.android.content.provider.CowProvider`; this module holds
+the schema and the thumbnail step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.errors import FileNotFound, SecurityException
-from repro.android.content.provider import ContentProvider, ContentValues
+from repro.errors import FileNotFound
+from repro.android.content.provider import CowProvider
 from repro.android.content.system_io import SystemStorageIO
 from repro.android.storage import EXTDIR
 from repro.android.uri import Uri
 from repro.core.cow import CowProxy
 from repro.kernel import path as vpath
 from repro.kernel.proc import TaskContext
-from repro.minisql.engine import ResultSet
 
 AUTHORITY = "media"
 FILES_URI = Uri.content(AUTHORITY, "files")
@@ -39,14 +42,11 @@ MEDIA_TYPE_VIDEO = 3
 THUMBNAIL_DIR = vpath.join(EXTDIR, "DCIM", ".thumbnails")
 
 
-class MediaProvider(ContentProvider):
+class MediaProvider(CowProvider):
     """Media store with the paper's exact view hierarchy."""
 
     authority = AUTHORITY
-    owner = None
-
-    #: URI path component -> (object name, is a single-table write target)
-    _SOURCES = {
+    routes = {
         "files": "files",
         "images": "images",
         "audio_meta": "audio_meta",
@@ -99,52 +99,16 @@ class MediaProvider(ContentProvider):
         self._io = io
         self.thumbnails_created: List[str] = []
 
-    # ------------------------------------------------------------------
-
-    def _source_for(self, uri: Uri) -> str:
-        normal = uri.to_normal()
-        first = normal.segments[0] if normal.segments else ""
-        source = self._SOURCES.get(first)
-        if source is None:
-            raise FileNotFound(str(uri))
-        return source
-
-    @staticmethod
-    def _where_for(uri: Uri, where: Optional[str], params: Sequence[object]):
-        row_id = uri.to_normal().row_id
-        if row_id is None:
-            return where, list(params)
-        clause = "_id = ?"
-        if where:
-            clause = f"({where}) AND _id = ?"
-        return clause, list(params) + [row_id]
-
-    # ------------------------------------------------------------------
-
-    def insert(self, uri: Uri, values: ContentValues, context: TaskContext) -> Uri:
-        source = self._source_for(uri)
-        if source not in ("files", "artists", "albums"):
-            raise SecurityException(f"{source} is a read-only view; insert into files")
-        record = values.as_dict()
+    def _insert_row(
+        self, source: str, record: Dict[str, object], context: TaskContext, volatile: bool
+    ) -> int:
+        """Store the row, then thumbnail a scanned file when asked to."""
         generate_thumbnail = bool(record.pop("generate_thumbnail", False))
-        if values.is_volatile:
-            if context.is_delegate:
-                raise SecurityException(
-                    "only initiators may create volatile records explicitly"
-                )
-            if context.app is None:
-                raise SecurityException("isVolatile requires an app caller")
-            row_id = self.proxy.insert_volatile(source, context.app, record)
-            state: Optional[str] = context.app
-            row_uri = Uri.content(AUTHORITY, source).to_volatile().with_appended_id(row_id)
-        else:
-            initiator = self.initiator_of(context)
-            row_id = self.proxy.insert(source, initiator, record)
-            state = initiator
-            row_uri = Uri.content(AUTHORITY, source).with_appended_id(row_id)
+        row_id = super()._insert_row(source, record, context, volatile)
         if source == "files" and generate_thumbnail and record.get("_data"):
+            state = context.app if volatile else self.initiator_of(context)
             self._create_thumbnail(state, str(record["_data"]))
-        return row_uri
+        return row_id
 
     def _create_thumbnail(self, state: Optional[str], data_path: str) -> None:
         """Write the thumbnail in the same state as its record."""
@@ -160,71 +124,3 @@ class MediaProvider(ContentProvider):
         thumbnail = b"THUMB:" + content[:16]
         self._io.write(state, thumb_path, thumbnail)
         self.thumbnails_created.append(thumb_path)
-
-    def update(
-        self,
-        uri: Uri,
-        values: ContentValues,
-        where: Optional[str],
-        params: Sequence[object],
-        context: TaskContext,
-    ) -> int:
-        source = self._source_for(uri)
-        if source not in ("files", "artists", "albums"):
-            raise SecurityException(f"{source} is a read-only view; update files")
-        initiator = self.initiator_of(context)
-        clause, bound = self._where_for(uri, where, params)
-        return self.proxy.update(source, initiator, values.as_dict(), clause, bound)
-
-    def delete(
-        self, uri: Uri, where: Optional[str], params: Sequence[object], context: TaskContext
-    ) -> int:
-        source = self._source_for(uri)
-        if source not in ("files", "artists", "albums"):
-            raise SecurityException(f"{source} is a read-only view; delete from files")
-        initiator = self.initiator_of(context)
-        clause, bound = self._where_for(uri, where, params)
-        return self.proxy.delete(source, initiator, clause, bound)
-
-    def query(
-        self,
-        uri: Uri,
-        projection: Optional[Sequence[str]],
-        where: Optional[str],
-        params: Sequence[object],
-        order_by: Optional[str],
-        context: TaskContext,
-    ) -> ResultSet:
-        source = self._source_for(uri)
-        if uri.is_volatile:
-            if context.is_delegate:
-                raise SecurityException("volatile URIs are reserved for initiators")
-            if context.app is None:
-                return ResultSet()
-            if source not in ("files", "artists", "albums"):
-                raise SecurityException("volatile URIs address base tables")
-            result = self.proxy.volatile_rows(source, context.app)
-            row_id = uri.to_normal().row_id
-            if row_id is not None and result.rows:
-                id_index = 0
-                result = ResultSet(
-                    columns=result.columns,
-                    rows=[r for r in result.rows if r[id_index] == row_id],
-                )
-            return result
-        initiator = self.initiator_of(context)
-        clause, bound = self._where_for(uri, where, params)
-        return self.proxy.query(
-            source, initiator, projection=projection, where=clause, params=bound, order_by=order_by
-        )
-
-    def open_file(self, uri: Uri, context: TaskContext) -> bytes:
-        row_id = uri.to_normal().row_id
-        if row_id is None:
-            raise FileNotFound(str(uri))
-        for row in self.proxy.admin_rows("files"):
-            if row["_id"] == row_id and not row["_whiteout"]:
-                state = str(row["_state"])
-                package = None if state == "public" else state[len("vol:") :]
-                return self._io.read(package, str(row["_data"]))
-        raise FileNotFound(str(uri))

@@ -1,7 +1,9 @@
 """The User Dictionary provider (paper section 5.1, 5.3).
 
 "User Dictionary is purely a passive storage service ... porting is
-trivial, though we add new URIs for volatile state."
+trivial, though we add new URIs for volatile state." Here the port is its
+schema alone: :class:`~repro.android.content.provider.CowProvider` routes
+every operation, volatile URIs included, through the COW proxy.
 
 URIs:
 
@@ -13,24 +15,19 @@ URIs:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.errors import SecurityException
-from repro.android.content.provider import ContentProvider, ContentValues
+from repro.android.content.provider import CowProvider
 from repro.android.uri import Uri
 from repro.core.cow import CowProxy
-from repro.kernel.proc import TaskContext
-from repro.minisql.engine import ResultSet
 
 AUTHORITY = "user_dictionary"
 WORDS_URI = Uri.content(AUTHORITY, "words")
 
 
-class UserDictionaryProvider(ContentProvider):
+class UserDictionaryProvider(CowProvider):
     """Word store backed by the COW proxy."""
 
     authority = AUTHORITY
-    owner = None  # trusted system provider
+    routes = {"words": "words"}
 
     def __init__(self) -> None:
         self.proxy = CowProxy()
@@ -41,105 +38,4 @@ class UserDictionaryProvider(ContentProvider):
             "frequency INTEGER DEFAULT 1, "
             "locale TEXT, "
             "appid INTEGER DEFAULT 0)"
-        )
-
-    # ------------------------------------------------------------------
-
-    def _check_uri(self, uri: Uri, context: TaskContext) -> None:
-        if uri.is_volatile and context.is_delegate:
-            # Delegates always use normal URIs; their confinement is the
-            # proxy's job, and volatile URIs are the *initiator's* window.
-            raise SecurityException("volatile URIs are reserved for initiators")
-
-    def _where_for(self, uri: Uri, where: Optional[str], params: Sequence[object]):
-        row_id = uri.row_id
-        if row_id is None:
-            return where, list(params)
-        clause = "_id = ?"
-        if where:
-            clause = f"({where}) AND _id = ?"
-        return clause, list(params) + [row_id]
-
-    # ------------------------------------------------------------------
-
-    def insert(self, uri: Uri, values: ContentValues, context: TaskContext) -> Uri:
-        self._check_uri(uri, context)
-        initiator = self.initiator_of(context)
-        if values.is_volatile:
-            if context.is_delegate:
-                raise SecurityException(
-                    "only initiators may create volatile records explicitly"
-                )
-            if context.app is None:
-                raise SecurityException("isVolatile requires an app caller")
-            row_id = self.proxy.insert_volatile("words", context.app, values.as_dict())
-            return WORDS_URI.to_volatile().with_appended_id(row_id)
-        row_id = self.proxy.insert("words", initiator, values.as_dict())
-        return WORDS_URI.with_appended_id(row_id)
-
-    def update(
-        self,
-        uri: Uri,
-        values: ContentValues,
-        where: Optional[str],
-        params: Sequence[object],
-        context: TaskContext,
-    ) -> int:
-        self._check_uri(uri, context)
-        initiator = self.initiator_of(context)
-        clause, bound = self._where_for(uri.to_normal(), where, params)
-        if uri.is_volatile:
-            # Initiator editing its volatile copies directly.
-            if context.app is None or not self.proxy.has_delta("words", context.app):
-                return 0
-            delta = self.proxy.delta_name("words", context.app)
-            sql = f"UPDATE {delta} SET " + ", ".join(f"{c} = ?" for c in values.as_dict())
-            if clause:
-                sql += f" WHERE {clause}"
-            result = self.proxy.db.execute(sql, list(values.as_dict().values()) + bound)
-            return result.rowcount
-        return self.proxy.update("words", initiator, values.as_dict(), clause, bound)
-
-    def delete(
-        self, uri: Uri, where: Optional[str], params: Sequence[object], context: TaskContext
-    ) -> int:
-        self._check_uri(uri, context)
-        initiator = self.initiator_of(context)
-        clause, bound = self._where_for(uri.to_normal(), where, params)
-        if uri.is_volatile:
-            if context.app is None or not self.proxy.has_delta("words", context.app):
-                return 0
-            delta = self.proxy.delta_name("words", context.app)
-            sql = f"DELETE FROM {delta}"
-            if clause:
-                sql += f" WHERE {clause}"
-            return self.proxy.db.execute(sql, bound).rowcount
-        return self.proxy.delete("words", initiator, clause, bound)
-
-    def query(
-        self,
-        uri: Uri,
-        projection: Optional[Sequence[str]],
-        where: Optional[str],
-        params: Sequence[object],
-        order_by: Optional[str],
-        context: TaskContext,
-    ) -> ResultSet:
-        self._check_uri(uri, context)
-        initiator = self.initiator_of(context)
-        clause, bound = self._where_for(uri.to_normal(), where, params)
-        if uri.is_volatile:
-            if context.app is None:
-                return ResultSet()
-            result = self.proxy.volatile_rows("words", context.app)
-            if uri.to_normal().row_id is not None:
-                wanted = uri.to_normal().row_id
-                id_index = [c.lower() for c in result.columns].index("_id")
-                result = ResultSet(
-                    columns=result.columns,
-                    rows=[r for r in result.rows if r[id_index] == wanted],
-                )
-            return result
-        return self.proxy.query(
-            "words", initiator, projection=projection, where=clause, params=bound, order_by=order_by
         )

@@ -209,6 +209,11 @@ class CowProxy:
         key = name.lower()
         return key in self._tables or key in self._user_views
 
+    def primary_key(self, name: str) -> Optional[str]:
+        """The primary-key column of a registered table; None for a view."""
+        primary = self._tables.get(name.lower())
+        return primary.pk if primary is not None else None
+
     def table_columns(self, name: str) -> List[str]:
         """Lowercased column names of a registered table or view."""
         key = name.lower()
@@ -816,3 +821,9 @@ class CowProxy:
             parts.append(f"SELECT {cols}, _whiteout, 'vol:{key}' AS _state FROM {delta}")
         result = self.db.execute(" UNION ALL ".join(parts))
         return result.dicts()
+
+    @staticmethod
+    def state_initiator(state: str) -> Optional[str]:
+        """The initiator key an admin row's ``_state`` tag names; None for
+        a public row."""
+        return None if state == "public" else state[len("vol:") :]

@@ -132,13 +132,13 @@ class Device:
         self.downloads = DownloadsProvider(self.network, system_io, self.system_process)
         self.media = MediaProvider(system_io)
         self.contacts = ContactsProvider()
-        self.resolver.register(self.user_dictionary)
-        self.resolver.register(self.downloads)
-        self.resolver.register(self.media)
-        self.resolver.register(self.contacts)
-        # The system providers' COW proxies were built before the device
-        # existed; attach them (and their databases) to this context.
-        for provider in (self.user_dictionary, self.downloads, self.media, self.contacts):
+        #: The COW-backed system providers, in the order volatile state is
+        #: discarded and commit journals are recovered.
+        self.cow_providers = (self.user_dictionary, self.media, self.downloads, self.contacts)
+        for provider in self.cow_providers:
+            self.resolver.register(provider)
+            # The proxy was built before the device existed; attach it
+            # (and its database) to this context.
             provider.proxy.bind_obs(self.obs)
         self.clipboard = ClipboardService(maxoid_enabled, obs=self.obs)
         self.bluetooth = BluetoothService(maxoid_enabled, obs=self.obs)
@@ -263,7 +263,7 @@ class Device:
         """Discard Vol(package): volatile files, provider volatile records,
         and the delegate clipboard."""
         removed = self.branches.clear_volatile(package)
-        for provider in (self.user_dictionary, self.media, self.downloads, self.contacts):
+        for provider in self.cow_providers:
             removed += provider.proxy.discard_all_volatile(package)
         self.clipboard.clear_domain(package)
         return removed
@@ -338,7 +338,7 @@ class Device:
                 destination=intent.destination,
             )
         # 2. COW proxy commit journals.
-        for provider in (self.user_dictionary, self.media, self.downloads, self.contacts):
+        for provider in self.cow_providers:
             replayed, rolled_back = provider.proxy.recover()
             report.cow_rows_replayed += replayed
             report.cow_rows_rolled_back += rolled_back
