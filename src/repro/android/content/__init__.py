@@ -1,10 +1,12 @@
-"""Content providers: the framework plus the three system providers the
-paper ports to the COW proxy (User Dictionary, Downloads, Media)."""
+"""Content providers: the framework, the COW-backed provider base, the
+three system providers the paper ports to the COW proxy (User Dictionary,
+Downloads, Media) and Contacts, ported the same way."""
 
 from repro.android.content.provider import (
     ContentProvider,
     ContentResolver,
     ContentValues,
+    CowProvider,
     UriPermissionGrants,
 )
 from repro.android.content.user_dictionary import UserDictionaryProvider
@@ -16,6 +18,7 @@ __all__ = [
     "ContentProvider",
     "ContentResolver",
     "ContentValues",
+    "CowProvider",
     "UriPermissionGrants",
     "UserDictionaryProvider",
     "DownloadsProvider",
