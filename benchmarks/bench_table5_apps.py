@@ -63,7 +63,10 @@ def report(task: str, config: str, io_ms: float, baseline_io_ms: float) -> None:
 _BASELINES = {}
 
 
-def _remember(task: str, config: str, mean_ms: float):
+def _remember(task: str, config: str, benchmark) -> None:
+    if benchmark.stats is None:  # --benchmark-disable times nothing
+        return
+    mean_ms = benchmark.stats["mean"] * 1000
     if config == "android":
         _BASELINES[task] = mean_ms
     baseline = _BASELINES.get(task, mean_ms)
@@ -89,7 +92,7 @@ def bench_adobe_open(benchmark, config):
 
     result = benchmark(apps["adobe"].main, api, intent)
     assert result["bytes"] == DOC_SIZE
-    _remember("adobe_open_1_6mb", config, benchmark.stats["mean"] * 1000)
+    _remember("adobe_open_1_6mb", config, benchmark)
 
 
 @pytest.mark.benchmark(group="table5-adobe-search")
@@ -101,7 +104,7 @@ def bench_adobe_search(benchmark, config):
 
     count = benchmark(apps["adobe"].search, api, document, b"\x42\x17")
     assert count >= 0
-    _remember("adobe_in_file_search", config, benchmark.stats["mean"] * 1000)
+    _remember("adobe_in_file_search", config, benchmark)
 
 
 @pytest.mark.benchmark(group="table5-camscanner")
@@ -120,7 +123,7 @@ def bench_camscanner_page(benchmark, config):
 
     result = benchmark(run)
     assert result["name"] == "page.jpg"
-    _remember("camscanner_process_page", config, benchmark.stats["mean"] * 1000)
+    _remember("camscanner_process_page", config, benchmark)
 
 
 @pytest.mark.benchmark(group="table5-camera-photo")
@@ -137,7 +140,7 @@ def bench_camera_take_photo(benchmark, config):
 
     result = benchmark(run)
     assert result["path"]
-    _remember("cameramx_take_photo", config, benchmark.stats["mean"] * 1000)
+    _remember("cameramx_take_photo", config, benchmark)
 
 
 @pytest.mark.benchmark(group="table5-camera-edit")
@@ -156,4 +159,4 @@ def bench_camera_save_edited(benchmark, config):
 
     result = benchmark(run)
     assert result["media_uri"]
-    _remember("cameramx_save_edited", config, benchmark.stats["mean"] * 1000)
+    _remember("cameramx_save_edited", config, benchmark)

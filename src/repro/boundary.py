@@ -129,8 +129,8 @@ def tag(obs: Any, name: str, **attrs: Any) -> None:
 
     For attributes known only mid-body that streaming consumers must see
     before the span closes. Does nothing when the innermost open span is
-    another one (a head-sampled-out trace opens none). Callers gate on
-    ``obs.enabled`` first, so the disarmed path builds no kwargs."""
+    another one. Callers gate on ``obs.enabled`` first, so the disarmed
+    path builds no kwargs."""
     current = obs.tracer.current
     if current is not None and current.name == name:
         current.set(**attrs)

@@ -258,7 +258,7 @@ class AuditEvent:
     message: str
     details: Dict[str, Any] = field(default_factory=dict)
     # Which device's log this event came from. ``seq`` is monotonic *per
-    # device*, so ``(seq, device_id)`` totally orders a merged fleet feed.
+    # device*, so ``(seq, device_id)`` totally orders a multi-device feed.
     device_id: str = "device0"
 
     def render(self) -> str:

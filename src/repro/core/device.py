@@ -90,7 +90,8 @@ class Device:
         # fault plane, through this handle. The default is the global OBS
         # context and its fault plane, so a bare Device() behaves
         # exactly as before; naming the device (or passing a context)
-        # gives it an isolated ObsContext — the fleet sharding model.
+        # gives it an isolated ObsContext, so several devices can run in
+        # one process without sharing observability state.
         if obs is not None:
             self.obs = obs
         elif device_id is not None:

@@ -50,8 +50,8 @@ class CommitJournal:
         self._fs = fs
         self._dir = directory
         # The owning device's ObsContext (bare journals fall back to OBS):
-        # fault hits stamp its device_id so a fleet postmortem can tell
-        # whose journal tore.
+        # fault hits stamp its device_id so a multi-device postmortem can
+        # tell whose journal tore.
         self._obs = obs if obs is not None else _OBS
         if not fs.exists(directory, ROOT_CRED):
             # Parents keep the default (traversable) mode; only the journal

@@ -79,7 +79,7 @@ class BinderDriver:
     retry_backoff_ms: float = 16.0
 
     def __init__(self, obs: Optional[Any] = None) -> None:
-        # The owning device's observability context (fleet devices pass
+        # The owning device's observability context (named devices pass
         # their own; bare drivers fall back to the default OBS).
         self.obs = obs if obs is not None else _OBS
         self._endpoints: Dict[str, BinderEndpoint] = {}

@@ -204,9 +204,12 @@ def _comparison(test: Callable[[int], bool]) -> Callable[[object, object], Optio
 
 @functools.lru_cache(maxsize=256)
 def _like_matcher(pattern: str) -> Callable[[str], Optional[re.Match]]:
-    """The compiled full-match test of one LIKE pattern."""
+    """The compiled full-match test of one LIKE pattern.
+
+    Case-insensitive for ASCII letters only, as SQLite's built-in LIKE is:
+    ``'ä' LIKE 'Ä'`` is false."""
     regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-    return re.compile(regex, re.IGNORECASE | re.DOTALL).fullmatch
+    return re.compile(regex, re.IGNORECASE | re.ASCII | re.DOTALL).fullmatch
 
 
 def _like(text: object, pattern: object) -> Optional[int]:

@@ -10,8 +10,8 @@ binder driver, mount namespaces, the Aufs branches, the COW proxies, the
 SQL engines — so every instrumented layer resolves the gating attribute
 through the device/process it is acting *for*. Two devices therefore
 record into disjoint tracers and registries and consult disjoint fault
-planes. Span, sampling and provenance-actor stacks are per thread, so
-flows the deterministic scheduler interleaves cannot cross.
+planes. Span and provenance-actor stacks are per thread, so flows the
+deterministic scheduler interleaves cannot cross.
 
 ``OBS`` remains as the **default context**, and ``repro.faults.FAULTS``
 is its plane: objects constructed without a device (bare ``Device()``,
@@ -41,23 +41,15 @@ Span taxonomy (the prefix is the layer):
 
 Every span is stamped with its context's ``device_id`` (and carries its
 ``trace_id``), so interleaved multi-device span streams separate cleanly.
-Deterministic seeded **head sampling** (``enable(sample_rate=...,
-sample_seed=...)``) keeps always-on fleet tracing bounded: the keep/drop
-decision is a seeded hash of the trace-root ordinal, so the same seed
-reproduces the same sample.
+An enabled context records every span it opens, so a subscribed
+:class:`~repro.obs.monitor.SecurityMonitor` checks the whole run.
 
 Provenance tracking (:mod:`repro.obs.provenance`) sits behind a per-
 context ``prov`` sub-switch layered on top of ``enabled``; performance
 profiling (:mod:`repro.obs.profile`) behind ``profile``. Both follow the
 same one-attribute-load contract.
 
-Fleet aggregation (:mod:`repro.obs.fleet`) re-merges per-device contexts:
-:class:`~repro.obs.fleet.FleetTelemetry` sums counter snapshots, merges
-same-boundary histograms, emits device-labeled Prometheus exposition
-under a cardinality cap, interleaves per-device AuditLog violations into
-one totally ordered feed, and renders a ``fleet_health()`` report.
-
-Typical single-device use (unchanged)::
+Typical use::
 
     from repro.obs import OBS
 
@@ -65,21 +57,6 @@ Typical single-device use (unchanged)::
         device.launch_as_delegate(...)
         trees = obs.tracer.trees()
         delta = obs.metrics.snapshot()  # capture() starts from zero
-
-Fleet use::
-
-    from repro import Device
-    from repro.obs import ObsContext
-    from repro.obs.fleet import FleetTelemetry
-
-    fleet = FleetTelemetry()
-    devices = [Device(device_id=f"dev{i}") for i in range(8)]
-    for device in devices:
-        device.obs.enable(sample_rate=0.1, sample_seed=42)
-        fleet.register_device(device)
-    ...
-    print(fleet.to_prometheus_text())   # {device="dev3"} series
-    print(fleet.fleet_health().render())
 """
 
 from __future__ import annotations
@@ -100,8 +77,6 @@ from repro.obs.metrics import (
     Metrics,
     MetricsSnapshot,
     diff,
-    escape_label_value,
-    format_labels,
     render_prometheus,
 )
 from repro.obs.report import (
@@ -194,8 +169,6 @@ __all__ = [
     "Histogram",
     "HistogramSnapshot",
     "diff",
-    "escape_label_value",
-    "format_labels",
     "render_prometheus",
     "layer_self_times",
     "span_time",
@@ -230,11 +203,6 @@ class ObsContext:
         #: disarmed recorder holds no tap subscriptions, so it adds
         #: nothing to any hot path until ``recorder.arm()``.
         self.recorder = FlightRecorder(self)
-        #: Context-owned head-sampling policy. These mirror the tracer's
-        #: internals so :meth:`capture` can save/restore them without
-        #: reaching into ``Tracer`` privates.
-        self.sample_rate = 1.0
-        self.sample_seed = 0
         self._jsonl_path: Optional[str] = None
         self._ring_capacity = 8192
 
@@ -242,29 +210,12 @@ class ObsContext:
         self,
         jsonl_path: Optional[str] = None,
         ring_capacity: int = 8192,
-        sample_rate: Optional[float] = None,
-        sample_seed: int = 0,
     ) -> None:
-        """Turn instrumentation on (idempotent).
-
-        ``sample_rate`` < 1 arms deterministic seeded head sampling: the
-        n-th trace root under a given ``sample_seed`` is kept iff a hash
-        of ``(seed, n)`` lands under the rate, so always-on fleet tracing
-        stays bounded and reproducible.
-        """
+        """Turn instrumentation on (idempotent)."""
         self.tracer.enable(jsonl_path=jsonl_path, capacity=ring_capacity)
-        if sample_rate is not None:
-            self.set_sampling(rate=sample_rate, seed=sample_seed)
         self.enabled = True
         self._jsonl_path = jsonl_path
         self._ring_capacity = ring_capacity
-
-    def set_sampling(self, rate: float, seed: int = 0) -> None:
-        """Arm the tracer's seeded head sampling and remember the policy
-        on the context (so nested captures can restore it)."""
-        self.tracer.set_sampling(rate=rate, seed=seed)
-        self.sample_rate = rate
-        self.sample_seed = seed
 
     def enable_prov(self) -> None:
         """Arm provenance tracking (implies :meth:`enable` if needed)."""
@@ -304,28 +255,25 @@ class ObsContext:
         ring_capacity: int = 8192,
         prov: bool = False,
         profile: bool = False,
-        sample_rate: Optional[float] = None,
-        sample_seed: int = 0,
     ) -> Iterator["ObsContext"]:
         """Enable from a clean slate for the duration of a ``with`` block.
 
         Restores the previous configuration afterwards — including a
-        JSONL sink path, custom ring capacity, or sampling policy the
-        context was enabled with before — so tests and benchmarks can
-        nest captures without leaking or clobbering shared state.
-        ``prov=True`` additionally arms the provenance ledger for the
-        block; ``profile=True`` arms the per-span latency histograms;
-        ``sample_rate`` arms seeded head sampling for the block.
+        JSONL sink path or custom ring capacity the context was enabled
+        with before — so tests and benchmarks can nest captures without
+        leaking or clobbering shared state. ``prov=True`` additionally
+        arms the provenance ledger for the block; ``profile=True`` arms
+        the per-span latency histograms.
 
         Span-tap subscribers added *inside* the block (a SecurityMonitor,
         say) are removed on exit even when the block raises mid-span, and
         any provenance actor scopes the aborted op left pushed are cleared —
         one capture cannot leak monitor callbacks or actor attribution
-        into the next. The sampling policy and the flight recorder's
-        arm-state are saved and restored the same way: a recorder armed
-        (or re-armed) inside the block is disarmed on exit, and an outer
-        arm-state is re-armed with its original configuration, so nested
-        captures cannot leak recording config into the enclosing scope.
+        into the next. The flight recorder's arm-state is saved and
+        restored the same way: a recorder armed (or re-armed) inside the
+        block is disarmed on exit, and an outer arm-state is re-armed with
+        its original configuration, so nested captures cannot leak
+        recording config into the enclosing scope.
         """
         was_enabled = self.enabled
         was_prov = self.prov
@@ -333,19 +281,10 @@ class ObsContext:
         prior_jsonl = self._jsonl_path
         prior_capacity = self._ring_capacity
         prior_subscribers = list(self.tracer.span_tap)
-        prior_rate = self.sample_rate
-        prior_seed = self.sample_seed
         was_recording = self.recorder.armed
         prior_arm = self.recorder.arm_config if was_recording else None
         self.reset()
-        # A capture is a clean slate: full sampling unless asked otherwise
-        # (the context's own policy is restored on exit).
-        self.enable(
-            jsonl_path=jsonl_path,
-            ring_capacity=ring_capacity,
-            sample_rate=1.0 if sample_rate is None else sample_rate,
-            sample_seed=sample_seed,
-        )
+        self.enable(jsonl_path=jsonl_path, ring_capacity=ring_capacity)
         self.prov = prov
         if profile:
             self.enable_profile()
@@ -369,7 +308,6 @@ class ObsContext:
                 fn for fn in self.tracer.span_tap if fn in prior_subscribers
             ]
             self.provenance.clear_actors()
-            self.set_sampling(rate=prior_rate, seed=prior_seed)
             if was_enabled:
                 self.enable(jsonl_path=prior_jsonl, ring_capacity=prior_capacity)
                 self.prov = was_prov
@@ -393,5 +331,5 @@ class ObsContext:
 
 #: The default observability context. Devices built without an explicit
 #: context — and every object constructed outside a device — attach here,
-#: so pre-fleet call sites keep working unchanged.
+#: so single-device call sites need no context of their own.
 OBS = ObsContext()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -28,8 +28,6 @@ __all__ = [
     "Metrics",
     "MetricsSnapshot",
     "diff",
-    "escape_label_value",
-    "format_labels",
     "render_prometheus",
     "DEFAULT_MS_BUCKETS",
     "DEFAULT_BYTE_BUCKETS",
@@ -250,81 +248,28 @@ def _prom_number(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the exposition format: backslash, double
-    quote and newline become ``\\\\``, ``\\"`` and ``\\n``."""
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _escape_help(text: str) -> str:
-    """Escape ``# HELP`` text: backslash and newline only (no quotes)."""
-    return str(text).replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def format_labels(labels: Optional[Dict[str, str]], extra: Optional[Tuple[str, str]] = None) -> str:
-    """Render a ``{key="value",...}`` label set (sorted by key; ``extra``
-    — e.g. the histogram ``le`` edge — appended last). Empty labels render
-    as the empty string, keeping unlabeled output byte-compatible."""
-    pairs = [
-        (str(k), escape_label_value(v)) for k, v in sorted((labels or {}).items())
-    ]
-    if extra is not None:
-        pairs.append((extra[0], escape_label_value(extra[1])))
-    if not pairs:
-        return ""
-    return "{" + ",".join(f'{k}="{v}"' for k, v in pairs) + "}"
-
-
-def render_prometheus(
-    snapshot: "MetricsSnapshot",
-    labels: Optional[Dict[str, str]] = None,
-    help_text: Optional[Dict[str, str]] = None,
-    type_lines: bool = True,
-) -> List[str]:
-    """One registry snapshot as exposition-format lines.
-
-    ``labels`` is attached to every series (the fleet exporter passes
-    ``{"device": ...}``); ``help_text`` maps *registry* metric names to
-    ``# HELP`` strings, emitted before the matching ``# TYPE``. With
-    ``type_lines=False`` only the sample lines are produced — the fleet
-    exporter emits one header block per family across many devices."""
-    labelset = format_labels(labels)
-    help_text = help_text or {}
+def render_prometheus(snapshot: "MetricsSnapshot") -> List[str]:
+    """One registry snapshot as exposition-format lines."""
     lines: List[str] = []
-
-    def header(raw_name: str, metric: str, kind: str) -> None:
-        if not type_lines:
-            return
-        if raw_name in help_text:
-            lines.append(f"# HELP {metric} {_escape_help(help_text[raw_name])}")
-        lines.append(f"# TYPE {metric} {kind}")
-
     for name in sorted(snapshot.counters):
         metric = _prom_name(name) + "_total"
-        header(name, metric, "counter")
-        lines.append(f"{metric}{labelset} {snapshot.counters[name]}")
+        lines.append(f"# TYPE {metric} counter")
+        lines.append(f"{metric} {snapshot.counters[name]}")
     for name in sorted(snapshot.gauges):
         metric = _prom_name(name)
-        header(name, metric, "gauge")
-        lines.append(f"{metric}{labelset} {_prom_number(snapshot.gauges[name])}")
+        lines.append(f"# TYPE {metric} gauge")
+        lines.append(f"{metric} {_prom_number(snapshot.gauges[name])}")
     for name in sorted(snapshot.histograms):
         hist = snapshot.histograms[name]
         metric = _prom_name(name)
-        header(name, metric, "histogram")
+        lines.append(f"# TYPE {metric} histogram")
         cumulative = 0
         for edge, bucket in zip(hist.boundaries, hist.counts):
             cumulative += bucket
-            le = format_labels(labels, extra=("le", _prom_number(edge)))
-            lines.append(f"{metric}_bucket{le} {cumulative}")
-        le = format_labels(labels, extra=("le", "+Inf"))
-        lines.append(f"{metric}_bucket{le} {hist.count}")
-        lines.append(f"{metric}_sum{labelset} {_prom_number(hist.total)}")
-        lines.append(f"{metric}_count{labelset} {hist.count}")
+            lines.append(f'{metric}_bucket{{le="{_prom_number(edge)}"}} {cumulative}')
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
+        lines.append(f"{metric}_sum {_prom_number(hist.total)}")
+        lines.append(f"{metric}_count {hist.count}")
     return lines
 
 
@@ -389,21 +334,15 @@ class Metrics:
     def diff(before: MetricsSnapshot, after: MetricsSnapshot) -> MetricsSnapshot:
         return diff(before, after)
 
-    def to_prometheus_text(
-        self,
-        labels: Optional[Dict[str, str]] = None,
-        help_text: Optional[Dict[str, str]] = None,
-    ) -> str:
+    def to_prometheus_text(self) -> str:
         """The registry in the Prometheus exposition text format.
 
         Counters gain the conventional ``_total`` suffix, histograms emit
         cumulative ``_bucket{le="..."}`` series ending at ``+Inf`` plus
         ``_sum``/``_count``, and every name is sanitized to the legal
-        ``[a-zA-Z0-9_:]`` character set. ``labels`` attaches a label set
-        to every series (values escaped per the format: ``\\``, ``"`` and
-        newlines); ``help_text`` maps metric names to ``# HELP`` lines.
+        ``[a-zA-Z0-9_:]`` character set.
         """
-        lines = render_prometheus(self.snapshot(), labels=labels, help_text=help_text)
+        lines = render_prometheus(self.snapshot())
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:

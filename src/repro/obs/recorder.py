@@ -225,8 +225,8 @@ class FlightRecorder:
 
     Owned by an :class:`~repro.obs.ObsContext` (``ctx.recorder``); shares
     the context's ``device_id`` and metrics registry (the ring's eviction
-    counter lands in ``recorder.evicted`` so Prometheus exposition and
-    fleet merges pick it up for free). Never enters any hot path itself:
+    counter lands in ``recorder.evicted`` so Prometheus exposition picks
+    it up for free). Never enters any hot path itself:
     :meth:`arm` subscribes to the taps of the context's tracer and fault
     plane, the scheduler, and an audit log; :meth:`disarm` unsubscribes from
     every one of them, restoring the exact pre-arm state.

@@ -1,7 +1,7 @@
-"""The causal timeline: merge flight recordings into one fleet view.
+"""The causal timeline: merge flight recordings into one multi-device view.
 
 A single device's black box is already causally ordered (monotonic seq +
-virtual clock). A *fleet* postmortem needs the cross-device view: this
+virtual clock). A multi-device postmortem needs the cross-device view: this
 module merges any number of recordings — live :class:`~repro.obs.recorder.FlightRecorder`
 rings, sealed :class:`~repro.obs.recorder.BlackBox` dumps, or dump files
 on disk — into one stream totally ordered by ``(vclock, device_id,

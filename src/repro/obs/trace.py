@@ -19,10 +19,12 @@ Design constraints:
   called without the gate.
 - Spans are emitted to sinks at *exit* (children before parents); sinks
   and tests reconstruct the tree from ``parent_id``/``trace_id``.
-- **One stack per thread.** The open-span stack and the head-sampling
-  drop depth are thread-local, so flows that the deterministic scheduler
-  interleaves (each on its own thread) keep their own parentage and
-  sampling decisions.
+- **One stack per thread.** The open-span stack is thread-local, so
+  flows that the deterministic scheduler interleaves (each on its own
+  thread) keep their own parentage.
+- **Every span is recorded.** An enabled tracer keeps every span it
+  opens and hands each one to ``span_tap``, so the security monitor
+  sees the whole run.
 """
 
 from __future__ import annotations
@@ -163,58 +165,11 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
-class _SampledOutSpan:
-    """Placeholder for a span inside a head-sampled-out trace.
-
-    The tracer tracks the suppressed nesting depth so every descendant of
-    a dropped root is dropped with it; exiting unwinds the depth. Nothing
-    is recorded, so a sampled-out trace costs one counter per span.
-    """
-
-    __slots__ = ("_tracer",)
-
-    def __init__(self, tracer: "Tracer") -> None:
-        self._tracer = tracer
-
-    def __enter__(self) -> "_SampledOutSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        state = self._tracer._thread
-        if state.drop_depth > 0:
-            state.drop_depth -= 1
-
-    def set(self, **attrs: Any) -> "_SampledOutSpan":
-        return self
-
-    def event(self, name: str, **attrs: Any) -> None:
-        return None
-
-
-_M64 = (1 << 64) - 1
-
-
-def _sample_hash(seed: int, n: int) -> float:
-    """A splitmix64-style hash of ``(seed, n)`` mapped into ``[0, 1)``.
-
-    Deterministic across processes and platforms: the same seed and root
-    ordinal always land on the same side of the sampling threshold."""
-    x = (n * 0x9E3779B97F4A7C15 + seed * 0xBF58476D1CE4E5B9 + 0x94D049BB133111EB) & _M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
-    x ^= x >> 31
-    return (x >> 11) / float(1 << 53)
-
-
 class _ThreadState(threading.local):
     """The tracer state each thread sees its own copy of."""
 
     def __init__(self) -> None:
         self.stack: List[Span] = []
-        #: >0 while inside a sampled-out trace.
-        self.drop_depth = 0
 
 
 class RingBufferSink:
@@ -262,10 +217,7 @@ class Tracer:
     finished spans in a ring (plus at most one JSONL file).
 
     ``device_id`` is stamped onto every span so traces from several
-    devices' tracers separate cleanly after a fleet merge. Deterministic
-    head sampling (:meth:`set_sampling`) decides keep/drop once per trace
-    root from a seeded hash; descendants inherit the decision, so
-    always-on fleet tracing stays bounded without tearing trees apart.
+    devices' tracers separate cleanly when their streams are merged.
     """
 
     def __init__(self, device_id: str = "device0") -> None:
@@ -281,15 +233,8 @@ class Tracer:
         self.span_tap = Tap()
         self._thread = _ThreadState()
         self._ids = itertools.count(1)
-        #: spans recorded (kept) since the last clear().
+        #: spans recorded since the last clear().
         self.started = 0
-        # -- head sampling --------------------------------------------------
-        self._sample_rate = 1.0
-        self._sample_seed = 0
-        self._sample_n = 0  # ordinal of the next trace root
-        self._dropped = _SampledOutSpan(self)
-        #: trace roots dropped by head sampling since the last clear().
-        self.sampled_out = 0
 
     # -- lifecycle -------------------------------------------------------
 
@@ -313,26 +258,12 @@ class Tracer:
             self._jsonl.close()
             self._jsonl = None
 
-    def set_sampling(self, rate: float = 1.0, seed: int = 0) -> None:
-        """Head-sample trace roots at ``rate`` (keep probability in
-        ``[0, 1]``), seeded deterministically: the n-th root under a given
-        seed is always kept or always dropped."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"sampling rate must be in [0, 1], got {rate}")
-        self._sample_rate = float(rate)
-        self._sample_seed = int(seed)
-
     def clear(self) -> None:
         """Drop recorded spans and every thread's open ones (the JSONL
-        file, if any, is untouched).
-
-        Also rewinds the sampling root ordinal, so a cleared tracer with
-        the same seed reproduces the same keep/drop sequence."""
+        file, if any, is untouched)."""
         self.ring.clear()
         self._thread = _ThreadState()
         self.started = 0
-        self._sample_n = 0
-        self.sampled_out = 0
 
     # -- span creation ---------------------------------------------------
 
@@ -344,20 +275,8 @@ class Tracer:
         """
         if not self.enabled:
             return NOOP_SPAN
-        state = self._thread
-        if state.drop_depth:
-            # Inside a sampled-out trace: the whole subtree is dropped.
-            state.drop_depth += 1
-            return self._dropped
-        stack = state.stack
+        stack = self._thread.stack
         parent = stack[-1] if stack else None
-        if parent is None and self._sample_rate < 1.0:
-            n = self._sample_n
-            self._sample_n += 1
-            if _sample_hash(self._sample_seed, n) >= self._sample_rate:
-                state.drop_depth = 1
-                self.sampled_out += 1
-                return self._dropped
         self.started += 1
         span = Span(
             tracer=self,

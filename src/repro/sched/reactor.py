@@ -27,8 +27,8 @@ forward when every live task is sleeping. ``sleep()`` and the
 what makes bounded-retry backoff on binder delegate calls replayable.
 
 The reactor knows nothing about observability: each task runs on its
-own thread, and the tracer's span and sampling stacks and the
-provenance actor stack are per thread, so interleaved tasks (and the
+own thread, and the tracer's span stack and the provenance actor
+stack are per thread, so interleaved tasks (and the
 thread that called :meth:`~DeterministicScheduler.run`) keep their own
 span parentage and taint attribution.
 """

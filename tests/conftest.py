@@ -46,8 +46,9 @@ except ImportError:  # pragma: no cover - hypothesis is an extra
 
 @pytest.fixture(autouse=True)
 def _fault_plane_left_clean():
-    """The fault plane is a process-wide singleton; no test may leak an
-    armed point into the next one."""
+    """The default context's fault plane is shared by every test that
+    builds a bare device; no test may leak an armed point into the next
+    one."""
     yield
     if FAULTS.enabled or FAULTS.schedule:
         FAULTS.reset()

@@ -1,5 +1,7 @@
 """Edge-case and semantics tests for the mini SQL engine."""
 
+import sqlite3
+
 import pytest
 
 from repro.errors import SqlError, SqlNameError, SqlSyntaxError
@@ -83,6 +85,30 @@ class TestStringsAndQuoting:
 
     def test_like_underscore(self, db):
         assert db.execute("SELECT 'cat' LIKE 'c_t'").scalar() == 1
+
+
+LIKE_WORDS = (
+    "apfel", "Apfel", "äpfel", "Äpfel", "straße", "STRASSE", "école", "ÉCOLE",
+    "kelvin", "\u212aelvin", "stop", "\u017ftop", "istanbul", "\u0130stanbul",
+)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    ["a%", "A%", "%PFEL", "_pfel", "ä%", "Ä%", "_PFEL", "%SS%", "%ß%", "é%",
+     "%COLE", "K%", "S%", "I%", "%"],
+)
+def test_like_folds_ascii_case_only_as_sqlite_does(db, pattern):
+    """SQLite's built-in LIKE is case-insensitive for ASCII letters only:
+    ``'ä' LIKE 'Ä'`` is false, and the Kelvin sign does not match ``K``."""
+    reference = sqlite3.connect(":memory:")
+    for engine_db in (db, reference):
+        engine_db.execute("CREATE TABLE words (_id INTEGER PRIMARY KEY, word TEXT)")
+        for word in LIKE_WORDS:
+            engine_db.execute("INSERT INTO words (word) VALUES (?)", [word])
+    query = "SELECT word FROM words WHERE word LIKE ? ORDER BY _id"
+    expected = [row[0] for row in reference.execute(query, [pattern])]
+    assert [row[0] for row in db.execute(query, [pattern]).rows] == expected
 
 
 class TestCompoundAndLimits:

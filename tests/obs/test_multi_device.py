@@ -5,7 +5,7 @@ Two devices recording concurrently must keep disjoint tracers, metric
 registries, fault planes, provenance actor stacks, sinks and listeners —
 both when their flows run sequentially and when ``repro.sched``
 interleaves them at every yield point (each task runs on its own thread,
-and the span, sampling and actor stacks are per thread).
+and the span and actor stacks are per thread).
 """
 
 from collections import Counter
@@ -176,12 +176,13 @@ def test_scheduler_restores_the_driver_stacks_of_every_context():
     ctx.disable()
 
 
-def test_head_sampling_decides_every_root_under_interleaving():
-    """Two tasks open sampled roots that yield mid-span: every root gets
-    its own keep/drop decision, whatever the schedule."""
+def test_every_root_is_recorded_under_interleaving():
+    """Two tasks open roots that yield mid-span: every root is recorded
+    and every child hangs under a root of its own task, whatever the
+    schedule."""
 
-    def decided(seed):
-        ctx = ObsContext(device_id=f"sampled-{seed}")
+    def recorded(seed):
+        ctx = ObsContext(device_id=f"roots-{seed}")
 
         def flow(tag):
             def fn():
@@ -193,20 +194,19 @@ def test_head_sampling_decides_every_root_under_interleaving():
 
             return fn
 
-        with ctx.capture(sample_rate=0.5, sample_seed=5):
+        with ctx.capture():
             SCHED.run({"a": flow("a"), "b": flow("b")}, seed=seed)
             spans = ctx.spans()
-            kept = [span for span in spans if span.parent_id is None]
-            names = {span.span_id: span.name for span in spans}
-            # A kept child hangs under a root of its own task.
-            assert all(
-                names[span.parent_id][0] == span.name[0]
-                for span in spans
-                if span.parent_id is not None
-            )
-            return len(kept) + ctx.tracer.sampled_out
+        roots = [span for span in spans if span.parent_id is None]
+        names = {span.span_id: span.name for span in spans}
+        cross_task = [
+            span
+            for span in spans
+            if span.parent_id is not None and names[span.parent_id][0] != span.name[0]
+        ]
+        return len(roots), len(cross_task)
 
-    assert [decided(seed) for seed in range(3)] == [12, 12, 12]
+    assert [recorded(seed) for seed in range(3)] == [(12, 0)] * 3
 
 
 # ----------------------------------------------------------------------

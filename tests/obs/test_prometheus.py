@@ -79,61 +79,6 @@ def test_export_is_deterministic_and_sorted():
 
 
 # ----------------------------------------------------------------------
-# Labels, HELP lines, and escaping
-# ----------------------------------------------------------------------
-
-def test_labels_attach_to_every_series_sorted_by_key():
-    metrics = Metrics()
-    metrics.count("vfs.reads", 2)
-    metrics.gauge("open.handles").set(1.0)
-    text = metrics.to_prometheus_text(labels={"zone": "eu", "device": "dev1"})
-    assert 'vfs_reads_total{device="dev1",zone="eu"} 2' in text
-    assert 'open_handles{device="dev1",zone="eu"} 1' in text
-
-
-def test_histogram_le_label_comes_after_user_labels():
-    metrics = Metrics()
-    metrics.histogram("lat.op", boundaries=(1.0,)).observe(0.5)
-    text = metrics.to_prometheus_text(labels={"device": "d"})
-    assert 'lat_op_bucket{device="d",le="1"} 1' in text
-    assert 'lat_op_bucket{device="d",le="+Inf"} 1' in text
-    assert 'lat_op_sum{device="d"}' in text
-
-
-def test_label_values_escape_quotes_backslashes_and_newlines():
-    from repro.obs.metrics import escape_label_value
-
-    assert escape_label_value('say "hi"') == 'say \\"hi\\"'
-    assert escape_label_value("a\\b") == "a\\\\b"
-    assert escape_label_value("two\nlines") == "two\\nlines"
-    metrics = Metrics()
-    metrics.count("c")
-    text = metrics.to_prometheus_text(labels={"path": 'x\\y "z"\nw'})
-    assert 'c_total{path="x\\\\y \\"z\\"\\nw"} 1' in text
-    # The exposition stays one sample per line — the newline is escaped.
-    assert len([l for l in text.splitlines() if l.startswith("c_total")]) == 1
-
-
-def test_help_lines_precede_type_lines():
-    metrics = Metrics()
-    metrics.count("vfs.reads")
-    text = metrics.to_prometheus_text(
-        help_text={"vfs.reads": "reads through the\nsyscall layer"}
-    )
-    lines = text.splitlines()
-    help_index = lines.index("# HELP vfs_reads_total reads through the\\nsyscall layer")
-    type_index = lines.index("# TYPE vfs_reads_total counter")
-    assert help_index == type_index - 1
-
-
-def test_unlabeled_export_is_byte_identical_to_the_pre_label_format():
-    metrics = Metrics()
-    metrics.count("vfs.reads", 3)
-    assert metrics.to_prometheus_text() == metrics.to_prometheus_text(labels={})
-    assert "vfs_reads_total 3\n" in metrics.to_prometheus_text(labels=None)
-
-
-# ----------------------------------------------------------------------
 # BENCH_obs.json artifacts
 # ----------------------------------------------------------------------
 
