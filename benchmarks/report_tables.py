@@ -510,69 +510,31 @@ def figure1() -> str:
     )
 
 
-def bench_layers(trials: int, perfetto: str = None, folded: str = None) -> tuple:
-    """Per-layer self-times plus the critical-path/latency profile over a
-    traced delegate workload (``layers`` and ``profile`` sections of
-    ``BENCH_obs.json``). Optionally exports the trace itself as a
-    Perfetto-loadable JSON and/or a folded-stacks flamegraph file."""
-    from repro.obs import OBS, critical_paths, latency_summary
-    from repro.obs.artifacts import layer_section
+def export_trace(trials: int, perfetto: str = None, folded: str = None) -> None:
+    """Trace a delegate workload and export it as a Perfetto-loadable
+    JSON and/or a folded-stacks flamegraph file."""
+    from repro.obs import OBS
     from repro.obs.export import write_chrome_trace, write_folded_stacks
 
     device = fresh(maxoid=True)
     payload = deterministic_bytes(4096)
-    with OBS.capture(ring_capacity=65536, profile=True) as obs:
+    with OBS.capture(ring_capacity=65536) as obs:
         api = api_for(device, "delegate")
         for index in range(max(1, trials)):
             api.write_external(f"bench/art{index}.bin", payload)
             api.sys.read_file(f"/storage/sdcard/bench/art{index}.bin")
             api.insert(WORDS, ContentValues({"word": f"w{index}"}))
-        spans = obs.spans()
         trees = obs.trees()
-        snapshot = obs.metrics.snapshot()
     if perfetto:
         write_chrome_trace(perfetto, trees)
     if folded:
         write_folded_stacks(folded, trees)
-    reports = critical_paths(trees)
-    profile = {
-        "critical_path": reports[0].to_dict() if reports else {},
-        "min_coverage": round(min((r.coverage for r in reports), default=1.0), 6),
-        "latency": latency_summary(snapshot),
-    }
-    return layer_section(spans), profile
-
-
-def write_bench_json(path: str, trials: int, perfetto: str = None, folded: str = None) -> None:
-    """Emit the machine-readable artifact next to the printed tables.
-
-    Every section write also refreshes the stamped ``run`` metadata
-    (schema version, python/platform, git sha) the regression gate keys
-    compatibility on.
-    """
-    from repro.obs.artifacts import update_bench_json
-
-    layers, profile = bench_layers(trials, perfetto=perfetto, folded=folded)
-    update_bench_json(path, "layers", layers)
-    update_bench_json(path, "profile", profile)
-    # The disabled-gate ratio sections (gate_overhead_obs/faults) are
-    # contributed by the overhead regressions when run with
-    # BENCH_OBS_JSON pointing at the same file.
-    update_bench_json(path, "meta", {"trials": trials, "source": "report_tables"})
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=40, help="trials per micro-op")
     parser.add_argument("--out", type=str, default=None, help="also write to this file")
-    parser.add_argument(
-        "--bench-json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="also write machine-readable per-layer self-times to PATH "
-        "(BENCH_obs.json convention; merged with existing sections)",
-    )
     parser.add_argument(
         "--perfetto",
         type=str,
@@ -602,14 +564,8 @@ def main() -> int:
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
-    if args.bench_json or args.perfetto or args.folded:
-        if args.bench_json:
-            write_bench_json(
-                args.bench_json, args.trials,
-                perfetto=args.perfetto, folded=args.folded,
-            )
-        else:
-            bench_layers(args.trials, perfetto=args.perfetto, folded=args.folded)
+    if args.perfetto or args.folded:
+        export_trace(args.trials, perfetto=args.perfetto, folded=args.folded)
     return 0
 
 

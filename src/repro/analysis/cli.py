@@ -24,13 +24,12 @@ from typing import List, Optional, Sequence
 from repro.analysis.baseline import Baseline, apply_baseline
 from repro.analysis.determinism import check_determinism
 from repro.analysis.findings import Finding, rank_findings
-from repro.analysis.gates import check_gates
 from repro.analysis.ir import CodeIndex
 from repro.analysis.locksets import check_locksets
 
 __all__ = ["main", "run_passes"]
 
-PASSES = ("gates", "locksets", "determinism")
+PASSES = ("locksets", "determinism")
 
 
 def _default_root() -> Path:
@@ -40,8 +39,6 @@ def _default_root() -> Path:
 
 def run_passes(index: CodeIndex, passes: Sequence[str]) -> List[Finding]:
     findings: List[Finding] = []
-    if "gates" in passes:
-        findings.extend(check_gates(index))
     if "locksets" in passes:
         findings.extend(check_locksets(index))
     if "determinism" in passes:
@@ -52,7 +49,7 @@ def run_passes(index: CodeIndex, passes: Sequence[str]) -> List[Finding]:
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Static analysis plane: gate coverage, locksets, determinism.",
+        description="Static analysis plane: locksets, determinism.",
     )
     parser.add_argument(
         "--root", type=Path, default=None,

@@ -24,8 +24,8 @@ SEVERITY_ORDER: Dict[str, int] = {"error": 0, "warning": 1, "info": 2}
 class Finding:
     """One static-analysis finding."""
 
-    pass_name: str  #: "gates" | "locksets" | "determinism"
-    rule: str  #: e.g. "missing-sched", "lockset-race", "wall-clock"
+    pass_name: str  #: "locksets" | "determinism"
+    rule: str  #: e.g. "lockset-race", "wall-clock"
     severity: str  #: "error" | "warning" | "info"
     module: str  #: dotted module, e.g. "repro.kernel.syscall"
     symbol: str  #: qualified symbol, e.g. "Syscalls.write_file"

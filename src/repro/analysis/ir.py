@@ -1,20 +1,11 @@
 """The static-analysis IR: a per-module AST index with call resolution.
 
 :class:`CodeIndex` parses every module under a package root once and
-indexes classes and functions by qualified name. On top of that it
-offers the two resolution services the passes share:
-
-- :meth:`CodeIndex.resolve_call` — map a ``self.helper(...)`` /
-  ``helper(...)`` call site to the :class:`FunctionInfo` it names
-  (same-class methods and same-module functions only: the passes are
-  intraprocedural by design and inline only through same-class helpers);
-- :meth:`CodeIndex.inline_nodes` — the **effective body** of a method:
-  every AST node of the method (its decorators included) plus, bounded
-  by ``depth`` levels, the bodies of the resolvable helpers it calls. The
-  gate linter proves instrumentation presence over this flattened view,
-  so a ``@boundary`` on Binder's per-attempt helper, or a provenance
-  stamp inside a lock-scoped ``_locked`` helper, still counts as carried
-  by the public boundary.
+indexes functions and methods by qualified name. On top of that,
+:meth:`CodeIndex.resolve_call` maps a ``self.helper(...)`` /
+``helper(...)`` call site to the :class:`FunctionInfo` it names
+(same-class methods and same-module functions only: the passes are
+intraprocedural by design and inline only through same-class helpers).
 
 The index is purely syntactic — nothing is imported or executed — so it
 can safely chew on planted-defect fixtures and on the live tree alike.
@@ -25,7 +16,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["CodeIndex", "FunctionInfo", "ModuleIndex", "dotted"]
 
@@ -61,10 +52,6 @@ class FunctionInfo:
     cls: Optional[str]
     node: ast.FunctionDef
 
-    @property
-    def line(self) -> int:
-        return self.node.lineno
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FunctionInfo({self.module.name}:{self.qualname})"
 
@@ -76,7 +63,6 @@ class ModuleIndex:
         self.name = name
         self.path = path
         self.tree = tree
-        self.classes: Dict[str, ast.ClassDef] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -84,7 +70,6 @@ class ModuleIndex:
                     module=self, name=node.name, qualname=node.name, cls=None, node=node
                 )
             elif isinstance(node, ast.ClassDef):
-                self.classes[node.name] = node
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         qualname = f"{node.name}.{item.name}"
@@ -168,26 +153,3 @@ class CodeIndex:
             # A bare name may also be a class constructor; only functions count.
             return resolved
         return None
-
-    # -- effective bodies -------------------------------------------------
-
-    def inline_nodes(self, fn: FunctionInfo, depth: int = 3) -> Iterator[ast.AST]:
-        """Every AST node of ``fn`` plus inlined helper bodies.
-
-        ``depth`` bounds how many levels of resolvable helper calls are
-        flattened in (each callee inlined at most once per walk): enough
-        to reach a lock-scoped ``_locked`` helper or a per-attempt
-        ``@boundary`` from the public method.
-        """
-        seen = {fn.qualname}
-
-        def emit(current: FunctionInfo, budget: int) -> Iterator[ast.AST]:
-            for node in ast.walk(current.node):
-                yield node
-                if budget > 0 and isinstance(node, ast.Call):
-                    callee = self.resolve_call(current, node)
-                    if callee is not None and callee.qualname not in seen:
-                        seen.add(callee.qualname)
-                        yield from emit(callee, budget - 1)
-
-        return emit(fn, depth)

@@ -89,10 +89,8 @@ from repro.obs.report import (
 from repro.obs.export import (
     to_chrome_trace,
     to_folded_stacks,
-    to_speedscope,
     write_chrome_trace,
     write_folded_stacks,
-    write_speedscope,
 )
 from repro.obs.monitor import SecurityMonitor
 from repro.obs.profile import (
@@ -143,10 +141,8 @@ __all__ = [
     "latency_summary",
     "to_chrome_trace",
     "to_folded_stacks",
-    "to_speedscope",
     "write_chrome_trace",
     "write_folded_stacks",
-    "write_speedscope",
     "ProvenanceLedger",
     "AnchorReached",
     "BlackBox",

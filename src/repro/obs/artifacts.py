@@ -1,25 +1,10 @@
-"""Machine-readable perf artifacts (``BENCH_obs.json``).
+"""Run metadata and flight-recorder black-box dumps.
 
-The benchmark suite prints human tables; CI and the bench trajectory want
-numbers a script can diff across commits. This module maintains one JSON
-file per subsystem (``BENCH_obs.json`` by convention, next to the repo
-root) as a merge of named sections::
-
-    {
-      "layers": {"vfs": {"self_ms": 1.93, "fraction": 0.41}, ...},
-      "gate_overhead": {"obs_disabled_pct": 2.1, "faults_disabled_pct": 1.4}
-    }
-
-Writers call :func:`update_bench_json` with just their section; existing
-sections from other writers are preserved, so the overhead regressions in
-``tests/obs``/``tests/faults`` and ``benchmarks/report_tables.py`` can
-each contribute their slice independently. Tests opt in through the
-``BENCH_OBS_JSON`` environment variable (CI sets it; a plain local run
-writes nothing).
-
-Every write also refreshes a ``run`` section with the run's metadata
-(:func:`run_metadata`: artifact schema version, python/platform, seed,
-git sha when available), so a reader can tell which run wrote a section.
+:func:`run_metadata` names a run (artifact schema version,
+python/platform, seed, git sha when available) so a reader can tell
+which run wrote an artifact; the flight recorder stamps it into every
+black box, and :func:`write_blackbox`/:func:`load_blackbox` seal a box
+to JSONL and read it back.
 """
 
 from __future__ import annotations
@@ -29,29 +14,15 @@ import os
 import platform as _platform
 import subprocess
 import sys
-from typing import Any, Dict, Iterable, Optional
-
-from repro.obs.report import layer_self_times
-from repro.obs.trace import Span
+from typing import Any, Dict, Optional
 
 __all__ = [
-    "BENCH_OBS_ENV",
-    "DEFAULT_BENCH_JSON",
     "SCHEMA_VERSION",
-    "bench_json_target",
     "git_sha",
     "run_metadata",
-    "layer_section",
     "load_blackbox",
-    "update_bench_json",
     "write_blackbox",
 ]
-
-#: Environment variable that opts tests into artifact emission.
-BENCH_OBS_ENV = "BENCH_OBS_JSON"
-
-#: Conventional artifact name, relative to the current directory.
-DEFAULT_BENCH_JSON = "BENCH_obs.json"
 
 #: Version of the artifact layout; bump on incompatible shape changes.
 #: Stamped into every artifact and flight-recorder black box.
@@ -99,49 +70,6 @@ def run_metadata(seed: Optional[int] = None) -> Dict[str, Any]:
         ),
         "git_sha": git_sha(),
     }
-
-
-def bench_json_target() -> Optional[str]:
-    """The artifact path from ``$BENCH_OBS_JSON``, or None when unset.
-
-    An empty value or "0" means off; the literal "1" selects the
-    conventional :data:`DEFAULT_BENCH_JSON` name; anything else is used
-    as the path itself.
-    """
-    value = os.environ.get(BENCH_OBS_ENV, "").strip()
-    if not value or value == "0":
-        return None
-    if value == "1":
-        return DEFAULT_BENCH_JSON
-    return value
-
-
-def update_bench_json(path: str, section: str, values: Dict[str, Any]) -> Dict[str, Any]:
-    """Merge ``values`` under ``section`` into the JSON file at ``path``.
-
-    Reads the existing document (tolerating a missing or corrupt file),
-    replaces just the named section, refreshes the ``run`` metadata
-    section, and writes the result back with stable key ordering.
-    Returns the merged document.
-    """
-    document: Dict[str, Any] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if isinstance(loaded, dict):
-            document = loaded
-    except (OSError, ValueError):
-        pass
-    document[section] = values
-    if section != "run":
-        document["run"] = run_metadata()
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return document
 
 
 # ----------------------------------------------------------------------
@@ -196,16 +124,3 @@ def load_blackbox(path: str) -> Any:
         )
     return box
 
-
-def layer_section(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
-    """Per-layer self-times as an artifact section: milliseconds plus the
-    fraction of total traced time, per taxonomy layer."""
-    times = layer_self_times(spans)
-    total = sum(times.values())
-    return {
-        layer: {
-            "self_ms": round(ms, 6),
-            "fraction": round(ms / total, 6) if total > 0 else 0.0,
-        }
-        for layer, ms in sorted(times.items())
-    }

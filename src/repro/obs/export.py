@@ -1,5 +1,4 @@
-"""Trace exporters: Chrome/Perfetto trace-event JSON, folded stacks, and
-speedscope flamegraphs.
+"""Trace exporters: Chrome/Perfetto trace-event JSON and folded stacks.
 
 The tracer records everything these formats need (``perf_counter`` start
 and end per span, parent links, attrs); this module only reshapes. The
@@ -22,8 +21,8 @@ export (the trace-event format wants µs), and events are emitted in
 ``chrome://tracing``.
 
 Folded stacks (``root;child;leaf <self-µs>`` lines) feed classic
-``flamegraph.pl``-style tooling; :func:`to_speedscope` emits the same
-trees as a speedscope "evented" profile (https://www.speedscope.app).
+``flamegraph.pl``-style tooling. Speedscope (https://www.speedscope.app)
+opens both formats.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ __all__ = [
     "write_chrome_trace",
     "to_folded_stacks",
     "write_folded_stacks",
-    "to_speedscope",
-    "write_speedscope",
 ]
 
 #: First synthetic pid, mirroring Android's first app uid.
@@ -187,67 +184,3 @@ def write_folded_stacks(path: str, spans_or_trees: Treeish) -> List[str]:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     return lines
-
-
-# ----------------------------------------------------------------------
-# Speedscope (evented profile per invocation)
-# ----------------------------------------------------------------------
-
-
-def to_speedscope(spans_or_trees: Treeish, name: str = "maxoid trace") -> Dict[str, Any]:
-    """Export as a speedscope file: one evented profile per root tree."""
-    trees = _as_trees(spans_or_trees)
-    origin = _origin(trees)
-    frame_index: Dict[str, int] = {}
-    frames: List[Dict[str, str]] = []
-
-    def frame(span_name: str) -> int:
-        index = frame_index.get(span_name)
-        if index is None:
-            index = frame_index[span_name] = len(frames)
-            frames.append({"name": span_name})
-        return index
-
-    profiles: List[Dict[str, Any]] = []
-    for tree in trees:
-        events: List[Dict[str, Any]] = []
-
-        def emit(node: SpanNode, lo: float, hi: float) -> None:
-            # Clamp children into the parent interval so rounding can
-            # never produce the unbalanced O/C pairs speedscope rejects.
-            start = min(max(node.span.start, lo), hi)
-            end = min(max(node.span.end, start), hi)
-            index = frame(node.span.name)
-            events.append({"type": "O", "frame": index, "at": _us(start - origin)})
-            for child in node.children:
-                emit(child, start, end)
-            events.append({"type": "C", "frame": index, "at": _us(end - origin)})
-
-        emit(tree, tree.span.start, tree.span.end)
-        profiles.append(
-            {
-                "type": "evented",
-                "name": tree.span.name,
-                "unit": "microseconds",
-                "startValue": _us(tree.span.start - origin),
-                "endValue": _us(tree.span.end - origin),
-                "events": events,
-            }
-        )
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": name,
-        "shared": {"frames": frames},
-        "profiles": profiles,
-    }
-
-
-def write_speedscope(
-    path: str, spans_or_trees: Treeish, name: str = "maxoid trace"
-) -> Dict[str, Any]:
-    """Write the speedscope JSON for ``spans_or_trees`` to ``path``."""
-    document = to_speedscope(spans_or_trees, name=name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
-    return document

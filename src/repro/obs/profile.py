@@ -17,10 +17,8 @@ Two pieces, both built on data the tracer already records:
   delegate invocation: AM -> Zygote -> syscall -> Aufs -> COW), attribute
   the invocation's wall time to layers by *self time* and extract the hot
   chain: the root-to-leaf descent that always follows the most expensive
-  child. The resulting :class:`CriticalPathReport` is what
-  ``benchmarks/report_tables.py`` and the perf suite embed in
-  ``BENCH_*.json`` artifacts, and what the Table 1 trace tests hold to
-  the ">= 95% of wall time attributed" bar.
+  child. The resulting :class:`CriticalPathReport` is what the Table 1
+  trace tests hold to the ">= 95% of wall time attributed" bar.
 
 Self time is :attr:`~repro.obs.trace.SpanNode.self_ms` (a span's
 duration minus its direct children's, clamped at zero), so layer totals
@@ -78,7 +76,7 @@ def latency_summary(
     """Per-span-name latency quantiles from a metrics snapshot.
 
     Selects the ``lat.*`` histograms the :class:`ProfileRecorder` feeds
-    and shapes them for artifacts/reports::
+    and shapes them for reports::
 
         {"vfs.open": {"count": 12, "mean_ms": 0.04, "p50_ms": ..., ...}}
     """
@@ -148,32 +146,6 @@ class CriticalPathReport:
         if not self.by_layer:
             return ""
         return max(self.by_layer, key=self.by_layer.get)
-
-    def layer_fractions(self) -> Dict[str, float]:
-        total = self.attributed_ms
-        if total <= 0.0:
-            return {layer: 0.0 for layer in self.by_layer}
-        return {layer: ms / total for layer, ms in self.by_layer.items()}
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "root": self.root,
-            "total_ms": round(self.total_ms, 6),
-            "attributed_ms": round(self.attributed_ms, 6),
-            "coverage": round(self.coverage, 6),
-            "hot_chain": [
-                {
-                    "name": step.name,
-                    "layer": step.layer,
-                    "duration_ms": round(step.duration_ms, 6),
-                    "self_ms": round(step.self_ms, 6),
-                }
-                for step in self.steps
-            ],
-            "by_layer": {
-                layer: round(ms, 6) for layer, ms in sorted(self.by_layer.items())
-            },
-        }
 
     def render(self) -> str:
         """Text rendering for benchmark output and debugging."""

@@ -77,7 +77,10 @@ def slice_around(
     events: Sequence[Event], anchor: Tuple[str, int], window: int = 10
 ) -> List[Event]:
     """The ``window`` events on either side of the anchor event in the
-    merged order (anchor included). Unknown anchors raise KeyError."""
+    merged order (anchor included). Unknown anchors raise KeyError; a
+    negative window, which would drop the anchor too, raises ValueError."""
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     device_id, seq = anchor
     for index, event in enumerate(events):
         if event.device_id == device_id and event.seq == seq:

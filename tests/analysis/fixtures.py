@@ -11,82 +11,6 @@ from pathlib import Path
 
 from repro.analysis.ir import CodeIndex
 
-#: A kernel-style boundary carrying the full quartet: obs, faults and
-#: sched declared by a ``@boundary`` one helper down (the shape of
-#: Binder's per-attempt boundary), the provenance stamp two helpers down.
-GATED_OK = '''
-from fake import boundary
-
-
-class GoodGate:
-    def write(self, path, data):
-        return self._write_attempt(path, data)
-
-    @boundary(
-        "good.write",
-        attrs=lambda self, path, data: {"path": path},
-        count="good.writes",
-        fault=lambda self, path, data: {"path": path},
-        sched=lambda self, path, data: {"resource": path, "rw": "w"},
-    )
-    def _write_attempt(self, path, data):
-        return self._store(path, data)
-
-    def _store(self, path, data):
-        self.store[path] = data
-        if self.obs.prov:
-            self.obs.provenance.file_write(path)
-        return len(data)
-'''
-
-#: A mid-body consult on the device's own fault plane, the form the
-#: multi-step mutations (copy-up publish, COW and volatile commits) use.
-GATED_INLINE_FAULT = '''
-class InlineGate:
-    def write(self, path, data):
-        if self.obs.faults.enabled:
-            self.obs.faults.hit("inline.write", path=path)
-        self.store[path] = data
-        return len(data)
-'''
-
-#: The same boundary with every quartet member removed.
-GATED_BARE = '''
-class BareGate:
-    def write(self, path, data):
-        self.store[path] = data
-        return len(data)
-'''
-
-#: One member missing at a time (the other three present). A boundary
-#: without obs is a spanless one that declares neither count nor done.
-def gated_missing(member: str) -> str:
-    declared = {
-        "obs": "        count='one.writes',\n",
-        "faults": "        fault=lambda self, path, data: {'path': path},\n",
-        "sched": "        sched=lambda self, path, data: {'resource': path, 'rw': 'w'},\n",
-    }
-    keywords = "".join(text for name, text in declared.items() if name != member)
-    if member == "obs":
-        keywords = "        span=False,\n" + keywords
-    prov = "" if member == "prov" else (
-        "        if self.obs.prov:\n"
-        "            self.obs.provenance.file_write(path)\n"
-    )
-    return (
-        "from fake import boundary\n\n\n"
-        "class OneGate:\n"
-        "    @boundary(\n"
-        "        'one.write',\n"
-        f"{keywords}"
-        "    )\n"
-        "    def write(self, path, data):\n"
-        f"{prov}"
-        "        self.store[path] = data\n"
-        "        return len(data)\n"
-    )
-
-
 #: A TOCTOU mirror of the planted IpcGuard race: one entry point rebuilds
 #: a registry without locks, another reads it — plus a properly locked
 #: sibling attribute as the negative control, and a scheduler-off

@@ -12,7 +12,6 @@ from repro.analysis.cli import main
 from repro.analysis.findings import Finding, rank_findings
 
 from .conftest import BASELINE_PATH, TREE_ROOT
-from .fixtures import GATED_BARE, build_fixture
 
 pytestmark = [pytest.mark.analysis]
 
@@ -86,8 +85,8 @@ class TestJsonRoundTrip:
 class TestBaselineSemantics:
     def _finding(self) -> Finding:
         return Finding(
-            pass_name="gates",
-            rule="missing-obs",
+            pass_name="determinism",
+            rule="wall-clock",
             severity="error",
             module="m",
             symbol="C.f",
@@ -102,8 +101,8 @@ class TestBaselineSemantics:
             entries=[
                 BaselineEntry(
                     fingerprint=finding.fingerprint,
-                    pass_name="gates",
-                    rule="missing-obs",
+                    pass_name="determinism",
+                    rule="wall-clock",
                     symbol="C.f",
                     justification="temporary",
                     expires="2026-01-01",
@@ -121,8 +120,8 @@ class TestBaselineSemantics:
             entries=[
                 BaselineEntry(
                     fingerprint="feedfacefeedface",
-                    pass_name="gates",
-                    rule="missing-obs",
+                    pass_name="determinism",
+                    rule="wall-clock",
                     symbol="Gone.method",
                     justification="matched something once",
                 )
@@ -151,10 +150,8 @@ class TestBaselineSemantics:
 
 
 class TestExitCodes:
-    def test_new_findings_exit_1_and_warn_only_exits_0(self, capsys, tmp_path):
-        build_fixture(tmp_path, "mod", GATED_BARE)
-        # The fixture package has no registered boundaries, so force a
-        # finding with the live tree sans baseline instead.
+    def test_new_findings_exit_1_and_warn_only_exits_0(self, capsys):
+        # The live tree without its baseline has findings.
         code, _ = _run(capsys, "--today", TODAY)
         assert code == 1
         code, _ = _run(capsys, "--warn-only", "--today", TODAY)

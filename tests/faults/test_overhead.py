@@ -22,7 +22,6 @@ import pytest
 from repro import AndroidManifest, Device
 from repro.faults import FAULTS
 from repro.kernel.syscall import Syscalls
-from repro.obs.artifacts import bench_json_target, update_bench_json
 
 pytestmark = pytest.mark.faults
 
@@ -85,18 +84,6 @@ def test_disabled_fault_gate_write_overhead(api):
             gc.enable()
 
     overhead = (best_gated - best_ungated) / best_ungated * 100.0
-    target = bench_json_target()
-    if target:
-        update_bench_json(
-            target,
-            "gate_overhead_faults",
-            {
-                "disabled_pct": round(overhead, 3),
-                "budget_pct": MAX_OVERHEAD_PCT,
-                "best_gated_s": best_gated,
-                "best_ungated_s": best_ungated,
-            },
-        )
     assert overhead < MAX_OVERHEAD_PCT, (
         f"disabled fault-plane fast path costs {overhead:.1f}% over the "
         f"ungated loop (budget {MAX_OVERHEAD_PCT}%; nominal target <5%)"

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome/Perfetto JSON, folded stacks, speedscope.
+"""Trace exporters: Chrome/Perfetto JSON and folded stacks.
 
 The Chrome exporter is validated structurally (required keys, monotone
 timestamps, proper nesting per pid/tid row) on both hand-built trees with
@@ -16,10 +16,8 @@ from repro.obs.export import (
     BASE_APP_UID,
     to_chrome_trace,
     to_folded_stacks,
-    to_speedscope,
     write_chrome_trace,
     write_folded_stacks,
-    write_speedscope,
 )
 from repro.obs.trace import Span, build_trees
 
@@ -119,7 +117,7 @@ def test_exporter_accepts_prebuilt_trees(invocation_spans):
 
 
 # ----------------------------------------------------------------------
-# Folded stacks (golden) and speedscope
+# Folded stacks (golden)
 # ----------------------------------------------------------------------
 
 def test_folded_stacks_golden(invocation_spans):
@@ -150,39 +148,6 @@ def test_write_folded_stacks_golden_file(tmp_path, invocation_spans):
     for line in path.read_text().splitlines():
         stack, _, weight = line.rpartition(" ")
         assert stack and int(weight) > 0
-
-
-def test_speedscope_profile_is_balanced(invocation_spans):
-    document = to_speedscope(invocation_spans)
-    assert document["$schema"].startswith("https://www.speedscope.app")
-    frames = document["shared"]["frames"]
-    assert {f["name"] for f in frames} == {
-        "am.start_activity", "zygote.fork", "vfs.open", "aufs.copy_up",
-    }
-    (profile,) = document["profiles"]
-    assert profile["type"] == "evented"
-    depth = 0
-    last_at = 0.0
-    opens = []
-    for event in profile["events"]:
-        assert event["at"] >= last_at - 1e-9, "events must be time-ordered"
-        last_at = event["at"]
-        if event["type"] == "O":
-            opens.append(event["frame"])
-            depth += 1
-        else:
-            assert opens.pop() == event["frame"], "unbalanced O/C pair"
-            depth -= 1
-        assert depth >= 0
-    assert depth == 0 and not opens
-
-
-def test_write_speedscope_round_trips(tmp_path, invocation_spans):
-    path = tmp_path / "profile.speedscope.json"
-    written = write_speedscope(str(path), invocation_spans, name="test")
-    loaded = json.loads(path.read_text())
-    assert loaded == json.loads(json.dumps(written))
-    assert loaded["name"] == "test"
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ import pytest
 from repro import AndroidManifest, Device
 from repro.kernel.syscall import Syscalls
 from repro.obs import OBS
-from repro.obs.artifacts import bench_json_target, update_bench_json
 
 pytestmark = pytest.mark.trace
 
@@ -89,18 +88,6 @@ def test_disabled_tracer_read_write_overhead(api):
             gc.enable()
 
     overhead = (best_gated - best_ungated) / best_ungated * 100.0
-    target = bench_json_target()
-    if target:
-        update_bench_json(
-            target,
-            "gate_overhead_obs",
-            {
-                "disabled_pct": round(overhead, 3),
-                "budget_pct": MAX_OVERHEAD_PCT,
-                "best_gated_s": best_gated,
-                "best_ungated_s": best_ungated,
-            },
-        )
     assert overhead < MAX_OVERHEAD_PCT, (
         f"disabled-tracer fast path costs {overhead:.1f}% over the ungated "
         f"loop (budget {MAX_OVERHEAD_PCT}%; nominal target <5%)"

@@ -96,17 +96,6 @@ def test_critical_paths_sorts_slowest_first_and_filters():
     assert len(critical_paths(trees, min_ms=5.0)) == 1
 
 
-def test_report_to_dict_round_trips_through_json():
-    import json
-
-    report = critical_path(delegate_invocation_tree())
-    doc = json.loads(json.dumps(report.to_dict()))
-    assert doc["root"] == "am.start_activity"
-    assert doc["coverage"] == pytest.approx(1.0)
-    assert [step["name"] for step in doc["hot_chain"]][0] == "am.start_activity"
-    assert set(doc["by_layer"]) == {"am", "zygote", "vfs", "aufs"}
-
-
 # ----------------------------------------------------------------------
 # The OBS.profile switch
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Prometheus text export, BENCH_obs.json artifacts, and the
-``capture()`` save/restore contract.
+"""Prometheus text export, latency summaries, and the ``capture()``
+save/restore contract.
 
 The exporter is checked line-by-line against the exposition format
 (counter ``_total`` suffix, cumulative histogram buckets, name
@@ -12,12 +12,6 @@ import json
 import pytest
 
 from repro.obs import OBS
-from repro.obs.artifacts import (
-    BENCH_OBS_ENV,
-    bench_json_target,
-    layer_section,
-    update_bench_json,
-)
 from repro.obs.metrics import DEFAULT_MS_BUCKETS, Metrics, _prom_name
 
 pytestmark = pytest.mark.trace
@@ -76,41 +70,6 @@ def test_export_is_deterministic_and_sorted():
     text = metrics.to_prometheus_text()
     assert text.index("a_first_total") < text.index("b_second_total")
     assert text == metrics.to_prometheus_text()
-
-
-# ----------------------------------------------------------------------
-# BENCH_obs.json artifacts
-# ----------------------------------------------------------------------
-
-def test_bench_json_target_honours_the_env_var(monkeypatch):
-    monkeypatch.delenv(BENCH_OBS_ENV, raising=False)
-    assert bench_json_target() is None
-    monkeypatch.setenv(BENCH_OBS_ENV, "0")
-    assert bench_json_target() is None
-    monkeypatch.setenv(BENCH_OBS_ENV, "1")
-    assert bench_json_target() == "BENCH_obs.json"
-    monkeypatch.setenv(BENCH_OBS_ENV, "/tmp/custom.json")
-    assert bench_json_target() == "/tmp/custom.json"
-
-
-def test_update_bench_json_merges_sections(tmp_path):
-    target = tmp_path / "BENCH_obs.json"
-    update_bench_json(str(target), "layers", {"vfs": {"self_ms": 1.0}})
-    update_bench_json(str(target), "gate", {"disabled_pct": 0.5})
-    update_bench_json(str(target), "layers", {"aufs": {"self_ms": 2.0}})
-    data = json.loads(target.read_text())
-    assert data["gate"] == {"disabled_pct": 0.5}
-    assert data["layers"] == {"aufs": {"self_ms": 2.0}}  # section replaced
-
-
-def test_layer_section_shapes_per_layer_self_times():
-    with OBS.capture() as obs:
-        with OBS.tracer.span("vfs.read", path="/x"):
-            pass
-        section = layer_section(obs.spans())
-    assert "vfs" in section
-    assert set(section["vfs"]) == {"self_ms", "fraction"}
-    assert 0.0 <= section["vfs"]["fraction"] <= 1.0
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +144,7 @@ def test_latency_histograms_absent_when_profile_off():
     assert "lat_vfs_open" not in text
 
 
-def test_latency_summary_is_a_bench_json_section(tmp_path):
+def test_latency_summary_shapes_per_span_quantiles():
     from repro.obs import latency_summary
 
     with OBS.capture(profile=True) as obs:
@@ -196,10 +155,3 @@ def test_latency_summary_is_a_bench_json_section(tmp_path):
     row = section["cow.query"]
     assert row["count"] == 1
     assert {"mean_ms", "p50_ms", "p95_ms", "p99_ms"} <= set(row)
-    target = tmp_path / "BENCH_obs.json"
-    update_bench_json(str(target), "latency", section)
-    data = json.loads(target.read_text())
-    assert data["latency"]["cow.query"]["count"] == 1
-    # Every artifact write stamps the run metadata.
-    assert data["run"]["schema_version"] >= 1
-    assert data["run"]["python"]

@@ -559,3 +559,11 @@ class TestTimeline:
         write_blackbox(dump, _sealed_box("cli2"))
         assert timeline_main([dump, "--around", "nope:999"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_cli_rejects_a_negative_window(self, tmp_path, capsys):
+        dump = str(tmp_path / "d.jsonl")
+        write_blackbox(dump, _sealed_box("cli3"))
+        assert timeline_main([dump, "--around", "cli3:1", "--window", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "window must be >= 0" in captured.err
+        assert captured.out == ""
