@@ -25,11 +25,10 @@ from repro.analysis.baseline import Baseline, apply_baseline
 from repro.analysis.determinism import check_determinism
 from repro.analysis.findings import Finding, rank_findings
 from repro.analysis.ir import CodeIndex
-from repro.analysis.locksets import check_locksets
 
 __all__ = ["main", "run_passes"]
 
-PASSES = ("locksets", "determinism")
+PASSES = ("determinism",)
 
 
 def _default_root() -> Path:
@@ -39,8 +38,6 @@ def _default_root() -> Path:
 
 def run_passes(index: CodeIndex, passes: Sequence[str]) -> List[Finding]:
     findings: List[Finding] = []
-    if "locksets" in passes:
-        findings.extend(check_locksets(index))
     if "determinism" in passes:
         findings.extend(check_determinism(index))
     return rank_findings(findings)
@@ -49,7 +46,7 @@ def run_passes(index: CodeIndex, passes: Sequence[str]) -> List[Finding]:
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Static analysis plane: locksets, determinism.",
+        description="Static analysis plane: the determinism lint.",
     )
     parser.add_argument(
         "--root", type=Path, default=None,
@@ -137,8 +134,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     result = apply_baseline(findings, baseline, today)
-    # An entry for a pass this run did not execute is not stale — the
-    # CI lanes run the passes split (enforcing vs warn-only).
+    # An entry for a pass this run did not execute is not stale.
     result.stale = [e for e in result.stale if not e.pass_name or e.pass_name in passes]
 
     report = {

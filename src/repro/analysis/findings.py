@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 __all__ = ["Finding", "SEVERITY_ORDER", "rank_findings"]
 
@@ -24,8 +24,8 @@ SEVERITY_ORDER: Dict[str, int] = {"error": 0, "warning": 1, "info": 2}
 class Finding:
     """One static-analysis finding."""
 
-    pass_name: str  #: "locksets" | "determinism"
-    rule: str  #: e.g. "lockset-race", "wall-clock"
+    pass_name: str  #: "determinism"
+    rule: str  #: e.g. "wall-clock", "unseeded-random"
     severity: str  #: "error" | "warning" | "info"
     module: str  #: dotted module, e.g. "repro.kernel.syscall"
     symbol: str  #: qualified symbol, e.g. "Syscalls.write_file"
@@ -33,7 +33,7 @@ class Finding:
     line: int
     message: str
     #: Extra structured context (sorted key/value pairs so the dataclass
-    #: stays hashable); e.g. the dynamic-resource hint of a lockset race.
+    #: stays hashable); ``key`` enters the fingerprint.
     data: Tuple[Tuple[str, str], ...] = field(default=())
 
     @property
@@ -42,9 +42,6 @@ class Finding:
         key = dict(self.data).get("key", "")
         ident = "|".join((self.pass_name, self.rule, self.module, self.symbol, key))
         return hashlib.sha256(ident.encode()).hexdigest()[:16]
-
-    def datum(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return dict(self.data).get(key, default)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -1,11 +1,7 @@
-"""The static-analysis IR: a per-module AST index with call resolution.
+"""The static-analysis IR: a per-module AST index.
 
 :class:`CodeIndex` parses every module under a package root once and
-indexes functions and methods by qualified name. On top of that,
-:meth:`CodeIndex.resolve_call` maps a ``self.helper(...)`` /
-``helper(...)`` call site to the :class:`FunctionInfo` it names
-(same-class methods and same-module functions only: the passes are
-intraprocedural by design and inline only through same-class helpers).
+indexes functions and methods by qualified name.
 
 The index is purely syntactic — nothing is imported or executed — so it
 can safely chew on planted-defect fixtures and on the live tree alike.
@@ -81,9 +77,6 @@ class ModuleIndex:
                             node=item,
                         )
 
-    def methods_of(self, cls: str) -> List[FunctionInfo]:
-        return [fn for fn in self.functions.values() if fn.cls == cls]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ModuleIndex({self.name}, {len(self.functions)} functions)"
 
@@ -125,31 +118,3 @@ class CodeIndex:
                 continue
             index.modules[name] = ModuleIndex(name, path, tree)
         return index
-
-    # -- resolution -------------------------------------------------------
-
-    def function(self, module: str, qualname: str) -> Optional[FunctionInfo]:
-        mod = self.modules.get(module)
-        if mod is None:
-            return None
-        return mod.functions.get(qualname)
-
-    def resolve_call(self, caller: FunctionInfo, call: ast.Call) -> Optional[FunctionInfo]:
-        """The helper a call site names, if it is statically resolvable.
-
-        Resolves ``self.helper(...)`` / ``cls.helper(...)`` to a method
-        of the caller's class and bare ``helper(...)`` to a module-level
-        function of the caller's module. Everything else — cross-object
-        calls, stdlib, dynamically-bound handlers — stays unresolved,
-        which is what keeps the passes honest about their scope.
-        """
-        chain = dotted(call.func)
-        if chain is None:
-            return None
-        if len(chain) == 2 and chain[0] in ("self", "cls") and caller.cls is not None:
-            return self.function(caller.module.name, f"{caller.cls}.{chain[1]}")
-        if len(chain) == 1:
-            resolved = self.function(caller.module.name, chain[0])
-            # A bare name may also be a class constructor; only functions count.
-            return resolved
-        return None

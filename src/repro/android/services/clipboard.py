@@ -42,7 +42,8 @@ class ClipboardService:
 
     # No sched yield point on either boundary on purpose: clipboard
     # mutations carry no preemption point, which keeps them atomic under
-    # the cooperative scheduler (see the lockset baseline justification).
+    # the cooperative scheduler without a lock. A yield here would also
+    # shift the schedule digests the interleave sweep pins.
     @boundary(
         "clip.set", attrs=lambda self, process, text: {"pid": process.pid}, count="clip.sets"
     )

@@ -14,15 +14,18 @@ method declares that wiring once and its body is written once::
 context at point ``name``) take the method's own parameters; ``count``
 names a counter bumped on entry; ``done(self, span, result)`` records
 result-derived attributes and metrics (span is None when ``span=False``).
+``lock`` also takes the method's parameters and returns the context
+manager (an ``RWLock`` mode, say) that the yield and the body run in
+while the scheduler is enabled.
 
 Disarmed, a call costs the wrapper (generated with the method's own
 signature, so nothing is packed), one ``enabled`` check per declared
 plane (``self.obs``, plus ``self.obs.faults``/``SCHED`` only when
-``fault``/``sched`` are declared), then the bare body; no hook runs.
-Armed, the order is span and count -> fault -> yield -> body -> ``done``
-(obs only), so a fired fault closes an errored span. Yields inside a lock
-scope and consults between the steps of a multi-step mutation stay
-inline in the body, where the lockset pass sees them.
+``fault``/``sched``/``lock`` are declared), then the bare body; no hook
+runs and no lock is built. Armed, the order is span and count -> fault
+-> lock -> yield -> body -> ``done`` (obs only), so a fired fault closes
+an errored span before any lock is taken. Consults and yields between
+the steps of a multi-step mutation stay inline in the body.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import inspect
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, ContextManager, Dict, List, Optional
 
 from repro.sched import SCHED as _SCHED
 
@@ -38,6 +41,7 @@ __all__ = ["boundary", "tag"]
 
 Hook = Callable[..., Dict[str, Any]]
 Done = Callable[[Any, Any, Any], None]
+Lock = Callable[..., ContextManager[Any]]
 
 
 def boundary(
@@ -48,6 +52,7 @@ def boundary(
     count: Optional[str] = None,
     fault: Optional[Hook] = None,
     sched: Optional[Hook] = None,
+    lock: Optional[Lock] = None,
     done: Optional[Done] = None,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Declare a method as the kernel boundary ``name`` (see module doc)."""
@@ -74,11 +79,16 @@ def boundary(
         def consult(self, args, kwargs):
             if fault is not None and self.obs.faults.enabled:
                 self.obs.faults.hit(name, **fault(self, *args, **kwargs))
+            if lock is not None and _SCHED.enabled:
+                with lock(self, *args, **kwargs):
+                    if sched is not None:
+                        _SCHED.yield_point(name, **sched(self, *args, **kwargs))
+                    return body(self, *args, **kwargs)
             if sched is not None and _SCHED.enabled:
                 _SCHED.yield_point(name, **sched(self, *args, **kwargs))
             return body(self, *args, **kwargs)
 
-        gates = (("{self}.obs.faults", fault), ("_b_SCHED", sched))
+        gates = (("{self}.obs.faults", fault), ("_b_SCHED", sched or lock))
         planes = [plane for plane, hook in gates if hook]
         return functools.update_wrapper(_forwarder(body, planes, armed), body)
 

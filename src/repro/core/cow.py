@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import base64
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -45,6 +44,7 @@ from repro.minisql import Database
 from repro.minisql import ast_nodes as ast
 from repro.minisql.engine import ResultSet, prepare
 from repro.minisql.parser import parse
+from repro.naming import initiator_key
 from repro.obs import OBS as _OBS
 from repro.sched import SCHED as _SCHED
 
@@ -75,11 +75,6 @@ def _decode_payload(text: str) -> Dict[str, object]:
             value = base64.b64decode(value["__bytes__"])
         out[key] = value
     return out
-
-
-def initiator_key(initiator: str) -> str:
-    """Sanitize an initiator package name for use in SQL object names."""
-    return re.sub(r"\W", "_", initiator)
 
 
 def _table_attrs(self, name: str, initiator: Optional[str], *_args, **_kwargs) -> dict:

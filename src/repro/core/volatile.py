@@ -110,10 +110,11 @@ class VolatileFiles:
                 initiator=self._package,
                 path=tmp_path,
             )
+        # No access annotation on the commit's own yields: they hold no
+        # lock, and the read_file/write_file below yield with the file's
+        # access under the ns and fs locks that actually guard it.
         if _SCHED.enabled:
-            _SCHED.yield_point(
-                "vol.commit", path=tmp_path, resource=f"file:{tmp_path}", rw="r"
-            )
+            _SCHED.yield_point("vol.commit", path=tmp_path)
         data = self._sys.read_file(tmp_path)
         # Crash-atomic commit: journal the intent (payload included), then
         # apply, then truncate. After any crash, recovery either replays
@@ -136,12 +137,7 @@ class VolatileFiles:
                 path=destination,
             )
         if _SCHED.enabled:
-            _SCHED.yield_point(
-                "vol.commit.apply",
-                path=destination,
-                resource=f"file:{destination}",
-                rw="w",
-            )
+            _SCHED.yield_point("vol.commit.apply", path=destination)
         self._sys.makedirs(vpath.parent(destination))
         self._sys.write_file(destination, data)
         if self.obs.prov:

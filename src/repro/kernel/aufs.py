@@ -276,7 +276,14 @@ class AufsMount(FilesystemAPI):
             branch.fs.unlink(whiteout, ROOT_CRED)
 
     @boundary(
-        "aufs.copy_up", attrs=_copy_up_ctx, fault=_copy_up_ctx, done=_copy_up_done
+        "aufs.copy_up",
+        attrs=_copy_up_ctx,
+        fault=_copy_up_ctx,
+        sched=lambda self, union_path, source_index, cred: {
+            "path": union_path, "resource": f"file:{union_path}", "rw": "w"
+        },
+        lock=lambda self, union_path, source_index, cred: self.rwlock.write(),
+        done=_copy_up_done,
     )
     def _copy_up(self, union_path: str, source_index: int, cred: Credentials) -> int:
         """Copy a lower-branch file into the writable branch (copy-on-write).
@@ -285,18 +292,6 @@ class AufsMount(FilesystemAPI):
         semantics: after copy-up the delegate owns its private copy.
         Returns the bytes copied.
         """
-        if _SCHED.enabled:
-            with self.rwlock.write():
-                _SCHED.yield_point(
-                    "aufs.copy_up",
-                    path=union_path,
-                    resource=f"file:{union_path}",
-                    rw="w",
-                )
-                return self._copy_up_locked(union_path, source_index, cred)
-        return self._copy_up_locked(union_path, source_index, cred)
-
-    def _copy_up_locked(self, union_path: str, source_index: int, cred: Credentials) -> int:
         branch = self._require_writable()
         source = self.branches[source_index]
         data = source.fs.read_file(source.path(union_path), ROOT_CRED)

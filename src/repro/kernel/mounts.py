@@ -20,7 +20,6 @@ from repro.errors import FileNotFound
 from repro.kernel import path as vpath
 from repro.kernel.vfs import Filesystem, FilesystemAPI
 from repro.obs import OBS as _OBS
-from repro.sched import SCHED as _SCHED
 from repro.sched.locks import RWLock
 
 
@@ -45,30 +44,30 @@ class MountNamespace:
 
     # ------------------------------------------------------------------
 
+    @boundary(
+        "mounts.mount",
+        span=False,
+        sched=lambda self, point, fs: {
+            "mount_point": point, "resource": "mount-table", "rw": "w"
+        },
+        lock=lambda self, point, fs: self.rwlock.write(),
+    )
     def mount(self, point: str, fs: FilesystemAPI) -> None:
         """Mount ``fs`` at ``point``, shadowing any prior mount there."""
-        if _SCHED.enabled:
-            with self.rwlock.write():
-                _SCHED.yield_point(
-                    "mounts.mount", mount_point=point, resource="mount-table", rw="w"
-                )
-                self._mounts[vpath.normalize(point)] = fs
-            return
         self._mounts[vpath.normalize(point)] = fs
 
+    @boundary(
+        "mounts.umount",
+        span=False,
+        sched=lambda self, point: {
+            "mount_point": point, "resource": "mount-table", "rw": "w"
+        },
+        lock=lambda self, point: self.rwlock.write(),
+    )
     def umount(self, point: str) -> None:
         point = vpath.normalize(point)
         if point == "/":
             raise ValueError("cannot unmount the root filesystem")
-        if _SCHED.enabled:
-            with self.rwlock.write():
-                _SCHED.yield_point(
-                    "mounts.umount", mount_point=point, resource="mount-table", rw="w"
-                )
-                if point not in self._mounts:
-                    raise FileNotFound(f"not a mount point: {point}")
-                del self._mounts[point]
-            return
         if point not in self._mounts:
             raise FileNotFound(f"not a mount point: {point}")
         del self._mounts[point]
@@ -92,18 +91,13 @@ class MountNamespace:
         span=False,
         count="mounts.resolve",
         fault=lambda self, path: {"path": path},
+        lock=lambda self, path: self.rwlock.read(),
     )
     def resolve(self, path: str) -> Tuple[FilesystemAPI, str]:
         """Resolve ``path`` to ``(filesystem, path-within-filesystem)``.
 
         Chooses the mount point with the longest prefix match.
         """
-        if _SCHED.enabled:
-            with self.rwlock.read():
-                return self._resolve_locked(path)
-        return self._resolve_locked(path)
-
-    def _resolve_locked(self, path: str) -> Tuple[FilesystemAPI, str]:
         path = vpath.normalize(path)
         point = self._mount_point(path)
         inner = path if point == "/" else path[len(point) :] or "/"

@@ -13,7 +13,7 @@ reads naturally.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.boundary import boundary
 from repro.errors import CrossDeviceLink, NoSuchProcess
@@ -21,7 +21,6 @@ from repro.kernel import path as vpath
 from repro.kernel.proc import Process
 from repro.kernel.vfs import FileHandle, Stat
 from repro.obs import DEFAULT_BYTE_BUCKETS
-from repro.sched import SCHED as _SCHED
 
 O_RDONLY = 0x0
 O_WRONLY = 0x1
@@ -46,6 +45,22 @@ def _write_fault(self, path: str, data: bytes, mode: int = 0o644) -> dict:
     return {"ctx": str(self.process.context), "path": path}
 
 
+def _writes(flags: int) -> bool:
+    return bool(flags & 0o3 or flags & (O_CREAT | O_TRUNC | O_APPEND))
+
+
+def _access(path: str, rw: str) -> dict:
+    """The yield context of a whole-file access: the file the race
+    detector tracks and the mode it is taken in."""
+    return {"path": path, "resource": f"file:{path}", "rw": rw}
+
+
+def _open_lock(self, path: str, flags: int = O_RDONLY, mode: int = 0o644):
+    # A dead process fails before it takes a lock or yields.
+    self._check_alive()
+    return self._io_locks(path, write=_writes(flags))
+
+
 class Syscalls:
     """File-related syscalls for one process."""
 
@@ -67,24 +82,27 @@ class Syscalls:
             "ctx": str(self.process.context), "path": path, "flags": flags
         },
         count="vfs.open",
+        sched=lambda self, path, flags=O_RDONLY, mode=0o644: _access(
+            path, "w" if _writes(flags) else "r"
+        ),
+        lock=_open_lock,
     )
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> FileHandle:
         """Open ``path`` with POSIX-style ``flags``; returns a file handle."""
         self._check_alive()
-        if _SCHED.enabled:
-            accmode = flags & 0o3
-            is_write = bool(accmode or flags & (O_CREAT | O_TRUNC | O_APPEND))
-            # Yield *inside* the lock scope so the access annotation
-            # reflects the locks actually protecting the operation.
-            with self._io_locks(path, write=is_write):
-                _SCHED.yield_point(
-                    "vfs.open",
-                    path=path,
-                    resource=f"file:{path}",
-                    rw="w" if is_write else "r",
-                )
-                return self._open_locked(path, flags, mode)
-        return self._open_locked(path, flags, mode)
+        fs, inner = self.process.namespace.resolve(path)
+        accmode = flags & 0o3
+        read = accmode in (O_RDONLY, O_RDWR)
+        write = accmode in (O_WRONLY, O_RDWR)
+        if self.obs.prov:
+            # Copy-up may fire inside fs.open(); the actor stack tells the
+            # ledger which process the copied data is flowing on behalf of.
+            self.obs.provenance.push_actor(str(self.process.context), self.process.pid)
+            try:
+                return self._fs_open(fs, inner, read, write, flags, mode)
+            finally:
+                self.obs.provenance.pop_actor()
+        return self._fs_open(fs, inner, read, write, flags, mode)
 
     @contextmanager
     def _io_locks(self, path: str, write: bool) -> Iterator[None]:
@@ -102,21 +120,6 @@ class Syscalls:
             else:
                 with fs_lock.write() if write else fs_lock.read():
                     yield
-
-    def _open_locked(self, path: str, flags: int, mode: int) -> FileHandle:
-        fs, inner = self.process.namespace.resolve(path)
-        accmode = flags & 0o3
-        read = accmode in (O_RDONLY, O_RDWR)
-        write = accmode in (O_WRONLY, O_RDWR)
-        if self.obs.prov:
-            # Copy-up may fire inside fs.open(); the actor stack tells the
-            # ledger which process the copied data is flowing on behalf of.
-            self.obs.provenance.push_actor(str(self.process.context), self.process.pid)
-            try:
-                return self._fs_open(fs, inner, read, write, flags, mode)
-            finally:
-                self.obs.provenance.pop_actor()
-        return self._fs_open(fs, inner, read, write, flags, mode)
 
     def _fs_open(self, fs, inner: str, read: bool, write: bool, flags: int, mode: int) -> FileHandle:
         return fs.open(
@@ -177,18 +180,11 @@ class Syscalls:
     @boundary(
         "vfs.read",
         attrs=lambda self, path: {"ctx": str(self.process.context), "path": path},
+        sched=lambda self, path: _access(path, "r"),
+        lock=lambda self, path: self._io_locks(path, write=False),
         done=_read_done,
     )
     def read_file(self, path: str) -> bytes:
-        if _SCHED.enabled:
-            with self._io_locks(path, write=False):
-                _SCHED.yield_point(
-                    "vfs.read", path=path, resource=f"file:{path}", rw="r"
-                )
-                return self._read_file_locked(path)
-        return self._read_file_locked(path)
-
-    def _read_file_locked(self, path: str) -> bytes:
         with self.open(path, O_RDONLY) as handle:
             data = handle.read()
             if self.obs.prov:
@@ -198,35 +194,30 @@ class Syscalls:
             return data
 
     @boundary(
-        "vfs.write", attrs=_write_attrs, count="vfs.write", fault=_write_fault
+        "vfs.write",
+        attrs=_write_attrs,
+        count="vfs.write",
+        fault=_write_fault,
+        sched=lambda self, path, data, mode=0o644: _access(path, "w"),
+        lock=lambda self, path, data, mode=0o644: self._io_locks(path, write=True),
     )
     def write_file(self, path: str, data: bytes, mode: int = 0o644) -> None:
-        flags = O_WRONLY | O_CREAT | O_TRUNC
-        if _SCHED.enabled:
-            with self._io_locks(path, write=True):
-                _SCHED.yield_point(
-                    "vfs.write", path=path, resource=f"file:{path}", rw="w"
-                )
-                return self._write_locked(path, data, flags, mode)
-        return self._write_locked(path, data, flags, mode)
+        return self._write_locked(path, data, O_WRONLY | O_CREAT | O_TRUNC, mode)
 
     @boundary(
         "vfs.write",
         attrs=lambda self, path, data: {**_write_attrs(self, path, data), "append": True},
         count="vfs.write",
         fault=_write_fault,
+        sched=lambda self, path, data: _access(path, "w"),
+        lock=lambda self, path, data: self._io_locks(path, write=True),
     )
     def append_file(self, path: str, data: bytes) -> None:
-        flags = O_WRONLY | O_APPEND
-        if _SCHED.enabled:
-            with self._io_locks(path, write=True):
-                _SCHED.yield_point(
-                    "vfs.write", path=path, resource=f"file:{path}", rw="w"
-                )
-                return self._write_locked(path, data, flags)
-        return self._write_locked(path, data, flags)
+        return self._write_locked(path, data, O_WRONLY | O_APPEND)
 
     def _write_locked(self, path: str, data: bytes, flags: int, mode: int = 0o644) -> None:
+        """The body ``write_file`` and ``append_file`` share; it runs
+        under their locks while the scheduler is enabled."""
         if self.obs.enabled:
             self.obs.metrics.observe("vfs.write.bytes", len(data), DEFAULT_BYTE_BUCKETS)
         with self.open(path, flags, mode=mode) as handle:

@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.sweep import DATA_PREFIX, parse_delegate_ctx, priv_owner
+from repro.obs.sweep import parse_delegate_ctx, priv_owner
 
 __all__ = [
     "Label",

@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.naming import DATA_ROOT, initiator_key
 from repro.obs.trace import SpanNode
 
-DATA_PREFIX = "/data/data/"
+DATA_PREFIX = DATA_ROOT + "/"
 PPRIV_SEGMENT = "ppriv"
 
 __all__ = [
@@ -45,14 +46,6 @@ __all__ = [
     "sweep_violations",
     "writable_root_violations",
 ]
-
-
-def _initiator_key(package: str) -> str:
-    # Same sanitization as repro.core.cow.initiator_key, duplicated here so
-    # the obs layer stays import-independent of the core layer.
-    import re
-
-    return re.sub(r"\W", "_", package)
 
 
 @dataclass
@@ -115,7 +108,7 @@ def foreign_keys(all_packages, delegate: str, initiator: str):
     """Sanitized branch-directory keys of every package that is neither
     the delegate nor its initiator."""
     return {
-        _initiator_key(pkg): pkg
+        initiator_key(pkg): pkg
         for pkg in all_packages
         if pkg not in (delegate, initiator)
     }

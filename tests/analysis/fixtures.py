@@ -11,49 +11,6 @@ from pathlib import Path
 
 from repro.analysis.ir import CodeIndex
 
-#: A TOCTOU mirror of the planted IpcGuard race: one entry point rebuilds
-#: a registry without locks, another reads it — plus a properly locked
-#: sibling attribute as the negative control, and a scheduler-off
-#: fallback write that must NOT be reported.
-RACY = '''
-from fake import SCHED as _SCHED
-
-
-class RacyGuard:
-    def __init__(self):
-        self._registry = {}
-        self._audit = []
-        self._locked_table = {}
-        self.lock = RWLock("racy")
-
-    def rebuild(self, entries):
-        staged = dict(self._registry)
-        staged.update(entries)
-        self._registry.clear()
-        if _SCHED.enabled:
-            _SCHED.yield_point("racy.rebuild", resource="registry", rw="w")
-        self._registry.update(staged)
-
-    def decide(self, key):
-        self._audit.append(key)
-        return self._registry.get(key, True)
-
-    def locked_put(self, key, value):
-        with self.lock.write():
-            self._locked_table[key] = value
-
-    def locked_get(self, key):
-        with self.lock.read():
-            return self._locked_table.get(key)
-
-    def fallback_put(self, key, value):
-        if _SCHED.enabled:
-            with self.lock.write():
-                self._locked_table[key] = value
-            return
-        self._locked_table[key] = value
-'''
-
 #: Every determinism rule violated once, plus compliant twins.
 NONDET = '''
 import os

@@ -35,13 +35,13 @@ class TestCleanTree:
         assert "0 new finding(s)" in out
 
     def test_without_baseline_only_known_findings_remain(self, capsys):
-        """No baseline: exactly the 11 documented findings, nothing else
-        — the tree itself carries no unknown defects."""
+        """No baseline: only the 4 documented wall-clock findings,
+        nothing else — the tree itself carries no unknown defects."""
         code, out = _run(capsys, "--format", "json", "--today", TODAY)
         assert code == 1
         report = json.loads(out)
         rules = {f["rule"] for f in report["new"]}
-        assert rules == {"wall-clock", "lockset-race"}
+        assert rules == {"wall-clock"}
         assert report["parse_errors"] == []
 
     def test_no_stale_suppressions(self, capsys):
@@ -159,6 +159,9 @@ class TestExitCodes:
 
     def test_unknown_pass_is_a_usage_error(self, capsys):
         assert main(["--passes", "vibes"]) == 2
+        # The static lockset pass is gone; its lock rows live in
+        # tests/integration/test_boundary_wiring.py.
+        assert main(["--passes", "locksets"]) == 2
 
     def test_bad_root_is_a_usage_error(self, capsys):
         assert main(["--root", "/nonexistent/path"]) == 2

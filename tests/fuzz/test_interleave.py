@@ -19,6 +19,7 @@ from repro.fuzz.harness import FuzzWorld, VICTIM_PACKAGE
 from repro.fuzz.interleave import (
     _INTERP,
     _MULE,
+    _schedules,
     concurrent_scenario_from_seed,
     interleave_sweep,
     run_interleaved,
@@ -120,6 +121,28 @@ class TestUnplantedControls:
         assert {k: [op.render() for op in v] for k, v in one.items()} != {
             k: [op.render() for op in v] for k, v in other.items()
         }
+
+
+class TestRaceDetector:
+    """``race_candidates`` flags unsynchronized shared access only: the
+    scenarios' file I/O, which yields under the ns and filesystem locks,
+    is race-clean, while the planted guard race is still flagged."""
+
+    @staticmethod
+    def _candidates(scenario_seeds, planted=None):
+        """Resources flagged over the sweep's schedules (4 random ones,
+        then 3 perturbations) of each scenario seed."""
+        found = set()
+        for seed in scenario_seeds:
+            tracks = concurrent_scenario_from_seed(seed)
+            for _sched_seed, run in _schedules(tracks, seed, 4, 3, planted, True):
+                found.update(resource for resource, _a, _b in run.race_candidates)
+        return found
+
+    def test_only_the_planted_race_is_flagged(self):
+        assert self._candidates(range(3)) == set()
+        planted = self._candidates([HITTING_SCENARIO_SEED], planted="binder-guard-race")
+        assert planted == {"guard-registry"}
 
 
 class TestScheduleDeterminism:

@@ -5,17 +5,20 @@ points only through what they emit. This test drives the crash sweep's
 workload under ``SCHED.run`` with obs, prov, a never-firing policy on
 every fault point and the flight recorder armed. Per boundary method it
 checks, in the phase that drives the method: its span or counter (obs);
-a consult of each fault point (faults); a decision at each yield point,
-or a lock acquisition (sched); a ``prov.*`` span whose direct parent is
-its span, or for an actor scope one stamped beneath it as its caller
-(prov). Boundaries that share an event name get phases of their own.
+a consult of each fault point (faults); a decision at each yield point
+(sched); for a boundary that declares ``lock=``, that its lock was taken
+for and is held at every one of its yields, or, with no yield, that the
+phase driving only that method takes it (lock); a ``prov.*`` span whose
+direct parent is its span, or for an actor scope one stamped beneath it
+as its caller (prov). Boundaries that share an event name get phases of
+their own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from types import SimpleNamespace
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import pytest
 
@@ -92,6 +95,23 @@ def locked(lock: str) -> Need:
     return Need(f"a {lock} lock acquisition", lambda ev, run: lock in ev.locks)
 
 
+def held(point: str, *locks: str) -> Need:
+    """Each ``<mode>:<lock>`` of ``locks`` was taken since the task's
+    previous yield and is still held, at every yield at ``point``. The
+    lock ``fs`` is the resolved filesystem's (``fs:*`` or ``aufs:*``)."""
+    return Need(
+        f"{' and '.join(locks)} taken for and held at every {point} yield",
+        lambda ev, run: bool(ev.held.get(point))
+        and all(set(locks) <= taken for taken in ev.held[point]),
+        point,
+    )
+
+
+def _lock_kind(name: str) -> str:
+    """``fs`` for any filesystem's lock, else the lock's own name."""
+    return "fs" if name.startswith(("fs:", "aufs:")) else name
+
+
 def stamped(prov: str, parent: str, **attrs) -> Need:
     return Need(
         f"a {prov} span directly under a {parent} span" + (f" with {attrs}" if attrs else ""),
@@ -136,31 +156,40 @@ WIRING = (
     # syscall layer; open's actor scope shows in the append's copy-up
     boundary(
         Syscalls.open, "append",
-        obs=span("vfs.open"), sched=decided("vfs.open"), prov=acted("vfs.open"),
+        obs=span("vfs.open"), sched=decided("vfs.open"),
+        lock=held("vfs.open", "r:ns", "w:fs"), prov=acted("vfs.open"),
     ),
     boundary(
         Syscalls.read_file,
         obs=span("vfs.read"), sched=decided("vfs.read"),
-        prov=stamped("prov.read", "vfs.read"),
+        lock=held("vfs.read", "r:ns", "r:fs"), prov=stamped("prov.read", "vfs.read"),
     ),
     boundary(
         Syscalls.write_file,
         obs=span("vfs.write", append=None), faults=consulted("vfs.write"),
-        sched=decided("vfs.write"), prov=stamped("prov.write", "vfs.write", append=None),
+        sched=decided("vfs.write"), lock=held("vfs.write", "r:ns", "w:fs"),
+        prov=stamped("prov.write", "vfs.write", append=None),
     ),
     boundary(
         Syscalls.append_file, "append",
         obs=span("vfs.write", append=True), faults=consulted("vfs.write"),
-        sched=decided("vfs.write"), prov=stamped("prov.write", "vfs.write", append=True),
+        sched=decided("vfs.write"), lock=held("vfs.write", "r:ns", "w:fs"),
+        prov=stamped("prov.write", "vfs.write", append=True),
     ),
     # mount namespaces
     boundary(
         MountNamespace.resolve, "resolve",
         obs=counted("mounts.resolve"), faults=consulted("mounts.resolve"),
-        sched=locked("r:ns"),
+        lock=locked("r:ns"),
     ),
-    boundary(MountNamespace.mount, sched=decided("mounts.mount")),
-    boundary(MountNamespace.umount, "teardown", sched=decided("mounts.umount")),
+    boundary(
+        MountNamespace.mount,
+        sched=decided("mounts.mount"), lock=held("mounts.mount", "w:ns"),
+    ),
+    boundary(
+        MountNamespace.umount, "teardown",
+        sched=decided("mounts.umount"), lock=held("mounts.umount", "w:ns"),
+    ),
     # aufs union filesystem
     boundary(AufsMount.open, obs=span("aufs.open")),
     boundary(
@@ -168,6 +197,7 @@ WIRING = (
         obs=span("aufs.copy_up"),
         faults=consulted("aufs.copy_up", "aufs.copy_up.publish"),
         sched=decided("aufs.copy_up", "aufs.copy_up.publish"),
+        lock=held("aufs.copy_up", "w:fs"),
         prov=stamped("prov.copy_up", "aufs.copy_up"),
     ),
     # binder
@@ -233,7 +263,7 @@ WIRING = (
     # minisql
     boundary(Database.execute, obs=span("sql.execute"), prov=stamped("prov.row", "sql.execute")),
     # clipboard: no sched yield on purpose, so its mutations stay atomic
-    # under the cooperative scheduler (see the lockset baseline)
+    # under the cooperative scheduler without a lock
     boundary(
         ClipboardService.set_text, obs=span("clip.set"), prov=stamped("prov.clip", "clip.set")
     ),
@@ -321,8 +351,27 @@ def run() -> SimpleNamespace:
         if span.name.startswith("prov."):
             run.actors[span.span_id] = obs.provenance.current_actor()[0]
 
+    # Per task, the locks it took since its previous yield; per yield
+    # point, those of them it still holds there.
+    taken: Dict[str, List[Tuple[object, str]]] = {}
+    held_at: Dict[str, List[FrozenSet[str]]] = {}
+    tasks: Dict[str, object] = {}
+
+    def note_lock(task, lock, mode, _action) -> None:
+        tasks[task.name] = task
+        taken.setdefault(task.name, []).append((lock, mode))
+
+    def note_yield(_step, task, point) -> None:
+        holding = tasks[task].held_locks if task in tasks else []
+        held_at.setdefault(point, []).append(frozenset(
+            f"{mode}:{_lock_kind(lock.name)}"
+            for lock, mode in taken.pop(task, []) if (lock, mode) in holding
+        ))
+
     with obs.capture(ring_capacity=1 << 16, prov=True):
         obs.tracer.span_tap.add(note_actor)
+        SCHED.lock_tap.add(note_lock)
+        SCHED.decision_tap.add(note_yield)
         recorder = obs.recorder.arm(capacity=1 << 16, audit_log=device.audit_log)
         for point in FAULT_POINTS:
             obs.faults.arm(point, fail_nth(NEVER))
@@ -331,6 +380,7 @@ def run() -> SimpleNamespace:
                 first_span = len(obs.spans())
                 counted_before = Counter(obs.metrics.snapshot().counters)
                 last_seq = recorder.seq
+                held_at.clear()
                 SCHED.run({name: body})
                 # Recorder details: "<task> @ <point>", "<mode>:<lock> by <task>".
                 events = [e for e in recorder.events() if e.seq > last_seq]
@@ -340,11 +390,14 @@ def run() -> SimpleNamespace:
                     consults={e.name for e in events if e.plane == "fault"},
                     decisions={e.detail.split(" @ ")[1] for e in events if e.name == "decision"},
                     locks={e.detail.split(" by ")[0] for e in events if e.plane == "lock"},
+                    held=dict(held_at),
                 )
             assert obs.tracer.ring.dropped == 0 and recorder.evicted == 0
             run.spans = {s.span_id: s for s in obs.spans()}
         finally:
             recorder.disarm()
+            SCHED.lock_tap.remove(note_lock)
+            SCHED.decision_tap.remove(note_yield)
             obs.faults.reset()
     return run
 

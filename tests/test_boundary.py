@@ -10,6 +10,7 @@ from repro.faults.plane import FAULT_POINTS
 from repro.errors import InjectedFault
 from repro.obs import ObsContext
 from repro.sched import SCHED
+from repro.sched.locks import RWLock
 
 POINT = "probe.op"
 
@@ -64,6 +65,7 @@ class Disarmed:
         count="probe.ops",
         fault=_explode,
         sched=_explode,
+        lock=_explode,
         done=_explode,
     )
     def op(self, path, size=0):
@@ -224,6 +226,100 @@ def test_fired_fault_closes_an_errored_span_before_the_body():
     assert span.attrs == {"path": "/f", "error": "InjectedFault"}
     assert counters == {"probe.ops": 1}
     assert probe.calls == []
+
+
+class Locked:
+    """Boundaries with a lock scope: one that yields in it, one that
+    only holds it around the body."""
+
+    def __init__(self):
+        self.obs = ObsContext(device_id="probe-dev")
+        self.rwlock = RWLock("probe")
+        self.holders = []
+
+    @boundary(
+        POINT,
+        fault=lambda self, path: {"path": path},
+        sched=lambda self, path: {},
+        lock=lambda self, path: self.rwlock.write(),
+    )
+    def op(self, path):
+        self.holders.append(self.rwlock.holders())
+        return path
+
+    @boundary(POINT, span=False, lock=lambda self, path: self.rwlock.read())
+    def peek(self, path):
+        self.holders.append(self.rwlock.holders())
+        return path
+
+
+def _recorded_run(probe, body):
+    with probe.obs.capture() as obs:
+        recorder = obs.recorder.arm()
+        try:
+            SCHED.run({"task": body}, seed=0)
+        finally:
+            recorder.disarm()
+        return [(e.plane, e.name, e.detail) for e in recorder.events()]
+
+
+@pytest.mark.recorder
+def test_lock_is_taken_after_the_fault_and_held_at_the_yield_and_body():
+    probe = Locked()
+    probe.obs.faults.arm(POINT, fail_nth(99))
+    events = _recorded_run(probe, lambda: probe.op("/l"))
+    assert events == [
+        ("sched", "decision", "task @ start"),
+        ("fault", POINT, "pass"),
+        ("lock", "acquire", "w:probe by task"),
+        ("sched", "decision", f"task @ {POINT}"),
+        ("span", POINT, "ok"),
+    ]
+    assert probe.holders == [["w:task"]]
+    assert probe.rwlock.holders() == []
+
+
+@pytest.mark.recorder
+def test_lock_without_a_yield_holds_only_the_body():
+    probe = Locked()
+    events = _recorded_run(probe, lambda: probe.peek("/l"))
+    assert events == [
+        ("sched", "decision", "task @ start"),
+        ("lock", "acquire", "r:probe by task"),
+    ]
+    assert probe.holders == [["r:task"]]
+
+
+@pytest.mark.recorder
+def test_fired_fault_takes_no_lock():
+    probe = Locked()
+    probe.obs.faults.arm(POINT, fail_nth(1))
+
+    def body():
+        with pytest.raises(InjectedFault):
+            probe.op("/f")
+
+    events = _recorded_run(probe, body)
+    assert ("fault", POINT, "raise:InjectedFault") in events
+    assert not any(plane == "lock" for plane, _name, _detail in events)
+    assert probe.holders == []
+
+
+class Unscheduled:
+    def __init__(self):
+        self.obs = ObsContext(device_id="probe-dev")
+
+    @boundary(POINT, sched=_explode, lock=_explode)
+    def op(self, path):
+        return path
+
+
+def test_lock_hook_runs_only_while_the_scheduler_is_enabled():
+    probe = Unscheduled()
+    assert probe.op("/a") == "/a"
+    with probe.obs.capture() as obs:
+        assert probe.op("/b") == "/b"
+        assert [span.name for span in obs.spans()] == [POINT]
 
 
 def test_tag_sets_attrs_only_on_the_named_open_span():
