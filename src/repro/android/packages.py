@@ -21,6 +21,7 @@ from repro.android.permissions import Permission
 from repro.android.storage import StorageLayout
 from repro.kernel import path as vpath
 from repro.kernel.vfs import Filesystem, ROOT_CRED
+from repro.naming import DATA_ROOT, PPRIV_ROOT
 
 if TYPE_CHECKING:  # avoid a circular import with repro.core.manifest
     from repro.core.manifest import MaxoidManifest
@@ -70,8 +71,8 @@ class PackageManager:
         self._system_fs = system_fs
         self._packages: Dict[str, InstalledPackage] = {}
         self._uid_counter = itertools.count(self._FIRST_APP_UID)
-        self._system_fs.mkdir("/data/data", ROOT_CRED, parents=True)
-        self._system_fs.mkdir("/data/data/ppriv", ROOT_CRED, parents=True)
+        self._system_fs.mkdir(DATA_ROOT, ROOT_CRED, parents=True)
+        self._system_fs.mkdir(PPRIV_ROOT, ROOT_CRED, parents=True)
 
     def install(self, manifest: AndroidManifest) -> InstalledPackage:
         """Install an app: allocate a UID and create its private data dir."""

@@ -24,12 +24,11 @@ from repro.kernel import path as vpath
 from repro.kernel.syscall import Syscalls
 from repro.minisql import Database
 from repro.minisql.engine import ResultSet
-from repro.naming import DATA_ROOT
+from repro.naming import DATA_ROOT, PPRIV_ROOT
 
 #: Mount point of external storage; varies per device in reality, the
 #: paper calls it EXTDIR throughout.
 EXTDIR = "/storage/sdcard"
-PPRIV_ROOT = "/data/data/ppriv"
 
 
 class StorageLayout:

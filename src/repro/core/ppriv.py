@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.android.storage import PPRIV_ROOT, PrivateDatabase, SharedPreferences, StorageLayout
+from repro.android.storage import PrivateDatabase, SharedPreferences, StorageLayout
 from repro.kernel import path as vpath
 from repro.kernel.proc import Process
 from repro.kernel.syscall import Syscalls
+from repro.naming import PPRIV_ROOT
 
 
 class PersistentPrivateState:

@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.android.storage import DATA_ROOT, EXTDIR, PPRIV_ROOT, StorageLayout
+from repro.android.storage import EXTDIR, StorageLayout
 from repro.core.context import delegate_key
 from repro.core.manifest import MaxoidManifest, EMPTY_MANIFEST
 from repro.kernel import path as vpath
+from repro.naming import DATA_ROOT, PPRIV_ROOT
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.naming import DATA_ROOT, initiator_key
+from repro.naming import DATA_ROOT, PPRIV_SEGMENT, initiator_key
 from repro.obs.trace import SpanNode
 
 DATA_PREFIX = DATA_ROOT + "/"
-PPRIV_SEGMENT = "ppriv"
 
 __all__ = [
     "DATA_PREFIX",
-    "PPRIV_SEGMENT",
     "Violation",
     "evaluate_span",
     "foreign_keys",
@@ -114,13 +112,18 @@ def foreign_keys(all_packages, delegate: str, initiator: str):
     }
 
 
-def writable_root_violations(attrs: Dict[str, Any], foreign):
+def writable_root_violations(
+    attrs: Dict[str, Any], all_packages, delegate: str, initiator: str
+):
     """A delegate's writable branch root must never be keyed to another
     package: neither a foreign per-app area (``/<key>/...``) nor a pair
-    area with a foreign initiator (``.../<x>@<key>/...``)."""
+    area with a foreign initiator (``.../<x>@<key>/...``). Most delegate
+    spans carry no writable root, so the foreign keys are built only for
+    those that do."""
     root = attrs.get("writable_root")
     if not root:
         return []
+    foreign = foreign_keys(all_packages, delegate, initiator)
     hits = []
     for segment in root.strip("/").split("/"):
         parts = segment.split("@") if "@" in segment else [segment]
@@ -170,7 +173,7 @@ def evaluate_span(
                 )
             )
         for root, pkg in writable_root_violations(
-            attrs, foreign_keys(all_packages, delegate, initiator)
+            attrs, all_packages, delegate, initiator
         ):
             violations.append(
                 Violation(

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
+
 import pytest
 
-from repro.sched import SCHED, schedule_digest
+from repro.obs.recorder import AnchorReached, Event
+from repro.sched import SCHED, DeadlockError, RWLock, schedule_digest
 
 pytestmark = pytest.mark.sched
 
@@ -138,3 +143,117 @@ class TestErrors:
         with pytest.raises(RuntimeError, match="decisions"):
             SCHED.run({"spin": spin_forever}, seed=0, max_decisions=50)
         assert not SCHED.enabled
+
+
+def _cpus():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+#: Taken at import, before any run here could leave the caller pinned.
+_CALLER_CPUS = _cpus()
+
+
+@contextmanager
+def _leaves_no_trace():
+    """The block must join every task thread it started and hand the
+    caller back its CPU set."""
+    threads = threading.active_count()
+    yield
+    assert threading.active_count() == threads
+    assert _cpus() == _CALLER_CPUS
+    assert not SCHED.enabled
+
+
+class TestHandoff:
+    """Decision steps run on whichever thread gives up control, so the
+    run-ending errors they raise start out on a task thread and must be
+    carried back to run()'s caller."""
+
+    def test_deadlock_detected_in_a_task_thread_reaches_the_caller(self):
+        a, b = RWLock("A"), RWLock("B")
+        detected_on = []
+
+        def take(first: RWLock, second: RWLock):
+            def fn() -> None:
+                with first.write():
+                    SCHED.yield_point("holding")
+                    with second.write():
+                        pass
+
+            return fn
+
+        def note(kind, _report) -> None:
+            detected_on.append((kind, threading.current_thread().name))
+
+        SCHED.trigger_tap.add(note)
+        try:
+            with _leaves_no_trace(), pytest.raises(DeadlockError):
+                SCHED.run(
+                    [("t1", take(a, b)), ("t2", take(b, a))],
+                    replay=["t1", "t2", "t1", "t2"],
+                )
+        finally:
+            SCHED.trigger_tap.remove(note)
+        assert detected_on == [("deadlock", "sched:t2")]
+        assert a.holders() == [] and b.holders() == []
+
+    def test_livelock_detected_in_a_task_thread_reaches_the_caller(self):
+        def spin_forever() -> None:
+            while True:
+                SCHED.yield_point("spin")
+
+        with _leaves_no_trace(), pytest.raises(RuntimeError, match="exceeded 5 decisions"):
+            SCHED.run({"spin": spin_forever, "also": spin_forever}, seed=0, max_decisions=5)
+
+    def test_anchor_reached_in_a_decision_tap_reaches_the_caller(self):
+        halt = AnchorReached(Event(seq=4, vclock=0.0, plane="sched", name="decision"))
+        tapped_on = []
+
+        def tap(step, _task, _point) -> None:
+            tapped_on.append(threading.current_thread().name)
+            if step == 3:
+                raise halt
+
+        SCHED.decision_tap.add(tap)
+        try:
+            with _leaves_no_trace(), pytest.raises(AnchorReached) as raised:
+                SCHED.run(_three_tasks(), seed=5)
+        finally:
+            SCHED.decision_tap.remove(tap)
+        assert raised.value is halt
+        # Only the first decision is taken by the caller; the rest run
+        # on the task thread that yielded.
+        assert tapped_on[0] == threading.current_thread().name
+        assert all(name.startswith("sched:") for name in tapped_on[1:])
+
+    def test_a_solo_task_keeps_its_own_thread(self):
+        seen = set()
+
+        def solo() -> None:
+            for i in range(5):
+                SCHED.yield_point(f"p{i}")
+                seen.add(threading.current_thread().name)
+
+        run = SCHED.run({"solo": solo}, seed=0)
+        assert len(run.decisions) == 6
+        assert seen == {"sched:solo"}
+
+
+class TestOneCpu:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_tasks_run_on_the_lowest_allowed_cpu(self):
+        def where():
+            return os.sched_getaffinity(0)
+
+        with _leaves_no_trace():
+            run = SCHED.run({"a": where, "b": where}, seed=0)
+        lowest = {min(_CALLER_CPUS)}
+        assert run.results == {"a": lowest, "b": lowest}
+
+    def test_unpinned_run_keeps_the_schedule(self, monkeypatch):
+        pinned = SCHED.run(_three_tasks(), seed=42)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        with _leaves_no_trace():
+            unpinned = SCHED.run(_three_tasks(), seed=42)
+        assert unpinned.digest() == pinned.digest()
+        assert unpinned.results == pinned.results
