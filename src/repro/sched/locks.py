@@ -148,15 +148,13 @@ class RWLock:
 
     @staticmethod
     def _task():
-        from repro.sched.reactor import SCHED
-
+        SCHED = _reactor.SCHED
         if not SCHED.enabled:
             return None
         return SCHED.current_task()
 
     def _acquire(self, task, mode: str) -> None:
-        from repro.sched.reactor import SCHED
-
+        SCHED = _reactor.SCHED
         # Record the order edge at the *attempt*, not the grant: a task
         # wedged forever on its second lock is exactly the acquisition
         # the cycle report must know about.
@@ -188,3 +186,7 @@ class RWLock:
             if self._writer_depth <= 0:
                 self._writer = None
                 self._writer_depth = 0
+
+
+# Bound once, after the classes: the reactor imports them from here.
+from repro.sched import reactor as _reactor  # noqa: E402
