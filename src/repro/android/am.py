@@ -22,7 +22,6 @@ from repro.android.zygote import Zygote
 from repro.kernel.binder import BinderDriver, Transaction
 from repro.kernel.proc import Process, ProcessTable, TaskContext
 from repro.obs import OBS as _OBS
-from repro.sched import SCHED as _SCHED
 
 # An app's entry point: receives (process, intent), returns a result that
 # is handed back to the invoker (startActivityForResult semantics).
@@ -175,18 +174,34 @@ class ActivityManagerService:
                 caller.pid, process.pid, str(caller.context), str(process.context)
             )
         self._in_flight.add(process.pid)
-        if self.obs.faults.enabled:
-            self.obs.faults.hit(
-                "am.delegate_bookkeeping",
-                target=target,
-                initiator=initiator,
-                pid=process.pid,
-            )
-        if _SCHED.enabled:
-            # The fork happened but the endpoint/guard bookkeeping has
-            # not: the classic in-flight window the orphan reaper (and
-            # the interleaving sweep) care about.
-            _SCHED.yield_point("am.bookkeeping", target=target)
+        self._delegate_bookkeeping(target, initiator, process)
+        self.invocation_log.append(f"{caller.context} -> {process.context}: {intent.action}")
+        handler = self.handler_for(target)
+        try:
+            result = handler(process, intent)
+        finally:
+            pass  # the process stays alive until killed or replaced
+        return Invocation(target=target, process=process, result=result)
+
+    # Forked but not yet registered: the in-flight window the orphan reaper
+    # and the interleaving sweep care about. Fault and yield differ in name.
+    @boundary(
+        "am.delegate_bookkeeping",
+        span=False,
+        fault=lambda self, target, initiator, process: {
+            "target": target, "initiator": initiator, "pid": process.pid
+        },
+    )
+    def _delegate_bookkeeping(
+        self, target: str, initiator: Optional[str], process: Process
+    ) -> None:
+        self._bookkeeping(target, process)
+
+    @boundary(
+        "am.bookkeeping", span=False, sched=lambda self, target, process: {"target": target}
+    )
+    def _bookkeeping(self, target: str, process: Process) -> None:
+        """Register the forked process's Binder endpoint and guard instance."""
         endpoint_name = f"app:{process.pid}"
         self._binder.register(
             endpoint_name, lambda txn: None, owner=target, is_system=False,
@@ -195,13 +210,6 @@ class ActivityManagerService:
         if self._guard is not None:
             self._guard.register_instance(endpoint_name, process.context)
         self._in_flight.discard(process.pid)
-        self.invocation_log.append(f"{caller.context} -> {process.context}: {intent.action}")
-        handler = self.handler_for(target)
-        try:
-            result = handler(process, intent)
-        finally:
-            pass  # the process stays alive until killed or replaced
-        return Invocation(target=target, process=process, result=result)
 
     def reap_orphans(self) -> List[int]:
         """Kill processes stranded mid-bookkeeping by a crash.

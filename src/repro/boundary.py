@@ -16,7 +16,8 @@ names a counter bumped on entry; ``done(self, span, result)`` records
 result-derived attributes and metrics (span is None when ``span=False``).
 ``lock`` also takes the method's parameters and returns the context
 manager (an ``RWLock`` mode, say) that the yield and the body run in
-while the scheduler is enabled.
+while the scheduler is enabled. Declaring ``fault`` registers ``name``
+in ``FAULT_POINTS``.
 
 Disarmed, a call costs the wrapper (generated with the method's own
 signature, so nothing is packed), one ``enabled`` check per declared
@@ -24,8 +25,9 @@ plane (``self.obs``, plus ``self.obs.faults``/``SCHED`` only when
 ``fault``/``sched``/``lock`` are declared), then the bare body; no hook
 runs and no lock is built. Armed, the order is span and count -> fault
 -> lock -> yield -> body -> ``done`` (obs only), so a fired fault closes
-an errored span before any lock is taken. Consults and yields between
-the steps of a multi-step mutation stay inline in the body.
+an errored span before any lock is taken. A multi-step mutation is
+split at its consult points into private step methods declared with
+``span=False`` (``AufsMount._publish``, ``VolatileFiles._apply``, ...).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import inspect
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Dict, List, Optional
 
+from repro.faults.plane import register_point
 from repro.sched import SCHED as _SCHED
 
 __all__ = ["boundary", "tag"]
@@ -88,6 +91,8 @@ def boundary(
                 _SCHED.yield_point(name, **sched(self, *args, **kwargs))
             return body(self, *args, **kwargs)
 
+        if fault is not None:
+            register_point(name, body.__qualname__)
         gates = (("{self}.obs.faults", fault), ("_b_SCHED", sched or lock))
         planes = [plane for plane, hook in gates if hook]
         return functools.update_wrapper(_forwarder(body, planes, armed), body)

@@ -46,7 +46,6 @@ from repro.minisql.engine import ResultSet, prepare
 from repro.minisql.parser import parse
 from repro.naming import initiator_key
 from repro.obs import OBS as _OBS
-from repro.sched import SCHED as _SCHED
 
 #: Primary keys allocated for delegate inserts start here (paper: "the
 #: delta table's primary key starts at a large number N").
@@ -90,6 +89,14 @@ def _commit_done(self, span, committed: bool) -> None:
 def _commit_batch_done(self, _span, committed: int) -> None:
     if committed:
         self.obs.metrics.count("cow.commits", committed)
+
+
+def _delta_commit_sched(self, name: str, initiator: str, _rows) -> dict:
+    return {"table": name, "resource": f"table:{name}", "rw": "w"}
+
+
+def _entry_table(self, entry: Dict[str, object]) -> dict:
+    return {"table": entry["tbl"]}
 
 
 def _discard_done(self, span, rows: int) -> None:
@@ -585,21 +592,22 @@ class CowProxy:
         selective commit, section 3.3). Returns False if no such record."""
         if not self.has_delta(name, initiator):
             return False
-        if self.obs.faults.enabled:
-            self.obs.faults.hit(
-                "cow.delta_commit",
-                table=name,
-                initiator=initiator,
-                row_id=row_id,
-            )
-        if _SCHED.enabled:
-            _SCHED.yield_point(
-                "cow.delta_commit", table=name, resource=f"table:{name}", rw="w"
-            )
+        return self._commit_row(name, initiator, row_id)
+
+    @boundary(
+        "cow.delta_commit",
+        span=False,
+        fault=lambda self, name, initiator, row_id: {
+            "table": name, "initiator": initiator, "row_id": row_id
+        },
+        sched=_delta_commit_sched,
+    )
+    def _commit_row(self, name: str, initiator: str, row_id: int) -> bool:
+        """Journal one sealed commit intent, then apply it."""
         entry = self._journal_commit_intent(name, initiator, row_id, sealed=1)
         if entry is None:
             return False
-        self._apply_commit_entries([entry])
+        self._apply_entry(entry)
         return True
 
     @boundary("cow.commit_batch", span=False, done=_commit_batch_done)
@@ -616,17 +624,18 @@ class CowProxy:
         """
         if not self.has_delta(name, initiator):
             return 0
-        if self.obs.faults.enabled:
-            self.obs.faults.hit(
-                "cow.delta_commit",
-                table=name,
-                initiator=initiator,
-                rows=len(row_ids),
-            )
-        if _SCHED.enabled:
-            _SCHED.yield_point(
-                "cow.delta_commit", table=name, resource=f"table:{name}", rw="w"
-            )
+        return self._commit_rows(name, initiator, row_ids)
+
+    @boundary(
+        "cow.delta_commit",
+        span=False,
+        fault=lambda self, name, initiator, row_ids: {
+            "table": name, "initiator": initiator, "rows": len(row_ids)
+        },
+        sched=_delta_commit_sched,
+    )
+    def _commit_rows(self, name: str, initiator: str, row_ids: Sequence[int]) -> int:
+        """Journal the rows unsealed, seal them in one statement, apply."""
         entries = []
         for row_id in row_ids:
             entry = self._journal_commit_intent(name, initiator, row_id, sealed=0)
@@ -639,7 +648,8 @@ class CowProxy:
             f"UPDATE {JOURNAL_TABLE} SET sealed = 1 WHERE jid IN ({jids})",
             [entry["jid"] for entry in entries],
         )
-        self._apply_commit_entries(entries)
+        for entry in entries:
+            self._apply_entry(entry)
         return len(entries)
 
     # -- journal plumbing ------------------------------------------------
@@ -723,33 +733,30 @@ class CowProxy:
             [record[c] for c in columns],
         )
 
-    def _apply_commit_entries(self, entries: List[Dict[str, object]]) -> None:
-        for entry in entries:
-            if self.obs.faults.enabled:
-                self.obs.faults.hit("cow.delta_commit.apply", table=entry["tbl"])
-            if _SCHED.enabled:
-                _SCHED.yield_point(
-                    "cow.delta_commit.apply",
-                    table=entry["tbl"],
-                    resource=f"table:{entry['tbl']}",
-                    rw="w",
-                )
-            self._apply_record(entry["tbl"], entry["record"])
-            if self.obs.prov and "delta" in entry:
-                # `recover()` replays from the journal payload alone (no
-                # delta keys), so only fresh commits carry lineage.
-                self.obs.provenance.row_commit(
-                    entry["tbl"],
-                    entry["record"][entry["pk"]],
-                    entry["delta"],
-                    entry["delta_pk"],
-                    entry["initiator"],
-                )
-            if self.obs.faults.enabled:
-                self.obs.faults.hit("cow.delta_commit.truncate", table=entry["tbl"])
-            self.db.execute(
-                f"DELETE FROM {JOURNAL_TABLE} WHERE jid = ?", [entry["jid"]]
+    @boundary(
+        "cow.delta_commit.apply",
+        span=False,
+        fault=_entry_table,
+        sched=lambda self, entry: {
+            "table": entry["tbl"], "resource": f"table:{entry['tbl']}", "rw": "w"
+        },
+    )
+    def _apply_entry(self, entry: Dict[str, object]) -> None:
+        """Apply one journaled intent to the primary table."""
+        self._apply_record(entry["tbl"], entry["record"])
+        if self.obs.prov and "delta" in entry:
+            # `recover()` replays from the journal payload alone (no
+            # delta keys), so only fresh commits carry lineage.
+            self.obs.provenance.row_commit(
+                entry["tbl"], entry["record"][entry["pk"]],
+                entry["delta"], entry["delta_pk"], entry["initiator"],
             )
+        self._truncate_entry(entry)
+
+    @boundary("cow.delta_commit.truncate", span=False, fault=_entry_table)
+    def _truncate_entry(self, entry: Dict[str, object]) -> None:
+        """Clear one applied intent from the journal."""
+        self.db.execute(f"DELETE FROM {JOURNAL_TABLE} WHERE jid = ?", [entry["jid"]])
 
     def recover(self) -> Tuple[int, int]:
         """Finish or undo commits interrupted by a crash.

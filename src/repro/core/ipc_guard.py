@@ -53,6 +53,7 @@ class IpcGuard:
     # ------------------------------------------------------------------
 
     def register_instance(self, endpoint_name: str, context: TaskContext) -> None:
+        # Inline, not @boundary: the planted race yields mid-rebuild.
         if self.racy_guard and _SCHED.enabled:
             # Racy variant: rebuild the whole registry instead of a
             # point update, with a yield inside the empty window.
@@ -79,6 +80,7 @@ class IpcGuard:
             return True
         if not sender.is_delegate:
             return True
+        # Inline, not @boundary: the planted race's check-then-act window.
         if self.racy_guard and _SCHED.enabled:
             _SCHED.yield_point(
                 "guard.decide", endpoint=endpoint.name, resource="guard-registry",

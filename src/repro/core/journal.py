@@ -21,11 +21,14 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.kernel import path as vpath
+from repro.faults.plane import register_point
 from repro.kernel.vfs import Filesystem, ROOT_CRED
 from repro.obs import OBS as _OBS
 
 JOURNAL_DIR = "/data/system/maxoid/journal"
 INTENT_SUFFIX = ".intent"
+
+TORN_ENTRY = register_point("vol.commit.journal", "CommitJournal.begin")
 
 
 @dataclass
@@ -94,9 +97,10 @@ class CommitJournal:
         self._seq += 1
         entry_path = vpath.join(self._dir, f"{self._seq:08d}{INTENT_SUFFIX}")
         text = json.dumps(entry).encode()
+        # Inline, not @boundary: a fault here must first leave a torn entry.
         if self._obs.faults.enabled:
             try:
-                self._obs.faults.hit("vol.commit.journal", path=entry_path)
+                self._obs.faults.hit(TORN_ENTRY, path=entry_path)
             except BaseException:
                 # The crash interrupted the entry write itself: leave a
                 # torn half-entry behind, which recovery must roll back.

@@ -28,7 +28,6 @@ from repro.kernel.proc import Process
 from repro.kernel.syscall import Syscalls
 from repro.core.branches import BranchManager
 from repro.core.journal import CommitJournal
-from repro.sched import SCHED as _SCHED
 
 EXT_TMP = vpath.join(EXTDIR, "tmp")
 
@@ -93,8 +92,8 @@ class VolatileFiles:
         """Copy a volatile file to its non-volatile name and return it.
 
         ``EXTDIR/tmp/<p>`` commits to ``EXTDIR/<p>``; a path under the
-        initiator's internal tmp commits into its internal dir. The
-        ``vol.commit*`` consults sit between the steps they guard.
+        initiator's internal tmp commits into its internal dir. Each
+        ``vol.commit*`` consult is declared on the step method it precedes.
         """
         if vpath.is_within(tmp_path, self.ext_tmp):
             rel = vpath.relative_to(tmp_path, self.ext_tmp)
@@ -104,22 +103,25 @@ class VolatileFiles:
             destination = vpath.join(DATA_ROOT, self._package or "", rel)
         else:
             raise FileNotFound(f"{tmp_path} is not a volatile path")
-        if self.obs.faults.enabled:
-            self.obs.faults.hit(
-                "vol.commit",
-                initiator=self._package,
-                path=tmp_path,
-            )
-        # No access annotation on the commit's own yields: they hold no
-        # lock, and the read_file/write_file below yield with the file's
-        # access under the ns and fs locks that actually guard it.
-        if _SCHED.enabled:
-            _SCHED.yield_point("vol.commit", path=tmp_path)
+        return self._journal_commit(tmp_path, destination)
+
+    # No access annotation on the commit's own yields: they hold no lock,
+    # and the read_file/write_file in the steps yield with the file's
+    # access under the ns and fs locks that actually guard it.
+    @boundary(
+        "vol.commit",
+        span=False,
+        fault=lambda self, tmp_path, destination: {
+            "initiator": self._package, "path": tmp_path
+        },
+        sched=lambda self, tmp_path, destination: {"path": tmp_path},
+    )
+    def _journal_commit(self, tmp_path: str, destination: str) -> str:
+        """Crash-atomic commit: journal the intent (payload included), then
+        apply, then truncate. After any crash, recovery either replays the
+        complete intent or rolls back a torn one — the destination is never
+        left half-written without a journal entry covering it."""
         data = self._sys.read_file(tmp_path)
-        # Crash-atomic commit: journal the intent (payload included), then
-        # apply, then truncate. After any crash, recovery either replays
-        # the complete intent or rolls back a torn one — the destination is
-        # never left half-written without a journal entry covering it.
         entry = None
         if self._journal is not None:
             entry = self._journal.begin(
@@ -130,14 +132,20 @@ class VolatileFiles:
                 uid=self._process.cred.uid,
                 gid=self._process.cred.gid,
             )
-        if self.obs.faults.enabled:
-            self.obs.faults.hit(
-                "vol.commit.apply",
-                initiator=self._package,
-                path=destination,
-            )
-        if _SCHED.enabled:
-            _SCHED.yield_point("vol.commit.apply", path=destination)
+        self._apply(tmp_path, destination, data)
+        self._truncate(destination, entry)
+        return destination
+
+    @boundary(
+        "vol.commit.apply",
+        span=False,
+        fault=lambda self, tmp_path, destination, data: {
+            "initiator": self._package, "path": destination
+        },
+        sched=lambda self, tmp_path, destination, data: {"path": destination},
+    )
+    def _apply(self, tmp_path: str, destination: str, data: bytes) -> None:
+        """Write the committed bytes to their non-volatile name."""
         self._sys.makedirs(vpath.parent(destination))
         self._sys.write_file(destination, data)
         if self.obs.prov:
@@ -145,17 +153,19 @@ class VolatileFiles:
             # explain() shows the commit edge even when the reading and
             # writing process taints have mixed other labels in.
             self.obs.provenance.commit_file(tmp_path, destination, self._package or "")
-        if self.obs.faults.enabled:
-            self.obs.faults.hit(
-                "vol.commit.truncate",
-                initiator=self._package,
-                path=destination,
-            )
-        if _SCHED.enabled:
-            _SCHED.yield_point("vol.commit.truncate", path=destination)
+
+    @boundary(
+        "vol.commit.truncate",
+        span=False,
+        fault=lambda self, destination, entry: {
+            "initiator": self._package, "path": destination
+        },
+        sched=lambda self, destination, entry: {"path": destination},
+    )
+    def _truncate(self, destination: str, entry: Optional[str]) -> None:
+        """Drop the applied commit's journal entry."""
         if entry is not None:
             self._journal.truncate(entry)
-        return destination
 
 
 class MaxoidSystemService:

@@ -3,19 +3,17 @@
 A *fault point* is a named place in a mutating hot path (``vfs.write``,
 ``aufs.copy_up``, ``cow.delta_commit``, ...). A kernel entry point
 declares its point with ``@boundary(..., fault=...)``
-(:mod:`repro.boundary`); a consult between the steps of a multi-step
-mutation gates inline, exactly like :mod:`repro.obs`::
-
-    if self.obs.faults.enabled:
-        self.obs.faults.hit("cow.delta_commit.apply", table=table)
-
-so the disabled path costs attribute loads and a branch and nothing
-else. Each device's :class:`~repro.obs.ObsContext` owns its own plane.
-When the plane is armed, every ``hit()`` consults the policies armed
-at that point (first one that fires wins) and either returns normally,
-raises a substituted error (e.g. :class:`~repro.errors.ReadOnlyFilesystem`),
-or raises :class:`SimulatedCrash` — the "power went out here" signal that
-no simulated component may catch.
+(:mod:`repro.boundary`), which registers it in :data:`FAULT_POINTS`; a
+consult between the steps of a multi-step mutation is a private step
+method declared the same way. The forwarder gates on ``enabled``,
+exactly like :mod:`repro.obs`, so the disabled path costs attribute
+loads and a branch and nothing else. Each device's
+:class:`~repro.obs.ObsContext` owns its own plane. When the plane is
+armed, every ``hit()`` consults the policies armed at that point (first
+one that fires wins) and either returns normally, raises a substituted
+error (e.g. :class:`~repro.errors.ReadOnlyFilesystem`), or raises
+:class:`SimulatedCrash` — the "power went out here" signal that no
+simulated component may catch.
 
 Everything the plane decides is recorded twice:
 
@@ -66,38 +64,17 @@ class UnknownFaultPoint(ValueError):
     """Arming a point that no instrumented call site declares."""
 
 
-#: Every declared fault point: name -> (layer, description). The layer is
-#: the span-taxonomy prefix (the text before the first dot), matching the
-#: :mod:`repro.obs` span names for the same operations.
+#: Every declared fault point: name -> the method that declares it. The
+#: layer is the span-taxonomy prefix (the text before the first dot); a
+#: sub-point (second dot) sits *between* the steps of a multi-step mutation.
+#: Filled by ``@boundary(fault=...)`` as :mod:`repro` is imported.
 FAULT_POINTS: Dict[str, str] = {}
 
 
-def register_point(name: str, description: str) -> str:
+def register_point(name: str, owner: str) -> str:
     """Declare a fault point (idempotent; call at module import time)."""
-    FAULT_POINTS[name] = description
+    FAULT_POINTS[name] = owner
     return name
-
-
-# The core mutating paths, one per instrumented layer. Sub-points (with a
-# second dot) sit *between* the steps of a multi-step mutation, so a crash
-# there exercises the crash-atomicity machinery of that path.
-register_point("vfs.write", "syscall-layer file write/append")
-register_point("aufs.copy_up", "union-fs copy-up, before any mutation")
-register_point("aufs.copy_up.publish", "between temp-file write and rename")
-register_point("mounts.resolve", "mount-namespace path resolution")
-register_point("binder.transact", "binder transaction dispatch")
-register_point("am.delegate_bookkeeping", "between delegate fork and registration")
-register_point("zygote.fork", "app-process creation")
-register_point("cow.delta_commit", "COW proxy delta-row commit, before journaling")
-register_point("cow.delta_commit.apply", "between journal write and primary apply")
-register_point("cow.delta_commit.truncate", "between primary apply and journal clear")
-register_point("vol.commit", "volatile file commit, before journaling")
-register_point("vol.commit.journal", "inside the journal-entry write (torn entry)")
-register_point("vol.commit.apply", "between journal write and destination write")
-register_point("vol.commit.truncate", "between destination write and journal clear")
-register_point("bt.send", "bluetooth egress, before the delegate guard")
-register_point("sms.send", "telephony SMS egress, before the delegate guard")
-register_point("dm.enqueue", "download-manager enqueue, before the provider insert")
 
 
 class FaultPolicy:

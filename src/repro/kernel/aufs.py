@@ -53,7 +53,6 @@ from repro.kernel.vfs import (
     ROOT_CRED,
     Stat,
 )
-from repro.sched import SCHED as _SCHED
 from repro.sched.locks import RWLock
 
 WHITEOUT_PREFIX = ".wh."
@@ -309,15 +308,7 @@ class AufsMount(FilesystemAPI):
         )
         branch.fs.write_file(staging, data, ROOT_CRED, mode=stat.mode | 0o600)
         branch.fs.chown(staging, cred.uid, gid=cred.gid)
-        if self.obs.faults.enabled:
-            self.obs.faults.hit(
-                "aufs.copy_up.publish",
-                mount=self.label,
-                path=union_path,
-            )
-        if _SCHED.enabled:
-            _SCHED.yield_point("aufs.copy_up.publish", path=union_path)
-        branch.fs.rename(staging, target, ROOT_CRED)
+        self._publish(branch, staging, target, union_path)
         if self.obs.prov:
             self.obs.provenance.copy_up(
                 stat.ino,
@@ -328,6 +319,19 @@ class AufsMount(FilesystemAPI):
         self.copy_up_count += 1
         self.copy_up_bytes += len(data)
         return len(data)
+
+    @boundary(
+        "aufs.copy_up.publish",
+        span=False,
+        fault=lambda self, branch, staging, target, union_path: {
+            "mount": self.label, "path": union_path
+        },
+        sched=lambda self, branch, staging, target, union_path: {"path": union_path},
+    )
+    def _publish(self, branch: Branch, staging: str, target: str, union_path: str) -> None:
+        """Rename a staged copy-up over its target: the copy-up's one
+        visible step."""
+        branch.fs.rename(staging, target, ROOT_CRED)
 
     def _copy_up_tree(self, union_path: str, cred: Credentials) -> None:
         """Recursively materialize a visible subtree in the writable branch."""

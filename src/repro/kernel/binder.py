@@ -221,21 +221,26 @@ class BinderDriver:
                 f"binder: {sender.context} may not transact with {endpoint.name}"
             )
         self.transaction_log.append(transaction)
-        if self.obs.enabled:
-            self.obs.metrics.count("binder.transactions")
-        if _SCHED.enabled:
-            # Delivery is a separate boundary from the policy check: the
-            # kernel may preempt between admission and handler dispatch.
-            _SCHED.yield_point("binder.deliver", target=target, code=code)
+        return self._deliver(sender, endpoint, transaction)
+
+    @boundary(
+        "binder.deliver",
+        span=False,
+        count="binder.transactions",
+        sched=lambda self, sender, endpoint, txn: {"target": endpoint.name, "code": txn.code},
+    )
+    def _deliver(self, sender: Process, endpoint: BinderEndpoint, txn: Transaction) -> Any:
+        """Run an admitted transaction's handler. Delivery yields apart from
+        the policy check: the kernel may preempt between the two."""
         if self.obs.prov:
             # Work the endpoint does on the sender's behalf (clipboard,
             # providers) must taint/stamp as the *sender*, not the service.
             self.obs.provenance.push_actor(str(sender.context), sender.pid)
             try:
-                return endpoint.handler(transaction)
+                return endpoint.handler(txn)
             finally:
                 self.obs.provenance.pop_actor()
-        return endpoint.handler(transaction)
+        return endpoint.handler(txn)
 
     def _live_endpoint(self, target: str) -> BinderEndpoint:
         """Resolve ``target``, failing closed on dead recipients.

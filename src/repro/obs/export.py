@@ -34,6 +34,7 @@ from repro.obs.trace import Span, SpanNode, build_trees
 
 __all__ = [
     "BASE_APP_UID",
+    "trace_metadata",
     "to_chrome_trace",
     "write_chrome_trace",
     "to_folded_stacks",
@@ -75,6 +76,22 @@ def _us(seconds: float) -> float:
 # ----------------------------------------------------------------------
 
 
+def trace_metadata(pids: Dict[str, int], tids: Dict[str, int]) -> List[Dict[str, Any]]:
+    """The trace-event metadata naming rows: one ``process_name`` per pid
+    and, under every pid, one ``thread_name`` per tid (``pids`` and
+    ``tids`` map each row's name to its number)."""
+    processes = sorted(pids.items(), key=lambda kv: kv[1])
+    threads = sorted(tids.items(), key=lambda kv: kv[1])
+    return [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0, "args": {"name": name}}
+        for name, pid in processes
+    ] + [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid, "args": {"name": name}}
+        for name, tid in threads
+        for _, pid in processes
+    ]
+
+
 def to_chrome_trace(spans_or_trees: Treeish) -> Dict[str, Any]:
     """Export spans (or prebuilt trees) as a Chrome trace-event document.
 
@@ -90,10 +107,6 @@ def to_chrome_trace(spans_or_trees: Treeish) -> Dict[str, Any]:
         for node, ctx in _walk_with_ctx(tree):
             span = node.span
             key = ctx or "(no ctx)"
-            if key not in pids:
-                pids[key] = BASE_APP_UID + len(pids)
-            if span.layer not in tids:
-                tids[span.layer] = 1 + len(tids)
             args = dict(span.attrs)
             args["status"] = span.status
             events.append(
@@ -103,36 +116,14 @@ def to_chrome_trace(spans_or_trees: Treeish) -> Dict[str, Any]:
                     "ph": "X",
                     "ts": _us(span.start - origin),
                     "dur": _us(span.end - span.start),
-                    "pid": pids[key],
-                    "tid": tids[span.layer],
+                    "pid": pids.setdefault(key, BASE_APP_UID + len(pids)),
+                    "tid": tids.setdefault(span.layer, 1 + len(tids)),
                     "args": args,
                 }
             )
     events.sort(key=lambda event: (event["ts"], -event["dur"]))
-    metadata: List[Dict[str, Any]] = []
-    for ctx, pid in sorted(pids.items(), key=lambda kv: kv[1]):
-        metadata.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": ctx},
-            }
-        )
-    for layer, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        for pid in sorted(pids.values()):
-            metadata.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": layer},
-                }
-            )
     return {
-        "traceEvents": metadata + events,
+        "traceEvents": trace_metadata(pids, tids) + events,
         "displayTimeUnit": "ms",
         "otherData": {"exporter": "repro.obs.export", "format": "maxoid-trace"},
     }

@@ -34,7 +34,7 @@ import json
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.export import BASE_APP_UID
+from repro.obs.export import BASE_APP_UID, trace_metadata
 from repro.obs.recorder import BlackBox, Event, FlightRecorder
 
 __all__ = [
@@ -126,10 +126,6 @@ def to_perfetto(events: Sequence[Event]) -> Dict[str, Any]:
     out: List[Dict[str, Any]] = []
     any_clock = any(event.vclock for event in events)
     for event in events:
-        if event.device_id not in pids:
-            pids[event.device_id] = BASE_APP_UID + len(pids)
-        if event.plane not in tids:
-            tids[event.plane] = 1 + len(tids)
         ts = event.vclock * 1000.0 if any_clock else float(event.seq)
         args = dict(event.attrs)
         args["detail"] = event.detail
@@ -141,33 +137,12 @@ def to_perfetto(events: Sequence[Event]) -> Dict[str, Any]:
                 "ph": "i",
                 "s": "t",
                 "ts": ts,
-                "pid": pids[event.device_id],
-                "tid": tids[event.plane],
+                "pid": pids.setdefault(event.device_id, BASE_APP_UID + len(pids)),
+                "tid": tids.setdefault(event.plane, 1 + len(tids)),
                 "args": args,
             }
         )
-    metadata: List[Dict[str, Any]] = []
-    for device_id, pid in sorted(pids.items(), key=lambda kv: kv[1]):
-        metadata.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "args": {"name": device_id},
-            }
-        )
-    for plane, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        for pid in pids.values():
-            metadata.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": plane},
-                }
-            )
-    return {"traceEvents": metadata + out, "displayTimeUnit": "ms"}
+    return {"traceEvents": trace_metadata(pids, tids) + out, "displayTimeUnit": "ms"}
 
 
 # ----------------------------------------------------------------------

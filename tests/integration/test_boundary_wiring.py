@@ -427,6 +427,9 @@ def test_phases_keep_shared_names_apart(run):
 
 def test_every_fault_point_and_yield_point_has_an_owner(run):
     owned = {need.point for b in WIRING for needs in b.needs.values() for need in needs}
-    assert set(FAULT_POINTS) <= owned, sorted(set(FAULT_POINTS) - owned)
+    consulted_points = {need.point for b in WIRING for need in b.needs.get("faults", ())}
+    assert set(FAULT_POINTS) == consulted_points, sorted(
+        set(FAULT_POINTS) ^ consulted_points
+    )
     yields = set().union(*(p.decisions for p in run.phases.values())) - {"start"}
     assert yields <= owned, sorted(yields - owned)

@@ -1,6 +1,7 @@
 """The ``@boundary`` primitive: disarmed cost, armed wiring and order."""
 
 import inspect
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,46 +33,6 @@ class _Recording(FaultPolicy):
         return None
 
 
-class Probe:
-    """A kernel-style object: an ``obs`` handle plus one boundary."""
-
-    def __init__(self):
-        self.obs = ObsContext(device_id="probe-dev")
-        self.calls = []
-
-    @boundary(
-        POINT,
-        attrs=lambda self, path, size=0: {"path": path},
-        count="probe.ops",
-        fault=lambda self, path, size=0: {"path": path},
-        sched=lambda self, path, size=0: {"resource": f"file:{path}", "rw": "w"},
-        done=lambda self, span, result: span.set(result=result),
-    )
-    def op(self, path, size=0):
-        self.calls.append(path)
-        if self.obs.enabled:
-            with self.obs.tracer.span("probe.body"):
-                pass
-        return size * 2
-
-
-class Disarmed:
-    def __init__(self):
-        self.obs = ObsContext(device_id="probe-dev")
-
-    @boundary(
-        POINT,
-        attrs=_explode,
-        count="probe.ops",
-        fault=_explode,
-        sched=_explode,
-        lock=_explode,
-        done=_explode,
-    )
-    def op(self, path, size=0):
-        return size * 2
-
-
 class Spanless:
     def __init__(self):
         self.obs = ObsContext(device_id="probe-dev")
@@ -87,17 +48,119 @@ class Spanless:
         return path.upper()
 
 
-@pytest.fixture(autouse=True)
-def probe_point(monkeypatch):
-    monkeypatch.setitem(FAULT_POINTS, POINT, "boundary primitive test point")
+def _declare() -> SimpleNamespace:
+    """The probe classes that declare ``fault=``, and so register ``POINT``."""
+
+    class Probe:
+        """A kernel-style object: an ``obs`` handle plus one boundary."""
+
+        def __init__(self):
+            self.obs = ObsContext(device_id="probe-dev")
+            self.calls = []
+
+        @boundary(
+            POINT,
+            attrs=lambda self, path, size=0: {"path": path},
+            count="probe.ops",
+            fault=lambda self, path, size=0: {"path": path},
+            sched=lambda self, path, size=0: {"resource": f"file:{path}", "rw": "w"},
+            done=lambda self, span, result: span.set(result=result),
+        )
+        def op(self, path, size=0):
+            self.calls.append(path)
+            if self.obs.enabled:
+                with self.obs.tracer.span("probe.body"):
+                    pass
+            return size * 2
 
 
-def test_decorated_method_is_a_plain_function_over_its_body():
-    assert inspect.isfunction(Probe.op)
-    assert Probe.op.__name__ == "op"
-    probe = Probe()
+    class Disarmed:
+        def __init__(self):
+            self.obs = ObsContext(device_id="probe-dev")
+
+        @boundary(
+            POINT,
+            attrs=_explode,
+            count="probe.ops",
+            fault=_explode,
+            sched=_explode,
+            lock=_explode,
+            done=_explode,
+        )
+        def op(self, path, size=0):
+            return size * 2
+
+
+    class Locked:
+        """Boundaries with a lock scope: one that yields in it, one that
+        only holds it around the body."""
+
+        def __init__(self):
+            self.obs = ObsContext(device_id="probe-dev")
+            self.rwlock = RWLock("probe")
+            self.holders = []
+
+        @boundary(
+            POINT,
+            fault=lambda self, path: {"path": path},
+            sched=lambda self, path: {},
+            lock=lambda self, path: self.rwlock.write(),
+        )
+        def op(self, path):
+            self.holders.append(self.rwlock.holders())
+            return path
+
+        @boundary(POINT, span=False, lock=lambda self, path: self.rwlock.read())
+        def peek(self, path):
+            self.holders.append(self.rwlock.holders())
+            return path
+
+    return SimpleNamespace(Probe=Probe, Disarmed=Disarmed, Locked=Locked)
+
+
+@pytest.fixture
+def probes():
+    """The fault-declaring probes, declared for one test: ``POINT`` is in
+    ``FAULT_POINTS`` only while it runs, so no other test sees it."""
+    assert POINT not in FAULT_POINTS
+    try:
+        yield _declare()
+    finally:
+        FAULT_POINTS.pop(POINT, None)
+
+
+def test_declaring_a_fault_registers_its_point():
+    point = "probe.declared"
+    assert point not in FAULT_POINTS
+    try:
+        class Declared:
+            def __init__(self):
+                self.obs = ObsContext(device_id="probe-dev")
+
+            @boundary(point, span=False, fault=lambda self: {})
+            def op(self):
+                return "ran"
+
+            @boundary("probe.yield_only", span=False, sched=lambda self: {})
+            def step(self):
+                return "stepped"
+
+        assert FAULT_POINTS[point] == Declared.op.__qualname__
+        assert "probe.yield_only" not in FAULT_POINTS
+        probe = Declared()
+        probe.obs.faults.arm(point, fail_nth(1))
+        with pytest.raises(InjectedFault):
+            probe.op()
+    finally:
+        FAULT_POINTS.pop(point, None)
+
+
+def test_decorated_method_is_a_plain_function_over_its_body(probes):
+    assert inspect.isfunction(probes.Probe.op)
+    assert probes.Probe.op.__name__ == "op"
+    probe = probes.Probe()
     with probe.obs.capture() as obs:
-        assert Probe.op.__wrapped__(probe, "/p", 2) == 4
+        assert probes.Probe.op.__wrapped__(probe, "/p", 2) == 4
         assert [span.name for span in obs.spans()] == ["probe.body"]
 
 
@@ -135,8 +198,8 @@ def test_variadic_bodies_are_rejected():
         boundary(POINT)(lambda self, *args: None)
 
 
-def test_disarmed_runs_no_hook_and_records_nothing():
-    probe = Disarmed()
+def test_disarmed_runs_no_hook_and_records_nothing(probes):
+    probe = probes.Disarmed()
     assert probe.op("/a", size=3) == 6
     assert probe.op("/b", 4) == 8
     assert probe.obs.spans() == []
@@ -144,8 +207,8 @@ def test_disarmed_runs_no_hook_and_records_nothing():
     assert probe.obs.faults.schedule == []
 
 
-def test_armed_span_count_done_and_fault_context():
-    probe = Probe()
+def test_armed_span_count_done_and_fault_context(probes):
+    probe = probes.Probe()
     policy = _Recording()
     probe.obs.faults.arm(POINT, policy)
     with probe.obs.capture() as obs:
@@ -162,8 +225,8 @@ def test_armed_span_count_done_and_fault_context():
     assert probe.obs.faults.schedule == [(1, POINT, "pass")]
 
 
-def test_faults_armed_obs_off_consults_without_span_hooks():
-    probe = Probe()
+def test_faults_armed_obs_off_consults_without_span_hooks(probes):
+    probe = probes.Probe()
     policy = _Recording()
     probe.obs.faults.arm(POINT, policy)
     assert probe.op("/y") == 0
@@ -182,12 +245,12 @@ def test_spanless_boundary_counts_without_a_span():
 
 
 @pytest.mark.recorder
-def test_order_is_span_then_fault_then_yield_then_body():
+def test_order_is_span_then_fault_then_yield_then_body(probes):
     """From the flight recorder: the fault consult and the scheduler's
     resumption at the boundary's yield point come first, in that order;
     the body's child span closes next, the boundary span last (spans are
     recorded as they close), so both consults ran inside the span."""
-    probe = Probe()
+    probe = probes.Probe()
     probe.obs.faults.arm(POINT, fail_nth(99))
     with probe.obs.capture() as obs:
         recorder = obs.recorder.arm()
@@ -206,8 +269,8 @@ def test_order_is_span_then_fault_then_yield_then_body():
 
 
 @pytest.mark.recorder
-def test_fired_fault_closes_an_errored_span_before_the_body():
-    probe = Probe()
+def test_fired_fault_closes_an_errored_span_before_the_body(probes):
+    probe = probes.Probe()
     probe.obs.faults.arm(POINT, fail_nth(1))
     with probe.obs.capture() as obs:
         recorder = obs.recorder.arm()
@@ -228,31 +291,6 @@ def test_fired_fault_closes_an_errored_span_before_the_body():
     assert probe.calls == []
 
 
-class Locked:
-    """Boundaries with a lock scope: one that yields in it, one that
-    only holds it around the body."""
-
-    def __init__(self):
-        self.obs = ObsContext(device_id="probe-dev")
-        self.rwlock = RWLock("probe")
-        self.holders = []
-
-    @boundary(
-        POINT,
-        fault=lambda self, path: {"path": path},
-        sched=lambda self, path: {},
-        lock=lambda self, path: self.rwlock.write(),
-    )
-    def op(self, path):
-        self.holders.append(self.rwlock.holders())
-        return path
-
-    @boundary(POINT, span=False, lock=lambda self, path: self.rwlock.read())
-    def peek(self, path):
-        self.holders.append(self.rwlock.holders())
-        return path
-
-
 def _recorded_run(probe, body):
     with probe.obs.capture() as obs:
         recorder = obs.recorder.arm()
@@ -264,8 +302,8 @@ def _recorded_run(probe, body):
 
 
 @pytest.mark.recorder
-def test_lock_is_taken_after_the_fault_and_held_at_the_yield_and_body():
-    probe = Locked()
+def test_lock_is_taken_after_the_fault_and_held_at_the_yield_and_body(probes):
+    probe = probes.Locked()
     probe.obs.faults.arm(POINT, fail_nth(99))
     events = _recorded_run(probe, lambda: probe.op("/l"))
     assert events == [
@@ -280,8 +318,8 @@ def test_lock_is_taken_after_the_fault_and_held_at_the_yield_and_body():
 
 
 @pytest.mark.recorder
-def test_lock_without_a_yield_holds_only_the_body():
-    probe = Locked()
+def test_lock_without_a_yield_holds_only_the_body(probes):
+    probe = probes.Locked()
     events = _recorded_run(probe, lambda: probe.peek("/l"))
     assert events == [
         ("sched", "decision", "task @ start"),
@@ -291,8 +329,8 @@ def test_lock_without_a_yield_holds_only_the_body():
 
 
 @pytest.mark.recorder
-def test_fired_fault_takes_no_lock():
-    probe = Locked()
+def test_fired_fault_takes_no_lock(probes):
+    probe = probes.Locked()
     probe.obs.faults.arm(POINT, fail_nth(1))
 
     def body():
