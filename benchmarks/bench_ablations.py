@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AndroidManifest, Device
+from benchmarks.conftest import make_device
 from repro.core.cow import CowProxy
 from repro.minisql import Database
 from repro.minisql.planner import (
@@ -27,20 +27,13 @@ from repro.minisql.planner import (
 from repro.workloads.generators import deterministic_bytes
 
 
-class _Nop:
-    def main(self, api, intent):
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Ablation 1: per-name COW vs full snapshot
 # ---------------------------------------------------------------------------
 
 
 def _device_with_delegates(file_count=64):
-    device = Device(maxoid_enabled=True)
-    device.install(AndroidManifest(package="com.abl.a"), _Nop())
-    device.install(AndroidManifest(package="com.abl.b"), _Nop())
+    device = make_device(True, "com.abl.a", "com.abl.b")
     a = device.spawn("com.abl.a")
     payload = deterministic_bytes(4096)
     for index in range(file_count):
@@ -161,10 +154,8 @@ def bench_taint_spread_stock_android(benchmark):
     after a plausible sharing cascade on stock Android."""
 
     def cascade():
-        device = Device(maxoid_enabled=False)
         packages = [f"com.taint.app{i}" for i in range(10)]
-        for package in packages:
-            device.install(AndroidManifest(package=package), _Nop())
+        device = make_device(False, *packages)
         # App 0 writes a tainted file publicly (the Adobe-copies-attachment
         # behaviour); every later app reads something public and re-writes.
         first = device.spawn(packages[0])
@@ -187,10 +178,8 @@ def bench_taint_spread_maxoid(benchmark):
     """Under Maxoid the tainted writes stay in Vol(A): zero spread."""
 
     def cascade():
-        device = Device(maxoid_enabled=True)
         packages = [f"com.taint.app{i}" for i in range(10)]
-        for package in packages:
-            device.install(AndroidManifest(package=package), _Nop())
+        device = make_device(True, *packages)
         initiator = packages[0]
         first = device.spawn(initiator)
         first.write_internal("secret.bin", b"TAINT")

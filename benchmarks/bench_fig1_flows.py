@@ -3,42 +3,51 @@
 The figure shows which read/write arrows exist between A, B^A and the
 Priv/Pub/Vol states. The benchmark executes the full flow matrix (11
 attempted flows) on a fresh device and asserts every arrow matches the
-figure — present arrows succeed, absent arrows are blocked.
+figure — present arrows succeed, absent arrows are blocked. :func:`render`
+prints the matrix with a verdict per arrow.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import AndroidManifest, Device
+from benchmarks.conftest import make_device
 from repro.core.audit import figure1_flow_matrix
+from repro.workloads.reports import render_table
 
 A = "com.fig1.initiator"
 B = "com.fig1.delegate"
 
 
-class _Nop:
-    def main(self, api, intent):
-        return None
+def flow_device(maxoid: bool):
+    device = make_device(maxoid, A, B)
+    device.network.add_host("example.com")
+    return device
+
+
+def flow_matrix():
+    return figure1_flow_matrix(flow_device(True), A, B)
+
+
+def render() -> str:
+    rows = [
+        [c.description, "yes" if c.expected else "no", "yes" if c.observed else "no",
+         "OK" if c.ok else "MISMATCH"]
+        for c in flow_matrix()
+    ]
+    return render_table(
+        ["Flow", "Figure 1 allows", "Observed", "Verdict"],
+        rows,
+        title="Figure 1 — information-flow matrix",
+    )
 
 
 @pytest.mark.benchmark(group="fig1-flow-matrix")
 def bench_flow_matrix(benchmark):
-    def run():
-        device = Device(maxoid_enabled=True)
-        device.install(AndroidManifest(package=A), _Nop())
-        device.install(AndroidManifest(package=B), _Nop())
-        device.network.add_host("example.com")
-        return figure1_flow_matrix(device, A, B)
-
-    checks = benchmark(run)
+    checks = benchmark(flow_matrix)
     assert len(checks) == 11
     failures = [c for c in checks if not c.ok]
     assert not failures, failures
-    print("\nFigure 1 flow matrix:")
-    for check in checks:
-        arrow = "allowed" if check.observed else "blocked"
-        print(f"  {check.description}: {arrow} (matches figure: {check.ok})")
 
 
 @pytest.mark.benchmark(group="fig1-flow-matrix")
@@ -48,10 +57,7 @@ def bench_flow_matrix_stock_android(benchmark):
     stock, so instances run unconfined.)"""
 
     def run():
-        device = Device(maxoid_enabled=False)
-        device.install(AndroidManifest(package=A), _Nop())
-        device.install(AndroidManifest(package=B), _Nop())
-        device.network.add_host("example.com")
+        device = flow_device(False)
         a = device.spawn(A)
         b = device.spawn(B)  # "B^A" does not exist on stock; B is unconfined
         a.write_external("fig1/doc.txt", b"shared secret")

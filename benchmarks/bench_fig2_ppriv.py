@@ -9,23 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AndroidManifest, Device
+from benchmarks.conftest import make_device
 
 A = "com.fig2.initA"
 B = "com.fig2.viewer"
 C = "com.fig2.initC"
-
-
-class _Nop:
-    def main(self, api, intent):
-        return None
-
-
-def fresh_device():
-    device = Device(maxoid_enabled=True)
-    for package in (A, B, C):
-        device.install(AndroidManifest(package=package), _Nop())
-    return device
 
 
 def ppriv_names(api):
@@ -46,7 +34,7 @@ def ppriv_add(api, name):
 @pytest.mark.benchmark(group="fig2-lifecycle")
 def bench_figure2_timeline(benchmark):
     def run():
-        device = fresh_device()
+        device = make_device(True, A, B, C)
         # v1 of Priv(B).
         device.spawn(B).prefs.put("version", "v1")
         # B^A: fork, delegate edits, pPriv entry.
@@ -74,7 +62,7 @@ def bench_figure2_timeline(benchmark):
 def bench_delegate_fork_with_divergence_check(benchmark):
     """The per-invocation cost of the section 3.2 machinery alone: version
     stamp + conditional discard + namespace build."""
-    device = fresh_device()
+    device = make_device(True, A, B, C)
     device.spawn(B).prefs.put("seed", "x")
 
     def spawn_delegate():

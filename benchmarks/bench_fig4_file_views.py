@@ -13,26 +13,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AndroidManifest, Device, MaxoidManifest
+from benchmarks.conftest import make_device
+from repro import AndroidManifest, MaxoidManifest
 
 A = "com.fig4.a"
 B = "com.fig4.b"
 X = "com.fig4.x"
 
 
-class _Nop:
-    def main(self, api, intent):
-        return None
-
-
 def build_scenario():
-    device = Device(maxoid_enabled=True)
-    device.install(
-        AndroidManifest(package=A, maxoid=MaxoidManifest(private_ext_dirs=["data/A"])),
-        _Nop(),
+    device = make_device(
+        True, AndroidManifest(package=A, maxoid=MaxoidManifest(private_ext_dirs=["data/A"])), B, X
     )
-    device.install(AndroidManifest(package=B), _Nop())
-    device.install(AndroidManifest(package=X), _Nop())
     a = device.spawn(A)
     a.write_external("a.txt", b"public file a")          # Pub(all)
     a.write_external("data/A/b.txt", b"private file b")  # Priv(A)

@@ -12,22 +12,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AndroidManifest, Device
+from benchmarks.conftest import make_device
 from repro.apps.fleet import NETWORK_DEPENDENT, run_fleet_as_delegates
 
 INITIATOR = "com.census.initiator"
 
 
-class _Nop:
-    def main(self, api, intent):
-        return None
-
-
 @pytest.mark.benchmark(group="study77-census")
 def bench_compatibility_census(benchmark):
     def census():
-        device = Device(maxoid_enabled=True)
-        device.install(AndroidManifest(package=INITIATOR), _Nop())
+        device = make_device(True, INITIATOR)
         owner = device.spawn(INITIATOR)
         path = owner.write_internal("docs/target.pdf", b"census payload")
         return run_fleet_as_delegates(device, INITIATOR, path)
@@ -44,8 +38,7 @@ def bench_census_with_trusted_cloud(benchmark):
     """With the trusted-cloud extension, the three networked apps work too."""
 
     def census():
-        device = Device(maxoid_enabled=True)
-        device.install(AndroidManifest(package=INITIATOR), _Nop())
+        device = make_device(True, INITIATOR)
         owner = device.spawn(INITIATOR)
         path = owner.write_internal("docs/target.pdf", b"census payload")
         cloud = device.network.enable_trusted_cloud()

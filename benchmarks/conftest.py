@@ -1,4 +1,4 @@
-"""Shared benchmark fixtures.
+"""Shared benchmark fixtures and the one device helper every bench uses.
 
 Every benchmark compares up to three configurations, matching the paper's
 evaluation:
@@ -11,8 +11,10 @@ evaluation:
 
 Run with ``pytest benchmarks/ --benchmark-only``; the pytest-benchmark
 table then shows the three configurations side by side per operation, the
-shape the paper's Tables 3-5 report. ``benchmarks/report_tables.py``
-renders the same data as paper-style tables for EXPERIMENTS.md.
+shape the paper's Tables 3-5 report. Each ``bench_table*.py`` /
+``bench_fig1_flows.py`` module is the one definition of its table: its
+``render`` times the same ops with :func:`repro.workloads.harness.measure`,
+and ``benchmarks/report_tables.py`` joins those sections for EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -64,42 +66,38 @@ def pytest_addoption(parser):
     )
 
 
+BENCH_APP = "com.bench.app"
+BENCH_INITIATOR = "com.bench.initiator"
+CONFIGS = ("android", "initiator", "delegate")
+
+
 class _NopApp:
     def main(self, api, intent):
         return None
 
 
-BENCH_APP = "com.bench.app"
-BENCH_INITIATOR = "com.bench.initiator"
-
-
-def make_device(maxoid: bool) -> Device:
+def make_device(maxoid: bool, *packages) -> Device:
+    """A device with a do-nothing app installed for each package, given by
+    name or as an :class:`AndroidManifest`; by default the measured app and
+    its initiator."""
     device = Device(maxoid_enabled=maxoid)
-    device.install(AndroidManifest(package=BENCH_APP), _NopApp())
-    device.install(AndroidManifest(package=BENCH_INITIATOR), _NopApp())
+    for package in packages or (BENCH_APP, BENCH_INITIATOR):
+        if isinstance(package, str):
+            package = AndroidManifest(package=package)
+        device.install(package, _NopApp())
     return device
 
 
-def spawn_for(device: Device, config: str):
-    """An AppApi for the measured app under the given configuration."""
+def spawn_for(device: Device, config: str, package: str = BENCH_APP):
+    """An AppApi for ``package`` under the given configuration."""
     if config == "delegate":
-        return device.spawn(BENCH_APP, initiator=BENCH_INITIATOR)
-    return device.spawn(BENCH_APP)
+        return device.spawn(package, initiator=BENCH_INITIATOR)
+    return device.spawn(package)
 
 
-@pytest.fixture(params=["android", "initiator", "delegate"])
+@pytest.fixture(params=CONFIGS)
 def config(request):
     return request.param
-
-
-@pytest.fixture
-def bench_device(config):
-    return make_device(maxoid=config != "android")
-
-
-@pytest.fixture
-def bench_api(bench_device, config):
-    return spawn_for(bench_device, config)
 
 
 @pytest.fixture

@@ -177,10 +177,7 @@ class ActivityManagerService:
         self._delegate_bookkeeping(target, initiator, process)
         self.invocation_log.append(f"{caller.context} -> {process.context}: {intent.action}")
         handler = self.handler_for(target)
-        try:
-            result = handler(process, intent)
-        finally:
-            pass  # the process stays alive until killed or replaced
+        result = handler(process, intent)
         return Invocation(target=target, process=process, result=result)
 
     # Forked but not yet registered: the in-flight window the orphan reaper

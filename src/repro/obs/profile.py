@@ -22,8 +22,8 @@ Two pieces, both built on data the tracer already records:
 
 Self time is :attr:`~repro.obs.trace.SpanNode.self_ms` (a span's
 duration minus its direct children's, clamped at zero), so layer totals
-sum to the root's duration up to clock granularity — the same accounting
-as :func:`repro.obs.report.layer_self_times`, restricted to one tree.
+sum to the root's duration up to clock granularity; the per-layer fold
+is :func:`repro.obs.report.tree_self_times` over the one tree.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from repro.obs.metrics import DEFAULT_MS_BUCKETS, Metrics, MetricsSnapshot
+from repro.obs.report import tree_self_times
 from repro.obs.trace import Span, SpanNode
 
 __all__ = [
@@ -168,10 +169,6 @@ class CriticalPathReport:
 
 def critical_path(tree: SpanNode) -> CriticalPathReport:
     """Analyze one trace tree: layer attribution plus the hot chain."""
-    by_layer: Dict[str, float] = {}
-    for node in tree.walk():
-        layer = node.span.layer
-        by_layer[layer] = by_layer.get(layer, 0.0) + node.self_ms
     steps: List[CriticalPathStep] = []
     node = tree
     while True:
@@ -190,7 +187,7 @@ def critical_path(tree: SpanNode) -> CriticalPathReport:
         root=tree.span.name,
         total_ms=tree.span.duration_ms,
         steps=steps,
-        by_layer=by_layer,
+        by_layer=tree_self_times([tree]),
     )
 
 

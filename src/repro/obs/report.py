@@ -20,6 +20,7 @@ from repro.obs.trace import Span, SpanNode, build_trees
 
 __all__ = [
     "layer_self_times",
+    "tree_self_times",
     "span_time",
     "breakdown",
     "format_breakdown",
@@ -29,8 +30,13 @@ __all__ = [
 
 def layer_self_times(spans: Iterable[Span]) -> Dict[str, float]:
     """Self time (ms) attributed to each taxonomy layer across ``spans``."""
+    return tree_self_times(build_trees(list(spans)))
+
+
+def tree_self_times(roots: Iterable[SpanNode]) -> Dict[str, float]:
+    """Self time (ms) per taxonomy layer over already-built span trees."""
     totals: Dict[str, float] = {}
-    for root in build_trees(list(spans)):
+    for root in roots:
         for node in root.walk():
             layer = node.span.layer
             totals[layer] = totals.get(layer, 0.0) + node.self_ms
