@@ -19,6 +19,9 @@ and ``benchmarks/report_tables.py`` joins those sections for EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import json
 import os
 import re
 
@@ -79,7 +82,13 @@ class _NopApp:
 def make_device(maxoid: bool, *packages) -> Device:
     """A device with a do-nothing app installed for each package, given by
     name or as an :class:`AndroidManifest`; by default the measured app and
-    its initiator."""
+    its initiator.
+
+    A device is a reference cycle, so a finished setup's device (and its
+    files: 256 MB in Table 3's 1 MB setups) would otherwise stay alive
+    until the cyclic GC happens to run; collecting first frees it before
+    the next one is built."""
+    gc.collect()
     device = Device(maxoid_enabled=maxoid)
     for package in packages or (BENCH_APP, BENCH_INITIATOR):
         if isinstance(package, str):
@@ -106,20 +115,30 @@ def obs_capture(request):
 
     Yields the enabled :data:`repro.obs.OBS` instance; the benchmark body
     runs traced, and at teardown a per-layer self-time breakdown is printed
-    (visible with ``-s``). With ``--obs-jsonl DIR`` the finished spans are
-    also dumped to ``DIR/<test>.jsonl`` for offline analysis; with
+    (visible with ``-s``). With ``--obs-jsonl DIR`` a ``span_tap``
+    subscriber also writes each finished span as one JSON line to
+    ``DIR/<test>.jsonl`` for offline analysis; with
     ``--obs-prom DIR`` the metrics registry is dumped to ``DIR/<test>.prom``
     in the Prometheus text format.
     """
     stem = re.sub(r"[^\w.-]+", "_", request.node.nodeid)
     out_dir = request.config.getoption("--obs-jsonl")
-    jsonl_path = None
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        jsonl_path = os.path.join(out_dir, f"{stem}.jsonl")
     prom_dir = request.config.getoption("--obs-prom")
     perfetto_dir = request.config.getoption("--obs-perfetto")
-    with OBS.capture(jsonl_path=jsonl_path, profile=bool(perfetto_dir)) as obs:
+    with contextlib.ExitStack() as stack:
+        jsonl = None
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+            jsonl = stack.enter_context(
+                open(os.path.join(out_dir, f"{stem}.jsonl"), "a", encoding="utf-8")
+            )
+        # Entered after the file, so capture() drops the writer before
+        # the file closes.
+        obs = stack.enter_context(OBS.capture(profile=bool(perfetto_dir)))
+        if jsonl is not None:
+            obs.tracer.span_tap.add(
+                lambda span: jsonl.write(json.dumps(span.to_dict(), default=str) + "\n")
+            )
         yield obs
         if prom_dir:
             os.makedirs(prom_dir, exist_ok=True)

@@ -291,10 +291,7 @@ class CowProxy:
         self._materialized.add(key)
         self.stats.delta_tables_created += 1
         self.stats.cow_views_created += 1
-        if self.obs.enabled:
-            self.obs.metrics.count("cow.delta_tables_created")
-            self.obs.metrics.count("cow.views_created")
-            self.obs.tracer.event("cow.materialize", table=table, initiator=initiator)
+        self.obs.tracer.event("cow.materialize", table=table, initiator=initiator)
         return cow_view
 
     def _ensure_view_cow(self, view: str, initiator: str) -> str:

@@ -65,13 +65,13 @@ class RecoveryReport:
     copyup_temps_removed: List[str] = field(default_factory=list)
     orphans_reaped: List[int] = field(default_factory=list)
     namespaces_rebuilt: int = 0
-    sweep_violations: List[str] = field(default_factory=list)
-    sweep_spans_checked: int = 0
+    validation_violations: List[str] = field(default_factory=list)
+    validation_spans_checked: int = 0
 
     @property
     def clean(self) -> bool:
         """True when validation found no security-goal violation."""
-        return not self.sweep_violations
+        return not self.validation_violations
 
 
 class Device:
@@ -284,7 +284,6 @@ class Device:
         self,
         capacity: int = 4096,
         halt_at: Optional[int] = None,
-        autoseal: bool = True,
     ):
         """Arm this device's flight recorder with its audit log tapped.
 
@@ -295,7 +294,6 @@ class Device:
             capacity=capacity,
             audit_log=self.audit_log,
             halt_at=halt_at,
-            autoseal=autoseal,
         )
 
     # ------------------------------------------------------------------
@@ -374,14 +372,14 @@ class Device:
             )
         # 6. Re-validate the security goals over a traced probe workload.
         if validate:
-            report.sweep_violations, report.sweep_spans_checked = (
+            report.validation_violations, report.validation_spans_checked = (
                 self._validation_sweep()
             )
             self.audit_log.record(
                 "recovery",
                 "validation sweep",
-                violations=len(report.sweep_violations),
-                spans=report.sweep_spans_checked,
+                violations=len(report.validation_violations),
+                spans=report.validation_spans_checked,
             )
         # 7. Seal the black box: everything the recorder saw up to and
         # through the crash plus what recovery did about it.
@@ -395,7 +393,7 @@ class Device:
                     "cow_rows_rolled_back": report.cow_rows_rolled_back,
                     "orphans_reaped": len(report.orphans_reaped),
                     "namespaces_rebuilt": report.namespaces_rebuilt,
-                    "sweep_violations": len(report.sweep_violations),
+                    "validation_violations": len(report.validation_violations),
                 },
             )
         return report
@@ -425,7 +423,7 @@ class Device:
         holding an open capture of their own on the same context.
         """
         packages = [p.manifest.package for p in self.packages.all_packages()]
-        with self.obs.capture(ring_capacity=32768, prov=True) as obs:
+        with self.obs.capture(prov=True) as obs:
             monitor = SecurityMonitor(
                 obs.tracer,
                 packages,

@@ -209,12 +209,8 @@ class AufsMount(FilesystemAPI):
 
         Returns ``(branch_index, stat)`` or raises :class:`FileNotFound`.
         """
-        if self.obs.enabled:
-            self.obs.metrics.count("aufs.lookup")
         for index, branch in enumerate(self.branches):
             self.lookup_branches_scanned += 1
-            if self.obs.enabled:
-                self.obs.metrics.count("aufs.lookup.branches_scanned")
             node = branch.fs.probe(branch.path(union_path))
             if node is None:
                 continue

@@ -215,8 +215,6 @@ class BinderDriver:
         )
         if self._policy is not None and not self._policy(sender.context, endpoint):
             self.denied_log.append(transaction)
-            if self.obs.enabled:
-                self.obs.metrics.count("binder.denied")
             raise IpcDenied(
                 f"binder: {sender.context} may not transact with {endpoint.name}"
             )

@@ -41,8 +41,11 @@ Span taxonomy (the prefix is the layer):
 
 Every span is stamped with its context's ``device_id`` (and carries its
 ``trace_id``), so interleaved multi-device span streams separate cleanly.
-An enabled context records every span it opens, so a subscribed
-:class:`~repro.obs.monitor.SecurityMonitor` checks the whole run.
+An enabled context records every span it opens, stamped at open with
+the ``ctx`` it acts for (its own, or its parent's), into one ring and
+one fan-out (``tracer.span_tap``); a subscribed
+:class:`~repro.obs.monitor.SecurityMonitor` checks the whole run as it
+closes.
 
 Provenance tracking (:mod:`repro.obs.provenance`) sits behind a per-
 context ``prov`` sub-switch layered on top of ``enabled``; performance
@@ -62,7 +65,7 @@ Typical use::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.faults.plane import FaultPlane
 
@@ -70,13 +73,11 @@ from repro.obs.metrics import (
     DEFAULT_BYTE_BUCKETS,
     DEFAULT_MS_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     HistogramSnapshot,
     MetricError,
     Metrics,
     MetricsSnapshot,
-    diff,
     render_prometheus,
 )
 from repro.obs.report import (
@@ -109,12 +110,8 @@ from repro.obs.sweep import (
     evaluate_span,
     parse_delegate_ctx,
     priv_owner,
-    spans_with_inherited_ctx,
-    sweep,
-    sweep_violations,
 )
 from repro.obs.trace import (
-    JsonlSink,
     RingBufferSink,
     Span,
     SpanNode,
@@ -123,10 +120,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "sweep",
-    "sweep_violations",
     "evaluate_span",
-    "spans_with_inherited_ctx",
     "parse_delegate_ctx",
     "priv_owner",
     "Violation",
@@ -155,16 +149,13 @@ __all__ = [
     "Span",
     "SpanNode",
     "RingBufferSink",
-    "JsonlSink",
     "build_trees",
     "Metrics",
     "MetricsSnapshot",
     "MetricError",
     "Counter",
-    "Gauge",
     "Histogram",
     "HistogramSnapshot",
-    "diff",
     "render_prometheus",
     "layer_self_times",
     "span_time",
@@ -199,25 +190,13 @@ class ObsContext:
         #: disarmed recorder holds no tap subscriptions, so it adds
         #: nothing to any hot path until ``recorder.arm()``.
         self.recorder = FlightRecorder(self)
-        self._jsonl_path: Optional[str] = None
         self._ring_capacity = 8192
 
-    def enable(
-        self,
-        jsonl_path: Optional[str] = None,
-        ring_capacity: int = 8192,
-    ) -> None:
+    def enable(self, ring_capacity: int = 8192) -> None:
         """Turn instrumentation on (idempotent)."""
-        self.tracer.enable(jsonl_path=jsonl_path, capacity=ring_capacity)
+        self.tracer.enable(capacity=ring_capacity)
         self.enabled = True
-        self._jsonl_path = jsonl_path
         self._ring_capacity = ring_capacity
-
-    def enable_prov(self) -> None:
-        """Arm provenance tracking (implies :meth:`enable` if needed)."""
-        if not self.enabled:
-            self.enable()
-        self.prov = True
 
     def enable_profile(self) -> None:
         """Arm latency profiling (implies :meth:`enable` if needed)."""
@@ -232,7 +211,7 @@ class ObsContext:
         self.tracer.span_tap.remove(self.profiler.on_span)
 
     def disable(self) -> None:
-        """Turn instrumentation off; closes any JSONL sink."""
+        """Turn instrumentation off."""
         self.disable_profile()
         self.tracer.disable()
         self.enabled = False
@@ -247,7 +226,6 @@ class ObsContext:
     @contextmanager
     def capture(
         self,
-        jsonl_path: Optional[str] = None,
         ring_capacity: int = 8192,
         prov: bool = False,
         profile: bool = False,
@@ -255,9 +233,9 @@ class ObsContext:
         """Enable from a clean slate for the duration of a ``with`` block.
 
         Restores the previous configuration afterwards — including a
-        JSONL sink path or custom ring capacity the context was enabled
-        with before — so tests and benchmarks can nest captures without
-        leaking or clobbering shared state. ``prov=True`` additionally
+        custom ring capacity the context was enabled with before — so
+        tests and benchmarks can nest captures without leaking or
+        clobbering shared state. ``prov=True`` additionally
         arms the provenance ledger for the block; ``profile=True`` arms
         the per-span latency histograms.
 
@@ -274,13 +252,12 @@ class ObsContext:
         was_enabled = self.enabled
         was_prov = self.prov
         was_profile = self.profile
-        prior_jsonl = self._jsonl_path
         prior_capacity = self._ring_capacity
         prior_subscribers = list(self.tracer.span_tap)
         was_recording = self.recorder.armed
         prior_arm = self.recorder.arm_config if was_recording else None
         self.reset()
-        self.enable(jsonl_path=jsonl_path, ring_capacity=ring_capacity)
+        self.enable(ring_capacity=ring_capacity)
         self.prov = prov
         if profile:
             self.enable_profile()
@@ -305,7 +282,7 @@ class ObsContext:
             ]
             self.provenance.clear_actors()
             if was_enabled:
-                self.enable(jsonl_path=prior_jsonl, ring_capacity=prior_capacity)
+                self.enable(ring_capacity=prior_capacity)
                 self.prov = was_prov
                 if was_profile:
                     self.enable_profile()

@@ -5,7 +5,7 @@ and end per span, parent links, attrs); this module only reshapes. The
 mapping for the Chrome trace-event format follows the Maxoid taxonomy:
 
 - **pid** — one synthetic app uid per security context (the span's
-  ``ctx`` attr, inherited from the nearest ancestor that has one).
+  ``ctx`` attr, which the tracer stamps on every span as it opens).
   Android app uids start at 10000, so contexts are numbered from there;
   a process-name metadata event labels each pid with the context string
   (``com.adobe.reader^com.android.email``).
@@ -54,14 +54,6 @@ def _as_trees(spans_or_trees: Treeish) -> List[SpanNode]:
     return build_trees(items)
 
 
-def _walk_with_ctx(tree: SpanNode, inherited: str = ""):
-    """Yield ``(node, ctx)`` pairs, inheriting ``ctx`` from ancestors."""
-    ctx = str(tree.span.attrs.get("ctx") or inherited)
-    yield tree, ctx
-    for child in tree.children:
-        yield from _walk_with_ctx(child, ctx)
-
-
 def _origin(trees: Sequence[SpanNode]) -> float:
     starts = [node.span.start for tree in trees for node in tree.walk()]
     return min(starts) if starts else 0.0
@@ -104,9 +96,9 @@ def to_chrome_trace(spans_or_trees: Treeish) -> Dict[str, Any]:
     tids: Dict[str, int] = {}
     events: List[Dict[str, Any]] = []
     for tree in trees:
-        for node, ctx in _walk_with_ctx(tree):
+        for node in tree.walk():
             span = node.span
-            key = ctx or "(no ctx)"
+            key = str(span.attrs.get("ctx") or "(no ctx)")
             args = dict(span.attrs)
             args["status"] = span.status
             events.append(

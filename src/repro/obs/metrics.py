@@ -1,13 +1,12 @@
-"""The metrics registry: counters, gauges, histograms, snapshot/diff.
+"""The metrics registry: counters, histograms, snapshot algebra.
 
 Counters are monotone (Anception-style per-operation accounting at the
-virtualization boundary), gauges are point-in-time values, histograms
-bucket observations against fixed boundaries chosen at registration.
+virtualization boundary); histograms bucket observations against fixed
+boundaries chosen at registration.
 
-``snapshot()`` freezes the whole registry; ``diff(a, b)`` returns the
-elementwise delta ``b - a`` as another snapshot, and snapshots form a
-group under ``+``/``-`` so that ``diff(a, b) + diff(b, c) == diff(a, c)``
-— the property the benchmark breakdowns rely on when they subtract a
+``snapshot()`` freezes the whole registry; snapshots form a group under
+``+``/``-``, so ``b - a`` is the elementwise delta between two of them
+and ``(b - a) + (c - b) == c - a`` — the property the benchmark breakdowns rely on when they subtract a
 warm-up window from a measurement window.
 """
 
@@ -22,12 +21,10 @@ from repro.errors import ReproError
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "HistogramSnapshot",
     "Metrics",
     "MetricsSnapshot",
-    "diff",
     "render_prometheus",
     "DEFAULT_MS_BUCKETS",
     "DEFAULT_BYTE_BUCKETS",
@@ -61,25 +58,6 @@ class Counter:
         if n < 0:
             raise MetricError(f"counter {self.name}: increment must be >= 0, got {n}")
         self.value += n
-
-
-class Gauge:
-    """A value that can move in both directions."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, n: float = 1.0) -> None:
-        self.value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        self.value -= n
 
 
 class Histogram:
@@ -191,21 +169,17 @@ class MetricsSnapshot:
     """
 
     counters: Dict[str, int] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, HistogramSnapshot] = field(default_factory=dict)
 
     def _combine(self, other: "MetricsSnapshot", sign: int) -> "MetricsSnapshot":
         counters = dict(self.counters)
         for name, value in other.counters.items():
             counters[name] = counters.get(name, 0) + sign * value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = gauges.get(name, 0.0) + sign * value
         histograms = dict(self.histograms)
         for name, hist in other.histograms.items():
             base = histograms.get(name, _empty_hist(hist.boundaries))
             histograms[name] = base._combine(hist, sign)
-        return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
+        return MetricsSnapshot(counters=counters, histograms=histograms)
 
     def __add__(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         return self._combine(other, 1)
@@ -221,14 +195,8 @@ class MetricsSnapshot:
         across snapshots that materialized different metric sets)."""
         return MetricsSnapshot(
             counters={k: v for k, v in self.counters.items() if v != 0},
-            gauges={k: v for k, v in self.gauges.items() if v != 0.0},
             histograms={k: h for k, h in self.histograms.items() if h.count != 0},
         )
-
-
-def diff(before: MetricsSnapshot, after: MetricsSnapshot) -> MetricsSnapshot:
-    """The elementwise delta ``after - before``."""
-    return after - before
 
 
 _PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
@@ -255,10 +223,6 @@ def render_prometheus(snapshot: "MetricsSnapshot") -> List[str]:
         metric = _prom_name(name) + "_total"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {snapshot.counters[name]}")
-    for name in sorted(snapshot.gauges):
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_prom_number(snapshot.gauges[name])}")
     for name in sorted(snapshot.histograms):
         hist = snapshot.histograms[name]
         metric = _prom_name(name)
@@ -278,7 +242,6 @@ class Metrics:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- accessors -------------------------------------------------------
@@ -288,12 +251,6 @@ class Metrics:
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
 
     def histogram(self, name: str, boundaries: Sequence[float] = DEFAULT_MS_BUCKETS) -> Histogram:
         hist = self._histograms.get(name)
@@ -318,7 +275,6 @@ class Metrics:
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(
             counters={name: c.value for name, c in self._counters.items()},
-            gauges={name: g.value for name, g in self._gauges.items()},
             histograms={
                 name: HistogramSnapshot(
                     boundaries=h.boundaries,
@@ -329,10 +285,6 @@ class Metrics:
                 for name, h in self._histograms.items()
             },
         )
-
-    @staticmethod
-    def diff(before: MetricsSnapshot, after: MetricsSnapshot) -> MetricsSnapshot:
-        return diff(before, after)
 
     def to_prometheus_text(self) -> str:
         """The registry in the Prometheus exposition text format.
@@ -347,5 +299,4 @@ class Metrics:
 
     def reset(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()

@@ -1,14 +1,12 @@
-"""The online security monitor: S1-S4 evaluated as each span closes.
+"""The security monitor: S1-S4 evaluated as each span closes.
 
 :class:`SecurityMonitor` subscribes to the tracer's span tap
-(:attr:`repro.obs.trace.Tracer.span_tap`) and runs the same rule
-engine the offline sweep uses (:func:`repro.obs.sweep.evaluate_span`)
-against every finished span — so a confinement violation is flagged the
-moment the offending operation returns, not after the workload ends.
-Context inheritance matches the tree-based sweep: when a span did not
-tag its own ``ctx`` (aufs/cow/sql spans), the monitor reads it off the
-nearest still-open ancestor, which is exactly the span the tree walk
-would have inherited from.
+(:attr:`repro.obs.trace.Tracer.span_tap`) and runs the rule engine
+(:func:`repro.obs.sweep.evaluate_span`) against every finished span — so
+a confinement violation is flagged the moment the offending operation
+returns, not after the workload ends. Each span is judged in the
+``ctx`` it carries: the tracer stamps a span that tags none (aufs/cow/
+sql spans) with its parent's when it opens.
 
 With a :class:`repro.obs.provenance.ProvenanceLedger` armed, the
 taint-flow form of S1 applies too, and every violation is recorded into
@@ -77,25 +75,9 @@ class SecurityMonitor:
 
     # -- the streaming hook ---------------------------------------------
 
-    def _inherited_ctx(self, span: Span) -> Optional[str]:
-        ctx = span.attrs.get("ctx")
-        if ctx is not None:
-            return ctx
-        # The tracer pops a span off the stack *before* notifying
-        # subscribers, so the open ancestors are still there: the nearest
-        # one carrying a ctx is the span the tree walk would inherit from.
-        for ancestor in reversed(self._tracer._thread.stack):
-            ctx = ancestor.attrs.get("ctx")
-            if ctx is not None:
-                return ctx
-        return None
-
     def _on_span(self, span: Span) -> None:
         self.spans_seen += 1
-        ctx = self._inherited_ctx(span)
-        found, counted = evaluate_span(
-            span.name, span.attrs, span.status, ctx, self._packages, self._ledger
-        )
+        found, counted = evaluate_span(span, self._packages, self._ledger)
         if counted:
             self.delegate_spans += 1
         for violation in found:
@@ -106,14 +88,14 @@ class SecurityMonitor:
                     violation.message,
                     lineage=violation.lineage,
                     span=span.name,
-                    ctx=ctx or "",
+                    ctx=violation.ctx or "",
                 )
 
     # -- results ---------------------------------------------------------
 
     @property
     def messages(self) -> List[str]:
-        """Violation messages, sweep-compatible strings."""
+        """Violation messages as plain strings."""
         return [violation.message for violation in self.violations]
 
     def explain_all(self) -> List[str]:

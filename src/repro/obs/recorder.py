@@ -247,7 +247,6 @@ class FlightRecorder:
         #: their digest is the dump's ``schedule_digest`` metadata.
         self.decisions: List[Tuple[int, str, str]] = []
         self._halt_at: Optional[int] = None
-        self._autoseal = True
         #: (tap, handler) per subscription :meth:`arm` made.
         self._taps: List[Tuple[Tap, Callable[..., None]]] = []
         self._arm_config: Dict[str, Any] = {}
@@ -259,15 +258,13 @@ class FlightRecorder:
         capacity: int = 4096,
         audit_log: Optional[Any] = None,
         halt_at: Optional[int] = None,
-        autoseal: bool = True,
     ) -> "FlightRecorder":
         """Attach the taps and start recording from a clean ring.
 
         ``halt_at`` arms replay-to-anchor: the moment event ``seq ==
         halt_at`` is recorded, the scheduler (when live) is asked to stop
         and :class:`AnchorReached` is raised through the recording call
-        site. ``autoseal=False`` disables the trigger-driven dumps (the
-        taps still record; only explicit :meth:`seal` calls dump).
+        site.
         """
         if self.armed:
             self.disarm()
@@ -280,12 +277,10 @@ class FlightRecorder:
         self._events = []
         self.decisions = []
         self._halt_at = halt_at
-        self._autoseal = autoseal
         self._arm_config = {
             "capacity": capacity,
             "audit_log": audit_log,
             "halt_at": halt_at,
-            "autoseal": autoseal,
         }
         self._taps = [
             (self._ctx.tracer.span_tap, self._on_span),
@@ -373,8 +368,7 @@ class FlightRecorder:
 
     def _on_trigger(self, kind: str, report: str) -> None:
         self.record("sched", f"trigger.{kind}", "", report=report)
-        if self._autoseal:
-            self.seal(kind if kind in SEAL_TRIGGERS else "manual", report=report)
+        self.seal(kind if kind in SEAL_TRIGGERS else "manual", report=report)
 
     def _on_audit(self, event: Any) -> None:
         self.record(
@@ -383,8 +377,6 @@ class FlightRecorder:
             event.message,
             **dict(event.details),
         )
-        if not self._autoseal:
-            return
         if event.category == "violation":
             self.seal("violation", rule=event.details.get("rule", ""))
         elif event.category == "timeout":

@@ -1,7 +1,9 @@
-"""The S1-S4 security rule engine, shared by sweep and monitor.
+"""The S1-S4 security rule engine.
 
-Given spans recorded during a workload, :func:`evaluate_span`
-mechanically replays the paper's confinement goals over each one:
+:func:`evaluate_span` mechanically applies the paper's confinement
+goals to one finished span, attributing it to the context the span
+carries (every span acts for the ``ctx`` it opened under, see
+:mod:`repro.obs.trace`):
 
 - **S1** (initiator secrecy): no span attributed to a delegate context
   ``B^A`` may carry a virtual path under another package's Priv; and —
@@ -15,20 +17,18 @@ mechanically replays the paper's confinement goals over each one:
 - **S4** (delegate integrity): no plain app context may successfully
   write into another package's Priv.
 
-The same predicates back the *offline* :func:`sweep` over finished span
-trees (used by the trace-invariant suite and ``Device.recover()``) and
-the *online* :class:`repro.obs.monitor.SecurityMonitor`, which evaluates
-every span the moment it closes — one rule engine, two drive modes, so
-the two checkers can never drift apart.
+Its one driver is :class:`repro.obs.monitor.SecurityMonitor`, which
+evaluates every span the moment it closes (``Device.recover()`` and the
+fuzz harness attach one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.naming import DATA_ROOT, PPRIV_SEGMENT, initiator_key
-from repro.obs.trace import SpanNode
+from repro.obs.trace import Span
 
 DATA_PREFIX = DATA_ROOT + "/"
 
@@ -39,9 +39,6 @@ __all__ = [
     "foreign_keys",
     "parse_delegate_ctx",
     "priv_owner",
-    "spans_with_inherited_ctx",
-    "sweep",
-    "sweep_violations",
     "writable_root_violations",
 ]
 
@@ -62,23 +59,6 @@ class Violation:
         if not self.lineage:
             return f"{self.rule}: {self.message}"
         return f"{self.rule}: {self.message}\n    " + " <- ".join(self.lineage)
-
-
-def spans_with_inherited_ctx(
-    trees: Iterable[SpanNode],
-) -> Iterator[Tuple[SpanNode, Optional[str]]]:
-    """Yield ``(node, ctx)`` for every span, with ``ctx`` taken from the
-    nearest ancestor-or-self span that recorded one (vfs and am spans tag
-    themselves; aufs/cow/sql spans inherit the caller's)."""
-
-    def walk(node, ctx):
-        ctx = node.span.attrs.get("ctx", ctx)
-        yield node, ctx
-        for child in node.children:
-            yield from walk(child, ctx)
-
-    for tree in trees:
-        yield from walk(tree, None)
 
 
 def parse_delegate_ctx(ctx: Optional[str]) -> Optional[Tuple[str, str]]:
@@ -140,14 +120,9 @@ def _is_write_span(name: str, attrs: Dict[str, Any]) -> bool:
 
 
 def evaluate_span(
-    name: str,
-    attrs: Dict[str, Any],
-    status: str,
-    ctx: Optional[str],
-    all_packages,
-    ledger: Optional[Any] = None,
+    span: Span, all_packages, ledger: Optional[Any] = None
 ) -> Tuple[List[Violation], bool]:
-    """Apply every S1-S4 predicate to one span.
+    """Apply every S1-S4 predicate to one span, in the ``ctx`` it carries.
 
     Returns ``(violations, is_delegate_span)``; the flag feeds the
     positive-control count that the caller actually saw confined work.
@@ -156,10 +131,12 @@ def evaluate_span(
     data derived from a foreign Priv) with full lineage attached.
     """
     violations: List[Violation] = []
+    name, attrs = span.name, span.attrs
     # prov.* bookkeeping events mirror the span they ran under; evaluating
     # them too would double-count every finding.
-    if status != "ok" or name.startswith("prov."):
+    if span.status != "ok" or name.startswith("prov."):
         return violations, False
+    ctx = attrs.get("ctx")
     path = attrs.get("path", "") or ""
     pair = parse_delegate_ctx(ctx)
     if pair is not None:
@@ -225,34 +202,3 @@ def evaluate_span(
                     )
                 )
     return violations, False
-
-
-def sweep_violations(
-    trees, all_packages, ledger: Optional[Any] = None
-) -> Tuple[List[Violation], int]:
-    """Replay the rule engine over every recorded span (offline mode).
-
-    Returns ``(violations, delegate_span_count)``; the count is the
-    positive control that the sweep actually saw confined work.
-    """
-    violations: List[Violation] = []
-    delegate_spans = 0
-    packages = set(all_packages)
-    for node, ctx in spans_with_inherited_ctx(trees):
-        found, counted = evaluate_span(
-            node.span.name, node.span.attrs, node.span.status, ctx, packages, ledger
-        )
-        violations.extend(found)
-        if counted:
-            delegate_spans += 1
-    return violations, delegate_spans
-
-
-def sweep(trees, all_packages, ledger: Optional[Any] = None) -> Tuple[List[str], int]:
-    """Replay the confinement check over every recorded span.
-
-    Message-only variant of :func:`sweep_violations`, kept for callers
-    that treat violations as opaque strings.
-    """
-    violations, delegate_spans = sweep_violations(trees, all_packages, ledger)
-    return [v.message for v in violations], delegate_spans

@@ -1,4 +1,4 @@
-"""The tracer: spans, sinks, and nested-span propagation.
+"""The tracer: spans, the ring, and nested-span propagation.
 
 A :class:`Span` covers one operation in one layer (``vfs.open``,
 ``aufs.copy_up``, ``cow.query``, ...). Because the whole simulation is a
@@ -17,8 +17,13 @@ Design constraints:
   first; this module is only entered once tracing is on.
   :meth:`Tracer.span` additionally returns a shared no-op span when
   called without the gate.
-- Spans are emitted to sinks at *exit* (children before parents); sinks
-  and tests reconstruct the tree from ``parent_id``/``trace_id``.
+- Spans reach the ring and ``span_tap`` at *exit* (children before
+  parents); consumers reconstruct the tree from ``parent_id``/``trace_id``.
+- **A span acts for its caller's context.** Delegation is
+  invocation-transitive, so a span opened without a ``ctx`` attribute
+  copies its parent's when it opens (vfs and am spans tag their own;
+  aufs/cow/sql spans inherit). Every span carries the context it acts
+  for from the moment it opens, and no consumer rebuilds it.
 - **One stack per thread.** The open-span stack is thread-local, so
   flows that the deterministic scheduler interleaves (each on its own
   thread) keep their own parentage.
@@ -30,7 +35,6 @@ Design constraints:
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from collections import deque
@@ -42,7 +46,6 @@ __all__ = [
     "Span",
     "SpanNode",
     "RingBufferSink",
-    "JsonlSink",
     "Tracer",
     "build_trees",
 ]
@@ -194,27 +197,9 @@ class RingBufferSink:
         self.dropped = 0
 
 
-class JsonlSink:
-    """Appends each finished span as one JSON line (for offline analysis)."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._fh = open(path, "a", encoding="utf-8")
-        self.written = 0
-
-    def on_span(self, span: Span) -> None:
-        self._fh.write(json.dumps(span.to_dict(), default=str) + "\n")
-        self.written += 1
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
-
-
 class Tracer:
-    """Creates spans, tracks each thread's active-span stack, and keeps
-    finished spans in a ring (plus at most one JSONL file).
+    """Creates spans, tracks each thread's active-span stack, keeps
+    finished spans in a ring and hands each to ``span_tap``.
 
     ``device_id`` is stamped onto every span so traces from several
     devices' tracers separate cleanly when their streams are merged.
@@ -224,12 +209,10 @@ class Tracer:
         self.enabled = False
         self.device_id = device_id
         self.ring = RingBufferSink()
-        self._jsonl: Optional[JsonlSink] = None
-        #: ``fn(span)`` as each span finishes: kept across ``enable``/
-        #: ``disable`` cycles, and invoked *after* the sinks while the
-        #: span's open ancestors are still on the stack, so streaming
-        #: subscribers (the security monitor) can read inherited
-        #: attributes off ancestors.
+        #: ``fn(span)`` as each span finishes, after the ring: the one
+        #: fan-out (the security monitor, the profiler, the flight
+        #: recorder, a JSON-lines writer), kept across ``enable``/
+        #: ``disable`` cycles.
         self.span_tap = Tap()
         self._thread = _ThreadState()
         self._ids = itertools.count(1)
@@ -238,29 +221,18 @@ class Tracer:
 
     # -- lifecycle -------------------------------------------------------
 
-    def enable(self, jsonl_path: Optional[str] = None, capacity: int = 8192) -> None:
-        """Turn tracing on; optionally tee finished spans to a JSONL file
-        (replacing any file an earlier call opened)."""
+    def enable(self, capacity: int = 8192) -> None:
+        """Turn tracing on with a ring of ``capacity`` spans."""
         if capacity != self.ring.capacity:
             self.ring = RingBufferSink(capacity)
-        if jsonl_path is not None:
-            self._close_jsonl()
-            self._jsonl = JsonlSink(jsonl_path)
         self.enabled = True
 
     def disable(self) -> None:
         self.enabled = False
-        self._close_jsonl()
         self._thread = _ThreadState()
 
-    def _close_jsonl(self) -> None:
-        if self._jsonl is not None:
-            self._jsonl.close()
-            self._jsonl = None
-
     def clear(self) -> None:
-        """Drop recorded spans and every thread's open ones (the JSONL
-        file, if any, is untouched)."""
+        """Drop recorded spans and every thread's open ones."""
         self.ring.clear()
         self._thread = _ThreadState()
         self.started = 0
@@ -277,6 +249,10 @@ class Tracer:
             return NOOP_SPAN
         stack = self._thread.stack
         parent = stack[-1] if stack else None
+        if parent is not None and "ctx" not in attrs:
+            ctx = parent.attrs.get("ctx")
+            if ctx is not None:
+                attrs["ctx"] = ctx
         self.started += 1
         span = Span(
             tracer=self,
@@ -306,8 +282,6 @@ class Tracer:
         elif span in stack:  # pragma: no cover - defensive
             stack.remove(span)
         self.ring.on_span(span)
-        if self._jsonl is not None:
-            self._jsonl.on_span(span)
         for fn in self.span_tap:
             fn(span)
 

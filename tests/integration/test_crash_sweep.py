@@ -142,11 +142,11 @@ def test_crash_at_every_point_recovers_clean(point, point_hits):
     report = env.recover()
 
     _assert_no_torn_state(env)
-    assert report.sweep_spans_checked > 0, (
+    assert report.validation_spans_checked > 0, (
         "validation sweep saw no delegate spans — the S1/S2 check ran "
         "against nothing"
     )
-    assert report.clean, "\n".join(report.sweep_violations)
+    assert report.clean, "\n".join(report.validation_violations)
     # The crash and every repair action are on the audit trail.
     assert any(e.category == "fault" for e in env.audit_log.events())
     _assert_still_functional(env)
@@ -196,7 +196,7 @@ def test_recovery_rebuilds_the_corrupted_namespace(loaded_device):
     _plant_foreign_mount(env, delegate)
     report = env.recover()
     assert report.namespaces_rebuilt > 0
-    assert report.clean, "\n".join(report.sweep_violations)
+    assert report.clean, "\n".join(report.validation_violations)
     # The delegate's external writes land back in its pair/initiator area,
     # not in the planted foreign branch.
     delegate.write_external("healed.txt", b"x")

@@ -1,12 +1,11 @@
-"""The online monitor as a streaming checker: violations are flagged the
+"""The security monitor as a streaming checker: violations are flagged the
 moment the offending span closes — not after the workload ends — and each
 carries an ``explain()`` lineage back to the tainted Priv source.
 
 The planted scenarios deliberately bypass Maxoid's confinement (spans are
 hand-built, or the flow is driven on a stock device) so that the monitor
 has something to catch; the assertion then covers the acceptance
-criteria: online-equals-offline on the shared rule engine, mid-workload
-flagging, non-empty lineage ending at the ``Priv(A)`` source, and
+criteria: mid-workload flagging, non-empty lineage ending at the ``Priv(A)`` source, and
 violations recorded into the audit log with their chains.
 """
 
@@ -17,7 +16,6 @@ from repro.core.audit import AuditLog
 from repro.obs import OBS
 from repro.obs.monitor import SecurityMonitor
 from repro.obs.provenance import Label
-from repro.obs.sweep import sweep_violations
 
 pytestmark = [pytest.mark.trace, pytest.mark.prov]
 
@@ -64,8 +62,8 @@ def test_monitor_flags_planted_violation_before_workload_finishes(device):
     assert X in monitor.violations[0].message
 
 
-def test_monitor_and_sweep_agree_on_planted_violations(device):
-    """Shared-rule-engine equivalence over a mixed clean/dirty stream."""
+def test_monitor_flags_planted_violations_amid_clean_work(device):
+    """Over a mixed clean/dirty stream, only the planted spans are flagged."""
     with OBS.capture(prov=True) as obs:
         monitor = SecurityMonitor(
             obs.tracer, _packages(device), ledger=obs.provenance
@@ -84,10 +82,7 @@ def test_monitor_and_sweep_agree_on_planted_violations(device):
                 "vfs.read", ctx=B, path=f"/data/data/{X}/private.txt"
             ):
                 pass
-        trees = obs.trees()
-    offline, _ = sweep_violations(trees, _packages(device), ledger=OBS.provenance)
-    assert monitor.messages == [v.message for v in offline]
-    assert {v.rule for v in monitor.violations} == {"S1", "S3"}
+    assert [v.rule for v in monitor.violations] == ["S1", "S3"]
 
 
 def test_taint_flow_s1_catches_launder_through_public_file(device):
@@ -142,8 +137,8 @@ def test_recover_validation_runs_through_the_monitor(device):
     device.spawn(B, initiator=A)
     device.spawn(X)
     report = device.recover()
-    assert report.sweep_violations == []
-    assert report.sweep_spans_checked > 0
+    assert report.validation_violations == []
+    assert report.validation_spans_checked > 0
     entries = [
         e for e in device.audit_log.events("recovery")
         if e.message == "validation sweep"

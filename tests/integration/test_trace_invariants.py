@@ -1,15 +1,17 @@
 """Security invariants re-checked from the trace stream.
 
-The Table 1 scenarios run with tracing on, and the invariant sweep then
-replays S1/S2 mechanically over the recorded spans: no span attributed to
-a delegate context ``B^A`` may ever carry a virtual path under another
-package's Priv, and no aufs open inside a delegate's tree may resolve its
-writable branch into a root keyed to a different initiator. This is the
-same property the integration suite asserts behaviourally, but checked
-against what the instrumented layers actually *did*, operation by
-operation — a tracing bug that misattributed work, or a mount-table bug
-that routed a delegate's write into a foreign branch, fails here even if
-the end-state assertions happen to pass.
+The Table 1 scenarios run with tracing on and a security monitor
+attached, which checks S1/S2 mechanically as each span closes: no span
+attributed to a delegate context ``B^A`` may ever carry a virtual path
+under another package's Priv, and no aufs open inside a delegate's tree
+may resolve its writable branch into a root keyed to a different
+initiator. Each span is attributed to the ``ctx`` it carries, which the
+tracer stamps from its parent when the span's boundary sets none. This
+is the same property the integration suite asserts behaviourally, but
+checked against what the instrumented layers actually *did*, operation
+by operation — a tracing bug that misattributed work, or a mount-table
+bug that routed a delegate's write into a foreign branch, fails here
+even if the end-state assertions happen to pass.
 """
 
 import pytest
@@ -19,16 +21,7 @@ from repro.core.cow import initiator_key
 from repro.obs import OBS, critical_path, latency_summary
 from repro.obs.export import to_chrome_trace, to_folded_stacks
 from repro.obs.monitor import SecurityMonitor
-# The rule engine lives in repro.obs.sweep so that the offline sweep
-# (Device.recover() included) and the online SecurityMonitor share one
-# set of S1-S4 predicates.
-from repro.obs.sweep import (
-    DATA_PREFIX,
-    parse_delegate_ctx,
-    spans_with_inherited_ctx,
-    sweep,
-    sweep_violations,
-)
+from repro.obs.sweep import DATA_PREFIX, parse_delegate_ctx
 
 pytestmark = pytest.mark.trace
 
@@ -43,6 +36,10 @@ DROPBOX = "com.dropbox.android"
 WRAPPER = "org.maxoid.wrapper"
 
 MARKER = b"MARKER-TRACE-sensitive"
+
+#: Layers whose boundaries tag a span with the ``ctx`` they act for; the
+#: tracer stamps every other span with its parent's.
+CTX_TAGGING_LAYERS = {"am", "zygote", "binder", "vfs"}
 
 
 # ----------------------------------------------------------------------
@@ -96,8 +93,7 @@ def run_table1_delegates(env):
 @pytest.fixture
 def table1_trace(loaded_device):
     """All Table 1 delegate scenarios executed under one capture, with
-    the online monitor attached so every test can compare the streaming
-    verdicts against the offline sweep's."""
+    the security monitor attached."""
     # CamScanner needs the attachment image staged before it is spawned
     # confined; receive_attachment handles that inside the capture.
     with OBS.capture(ring_capacity=65536, prov=True, profile=True) as obs:
@@ -116,38 +112,48 @@ def table1_trace(loaded_device):
 # Invariant tests
 # ----------------------------------------------------------------------
 
+def _spans(trees):
+    return [node.span for tree in trees for node in tree.walk()]
+
+
 def test_no_delegate_span_touches_a_foreign_priv(table1_trace):
-    env, trees, _, _ = table1_trace
-    violations, delegate_spans = sweep(trees, list(env.apps))
-    assert delegate_spans > 50, (
-        "positive control failed: the sweep saw almost no delegate-"
+    _, trees, monitor, _ = table1_trace
+    assert monitor.delegate_spans > 50, (
+        "positive control failed: the monitor saw almost no delegate-"
         "attributed spans, so the invariant was checked against nothing"
     )
-    assert not violations, "\n".join(violations)
+    assert monitor.spans_seen == len(_spans(trees))
+    assert not monitor.violations, "\n".join(monitor.messages)
 
 
-def test_online_monitor_matches_the_offline_sweep(table1_trace):
-    """Shared-rule-engine equivalence: the streaming monitor must reach
-    the same verdicts as the post-hoc sweep over the same spans."""
-    env, trees, monitor, _ = table1_trace
-    offline, offline_delegate_spans = sweep_violations(
-        trees, list(env.apps), ledger=OBS.provenance
-    )
-    assert monitor.messages == [v.message for v in offline]
-    assert monitor.delegate_spans == offline_delegate_spans
-    assert monitor.delegate_spans > 50
-    assert monitor.spans_seen > 0
-    assert not monitor.violations
+def test_every_untagged_span_carries_its_parents_ctx(table1_trace):
+    """A span whose boundary sets no ``ctx`` (aufs, cow, sql, vol, ...)
+    acts for its caller, so it carries its parent's ``ctx`` from the
+    moment it opens: consumers read the context off the span itself."""
+    _, trees, _, _ = table1_trace
+    inherited = 0
+    for tree in trees:
+        for node in tree.walk():
+            parent_ctx = node.span.attrs.get("ctx")
+            for child in node.children:
+                if child.span.layer in CTX_TAGGING_LAYERS:
+                    continue
+                assert child.span.attrs.get("ctx") == parent_ctx, (
+                    f"{child.name} under {node.name} does not act for "
+                    f"{parent_ctx}"
+                )
+                inherited += parent_ctx is not None
+    assert inherited > 50, "positive control: no span inherited a ctx"
 
 
 def test_sweep_covers_every_scenarios_delegate_context(table1_trace):
     """Each Table 1 delegate pair must appear in the trace, so a scenario
     silently running unconfined (ctx ``B`` instead of ``B^A``) fails."""
-    env, trees, _, _ = table1_trace
+    _, trees, _, _ = table1_trace
     seen = {
-        ctx
-        for _, ctx in spans_with_inherited_ctx(trees)
-        if ctx and "^" in ctx
+        span.attrs.get("ctx")
+        for span in _spans(trees)
+        if "^" in span.attrs.get("ctx", "")
     }
     expected = {
         f"{ADOBE}^{EMAIL}",
@@ -160,30 +166,35 @@ def test_sweep_covers_every_scenarios_delegate_context(table1_trace):
 
 
 def test_sweep_detects_a_planted_violation(loaded_device):
-    """The sweep itself must be able to fail: a hand-built span tree in
-    which a delegate touches another package's Priv is flagged."""
+    """The monitor itself must be able to fail: a hand-built span tree in
+    which a delegate touches another package's Priv is flagged, on the
+    span that tags the ctx and on the aufs span that inherits it."""
     with OBS.capture() as obs:
-        with OBS.tracer.span(
-            "vfs.read",
-            ctx=f"{ADOBE}^{EMAIL}",
-            path=f"/data/data/{DROPBOX}/databases/secrets.db",
-        ):
-            pass
-        trees = obs.trees()
-    violations, _ = sweep(trees, list(loaded_device.apps))
-    assert len(violations) == 1 and DROPBOX in violations[0]
+        with SecurityMonitor(obs.tracer, list(loaded_device.apps)) as monitor:
+            with OBS.tracer.span(
+                "vfs.read",
+                ctx=f"{ADOBE}^{EMAIL}",
+                path=f"/data/data/{DROPBOX}/databases/secrets.db",
+            ):
+                with OBS.tracer.span(
+                    "aufs.open", path=f"/data/data/{DROPBOX}/databases/secrets.db"
+                ):
+                    pass
+    assert [v.span for v in monitor.violations] == ["aufs.open", "vfs.read"]
+    assert all(DROPBOX in message for message in monitor.messages)
 
 
 def test_delegate_writable_roots_stay_in_the_pair_or_initiator_area(table1_trace):
     """Every writable branch observed under a delegate context resolves to
     the ``B@A`` pair area or the initiator's volatile area — never to a
     bare foreign package root."""
-    env, trees, _, _ = table1_trace
+    _, trees, _, _ = table1_trace
     checked = 0
-    for node, ctx in spans_with_inherited_ctx(trees):
+    for span in _spans(trees):
+        ctx = span.attrs.get("ctx")
         pair = parse_delegate_ctx(ctx)
-        root = node.span.attrs.get("writable_root")
-        if pair is None or not root or node.span.status != "ok":
+        root = span.attrs.get("writable_root")
+        if pair is None or not root or span.status != "ok":
             continue
         checked += 1
         delegate, initiator = pair
@@ -194,7 +205,7 @@ def test_delegate_writable_roots_stay_in_the_pair_or_initiator_area(table1_trace
         }
         first = root.strip("/").split("/")[0]
         assert first in allowed or root.startswith(DATA_PREFIX), (
-            f"{node.name} in ctx {ctx} has writable root {root}, outside "
+            f"{span.name} in ctx {ctx} has writable root {root}, outside "
             f"the pair/initiator areas {sorted(allowed)}"
         )
     assert checked > 10, "positive control: no writable-branch spans swept"

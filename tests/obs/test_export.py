@@ -36,11 +36,12 @@ def make_span(span_id, parent_id, name, start_ms, end_ms, **attrs):
 
 @pytest.fixture
 def invocation_spans():
-    """AM -> (zygote, vfs -> aufs) with pinned times and contexts."""
+    """AM -> (zygote, vfs -> aufs) with pinned times, each span carrying
+    the ctx the tracer stamps on it at open."""
     return [
-        make_span(4, 2, "aufs.copy_up", 5.0, 9.0),
-        make_span(2, 1, "vfs.open", 4.0, 9.0),
-        make_span(3, 1, "zygote.fork", 1.0, 3.0),
+        make_span(4, 2, "aufs.copy_up", 5.0, 9.0, ctx="b^a"),
+        make_span(2, 1, "vfs.open", 4.0, 9.0, ctx="b^a"),
+        make_span(3, 1, "zygote.fork", 1.0, 3.0, ctx="b^a"),
         make_span(1, None, "am.start_activity", 0.0, 10.0, ctx="b^a"),
     ]
 
@@ -80,11 +81,11 @@ def test_chrome_trace_shape_and_mapping(invocation_spans):
     assert names == [
         "am.start_activity", "zygote.fork", "vfs.open", "aufs.copy_up",
     ]  # ts order
-    # pid = synthetic app uid per inherited ctx; tid = layer row.
+    # pid = synthetic app uid per ctx; tid = layer row.
     am = next(e for e in complete if e["name"] == "am.start_activity")
     aufs = next(e for e in complete if e["name"] == "aufs.copy_up")
     assert am["pid"] == BASE_APP_UID
-    assert aufs["pid"] == am["pid"], "descendant did not inherit the ctx pid"
+    assert aufs["pid"] == am["pid"], "descendant not on its ctx's pid"
     assert aufs["tid"] != am["tid"], "layers must land on different rows"
     assert am["args"]["ctx"] == "b^a"
     assert am["args"]["status"] == "ok"

@@ -6,6 +6,8 @@ AM, zygote, syscall/vfs, aufs, and COW-proxy layers, and the metrics
 registry accounts for the per-layer operations the invocation performed.
 """
 
+import json
+
 import pytest
 
 from repro import AndroidManifest, Device, Intent
@@ -123,7 +125,10 @@ def test_harness_capture_metrics_attaches_layer_breakdown(traced_device):
 
 def test_jsonl_dump_from_a_device_run(traced_device, tmp_path):
     path = str(tmp_path / "delegate.jsonl")
-    with OBS.capture(jsonl_path=path):
+    with open(path, "w", encoding="utf-8") as fh, OBS.capture() as obs:
+        obs.tracer.span_tap.add(
+            lambda span: fh.write(json.dumps(span.to_dict(), default=str) + "\n")
+        )
         traced_device.launch_as_delegate(
             WORKER, INITIATOR, Intent("android.intent.action.MAIN")
         )

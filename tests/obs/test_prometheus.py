@@ -4,7 +4,7 @@ save/restore contract.
 The exporter is checked line-by-line against the exposition format
 (counter ``_total`` suffix, cumulative histogram buckets, name
 sanitisation); ``capture()`` is checked for the regression where a nested
-capture dropped the enclosing enable's jsonl path and ring capacity.
+capture dropped the enclosing enable's span writer and ring capacity.
 """
 
 import json
@@ -57,12 +57,6 @@ def test_histogram_buckets_are_cumulative_and_end_at_inf():
     assert "latency_ms_count 4" in text
 
 
-def test_gauges_render_integral_values_bare():
-    metrics = Metrics()
-    metrics.gauge("open.handles").set(7.0)
-    assert "open_handles 7\n" in metrics.to_prometheus_text()
-
-
 def test_export_is_deterministic_and_sorted():
     metrics = Metrics()
     metrics.count("b.second")
@@ -78,17 +72,25 @@ def test_export_is_deterministic_and_sorted():
 
 def test_capture_restores_prior_jsonl_path_and_ring_capacity(tmp_path):
     jsonl = str(tmp_path / "outer.jsonl")
-    OBS.enable(jsonl_path=jsonl, ring_capacity=123)
+    OBS.enable(ring_capacity=123)
+    fh = open(jsonl, "w", encoding="utf-8")
+
+    def writer(span):
+        fh.write(json.dumps(span.to_dict()) + "\n")
+
+    OBS.tracer.span_tap.add(writer)
     try:
         with OBS.capture(ring_capacity=999):
             assert OBS.tracer.ring.capacity == 999
         # The regression: restore used to re-enable with defaults,
-        # silently dropping the sink and shrinking/growing the ring.
+        # silently dropping the writer and shrinking/growing the ring.
         assert OBS.enabled
         assert OBS.tracer.ring.capacity == 123
         with OBS.tracer.span("after.restore"):
             pass
     finally:
+        OBS.tracer.span_tap.remove(writer)
+        fh.close()
         OBS.disable()
         OBS.reset()
     lines = [json.loads(l) for l in open(jsonl) if l.strip()]
@@ -97,7 +99,7 @@ def test_capture_restores_prior_jsonl_path_and_ring_capacity(tmp_path):
 
 def test_capture_restores_prov_armed_state():
     OBS.enable()
-    OBS.enable_prov()
+    OBS.prov = True
     try:
         with OBS.capture():  # inner capture defaults prov off
             assert not OBS.prov

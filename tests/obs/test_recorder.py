@@ -220,10 +220,9 @@ class TestCaptureRestore:
         ctx.recorder.arm(capacity=64)
         try:
             with ctx.capture():
-                ctx.recorder.arm(capacity=8, autoseal=False)
+                ctx.recorder.arm(capacity=8)
             assert ctx.recorder.armed
             assert ctx.recorder.arm_config["capacity"] == 64
-            assert ctx.recorder.arm_config["autoseal"] is True
         finally:
             ctx.recorder.disarm()
 
@@ -268,17 +267,6 @@ class TestTriggers:
             recorder.disarm()
         assert recorder.dumps == []
         assert [event.name for event in recorder.events()] == ["recovery"]
-
-    def test_autoseal_off_disables_trigger_dumps(self):
-        ctx = ObsContext(device_id="trig3")
-        audit = AuditLog()
-        recorder = ctx.recorder.arm(audit_log=audit, autoseal=False)
-        try:
-            audit.record("violation", "S1 breached", rule="S1")
-        finally:
-            recorder.disarm()
-        assert recorder.dumps == []
-        assert recorder.events(), "taps must still record with autoseal off"
 
     def test_deadlock_trigger_seals_with_schedule_context(self):
         ctx = ObsContext(device_id="trig4")
@@ -332,7 +320,7 @@ class TestTriggers:
         assert set(box.metadata["recovery"]) >= {
             "file_commits_replayed",
             "namespaces_rebuilt",
-            "sweep_violations",
+            "validation_violations",
         }
         # The validation sweep runs inside a capture; the ring (and the
         # pre-crash event) must survive it.

@@ -1,4 +1,5 @@
-"""Tracer unit tests: nesting, sinks, zero-cost disabled path semantics."""
+"""Tracer unit tests: nesting, the ring and the span tap, zero-cost
+disabled path semantics."""
 
 import json
 
@@ -6,9 +7,14 @@ import pytest
 
 from repro.errors import FileNotFound
 from repro.obs import OBS, ObsContext, build_trees
-from repro.obs.trace import NOOP_SPAN, JsonlSink, RingBufferSink, Tracer
+from repro.obs.trace import NOOP_SPAN, RingBufferSink, Tracer
 
 pytestmark = pytest.mark.trace
+
+
+def _jsonl_writer(fh):
+    """A ``span_tap`` subscriber writing each finished span as a JSON line."""
+    return lambda span: fh.write(json.dumps(span.to_dict(), default=str) + "\n")
 
 
 @pytest.fixture
@@ -100,35 +106,29 @@ class TestSinks:
     def test_jsonl_sink_writes_one_valid_line_per_span(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         t = Tracer()
-        t.enable(jsonl_path=path)
-        with t.span("am.start_activity", target="com.app"):
-            with t.span("vfs.open", path="/f"):
-                pass
+        t.enable()
+        with open(path, "w", encoding="utf-8") as fh:
+            t.span_tap.add(_jsonl_writer(fh))
+            with t.span("am.start_activity", target="com.app"):
+                with t.span("vfs.open", path="/f"):
+                    pass
         t.disable()
         lines = [json.loads(line) for line in open(path)]
         assert [rec["name"] for rec in lines] == ["vfs.open", "am.start_activity"]
         assert lines[1]["attrs"]["target"] == "com.app"
         assert lines[0]["parent_id"] == lines[1]["span_id"]
 
-    def test_disable_closes_jsonl_sink(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        t = Tracer()
-        t.enable(jsonl_path=path)
-        t.disable()
-        # Re-enabling without a path must not resurrect the closed sink.
-        t.enable()
-        with t.span("vfs.open"):
-            pass
-        assert open(path).read() == ""
-
     def test_enabling_twice_with_a_path_writes_each_span_once(self, tmp_path):
         path = str(tmp_path / "twice.jsonl")
         ctx = ObsContext(device_id="twice")
-        ctx.enable(jsonl_path=path)
-        ctx.enable(jsonl_path=path)  # enable() is idempotent
-        with ctx.tracer.span("vfs.open"):
-            pass
-        ctx.disable()
+        with open(path, "w", encoding="utf-8") as fh:
+            writer = _jsonl_writer(fh)
+            for _ in range(2):  # enable() and Tap.add() are idempotent
+                ctx.enable()
+                ctx.tracer.span_tap.add(writer)
+            with ctx.tracer.span("vfs.open"):
+                pass
+            ctx.disable()
         assert [json.loads(line)["name"] for line in open(path)] == ["vfs.open"]
 
 
