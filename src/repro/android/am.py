@@ -20,7 +20,7 @@ from repro.android.intents import Intent, IntentFilter
 from repro.android.packages import PackageManager
 from repro.android.zygote import Zygote
 from repro.kernel.binder import BinderDriver, Transaction
-from repro.kernel.proc import Process, ProcessTable, TaskContext
+from repro.kernel.proc import Process, ProcessTable
 from repro.obs import OBS as _OBS
 
 # An app's entry point: receives (process, intent), returns a result that

@@ -14,8 +14,8 @@ capability for one URI, checked when the target opens the URI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FileNotFound, ProviderNotFound, SecurityException
 from repro.android.uri import Uri

@@ -16,7 +16,7 @@ volatile file forest is mounted at ``/maxoid/vol``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.kernel import path as vpath
 from repro.kernel.syscall import Syscalls

@@ -17,7 +17,6 @@ from typing import Any, Optional
 
 from repro.android.am import ActivityManagerService, Invocation
 from repro.android.intents import Intent
-from repro.kernel.proc import Process
 
 
 class Launcher:

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 from repro.errors import PackageNotFound
 from repro.android.intents import Intent, IntentFilter
 from repro.android.permissions import Permission
 from repro.android.storage import StorageLayout
-from repro.kernel import path as vpath
 from repro.kernel.vfs import Filesystem, ROOT_CRED
 from repro.naming import DATA_ROOT, PPRIV_ROOT
 

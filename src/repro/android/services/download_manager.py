@@ -12,7 +12,6 @@ from typing import Any, Dict, Optional
 
 from repro.android.content.downloads import DOWNLOADS_URI, STATUS_SUCCESS
 from repro.android.content.provider import ContentResolver, ContentValues
-from repro.android.uri import Uri
 from repro.boundary import boundary
 from repro.kernel.proc import Process
 from repro.obs import OBS as _OBS

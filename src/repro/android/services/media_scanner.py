@@ -9,8 +9,6 @@ the thumbnail side-artifact follows the record's state (paper section 5.3).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.android.content.media import (
     FILES_URI,
     MEDIA_TYPE_AUDIO,

@@ -19,16 +19,12 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import FileNotFound, SqlError
+from repro.errors import FileNotFound
 from repro.kernel import path as vpath
 from repro.kernel.syscall import Syscalls
 from repro.minisql import Database
 from repro.minisql.engine import ResultSet
-from repro.naming import DATA_ROOT, PPRIV_ROOT
-
-#: Mount point of external storage; varies per device in reality, the
-#: paper calls it EXTDIR throughout.
-EXTDIR = "/storage/sdcard"
+from repro.naming import DATA_ROOT, EXTDIR, PPRIV_ROOT
 
 
 class StorageLayout:

@@ -13,7 +13,7 @@ of the Table 1 study); Maxoid's job is to confine them transparently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, FrozenSet, List, Optional
 
 from repro.android.app_api import AppApi
 from repro.android.intents import Intent, IntentFilter

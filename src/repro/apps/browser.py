@@ -14,11 +14,11 @@ viewer's traces are volatile too.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.android.app_api import AppApi
 from repro.android.content.downloads import DownloadNotification
-from repro.android.intents import Intent, IntentFilter
+from repro.android.intents import Intent
 from repro.apps.base import AppBuild, SimApp
 from repro.core.manifest import MaxoidManifest
 

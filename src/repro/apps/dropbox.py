@@ -17,7 +17,7 @@ changed file.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from repro.android.app_api import AppApi
 from repro.android.intents import Intent, IntentFilter

@@ -17,7 +17,7 @@ a Downloads-provider entry (that path is intentionally public).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict
 
 from repro.errors import FileNotFound
 from repro.android.app_api import AppApi
@@ -26,7 +26,6 @@ from repro.android.intents import Intent, IntentFilter
 from repro.android.uri import Uri
 from repro.apps.base import AppBuild, SimApp
 from repro.core.manifest import MaxoidManifest
-from repro.kernel import path as vpath
 from repro.kernel.proc import TaskContext
 from repro.minisql.engine import ResultSet
 

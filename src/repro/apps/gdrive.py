@@ -11,7 +11,7 @@ running the viewer as a delegate fixes.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List
+from typing import Dict
 
 from repro.android.app_api import AppApi
 from repro.android.intents import Intent, IntentFilter

@@ -7,10 +7,8 @@ incognito mode* by clearing the volatile state after use."
 
 from __future__ import annotations
 
-from typing import Any, List
-
 from repro.android.app_api import AppApi
-from repro.android.intents import Intent, IntentFilter
+from repro.android.intents import Intent
 from repro.apps.base import AppBuild, SimApp
 from repro.core.manifest import MaxoidManifest
 from repro.kernel import path as vpath

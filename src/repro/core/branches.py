@@ -19,10 +19,9 @@ It also implements the state-lifecycle rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.android.storage import DATA_ROOT, EXTDIR
+from repro.android.storage import DATA_ROOT
 from repro.core.context import delegate_key
 from repro.core.cow import initiator_key
 from repro.core.views import BranchSpec, MountPlan

@@ -49,7 +49,7 @@ from repro.kernel.network import NetworkStack
 from repro.kernel.proc import Process, ProcessTable, TaskContext
 from repro.kernel.syscall import Syscalls
 from repro.kernel.sysfs import Sysfs
-from repro.kernel.vfs import Credentials, Filesystem, ROOT_CRED
+from repro.kernel.vfs import Credentials, Filesystem
 from repro.obs import OBS, ObsContext
 from repro.obs.monitor import SecurityMonitor
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.android.intents import Intent, IntentFilter
 from repro.kernel import path as vpath

@@ -13,8 +13,6 @@ are set up by the branch manager.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.android.storage import PrivateDatabase, SharedPreferences, StorageLayout
 from repro.kernel import path as vpath
 from repro.kernel.proc import Process

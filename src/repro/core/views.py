@@ -21,10 +21,10 @@ Branch *kinds* name the backing stores the branch manager owns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.android.storage import EXTDIR, StorageLayout
+from repro.android.storage import EXTDIR
 from repro.core.context import delegate_key
 from repro.core.manifest import MaxoidManifest, EMPTY_MANIFEST
 from repro.kernel import path as vpath

@@ -6,17 +6,18 @@ pieces cooperate:
 
 - :mod:`repro.fuzz.reachability` — a PolyScope-style triage pass that
   enumerates every ``(subject, resource, op)`` triple a delegation
-  topology makes reachable, pruning the combinatorially hopeless part of
-  the op space *before* any fuzzing happens;
+  topology makes reachable and predicts, from the policy alone, which
+  ones the reference monitor denies (tests cross-check the predictions
+  against live enforcement);
 - :mod:`repro.fuzz.ops` + :mod:`repro.fuzz.harness` — a small op
   language (spawn, read, publish, clipboard, provider, fault, crash) and
   a world that executes op sequences on a fresh device with the online
   :class:`~repro.obs.monitor.SecurityMonitor` attached, asserting S1-S4
   through the shared ``obs/sweep.py`` rule engine after every step;
-- :mod:`repro.fuzz.stateful` + :mod:`repro.fuzz.driver` — a hypothesis
-  :class:`RuleBasedStateMachine` over the reachable pool, and a seeded
-  scenario driver whose every violation shrinks to a minimal op sequence
-  rendered with its ``provenance.explain()`` derivation chain and a
+- :mod:`repro.fuzz.driver` — the seeded scenario driver, the one
+  sequential front end: attack-chain templates spliced with hand-picked
+  noise ops, every violation shrunk to a minimal op sequence rendered
+  with its ``provenance.explain()`` derivation chain and a
   byte-identical replay fingerprint;
 - :mod:`repro.fuzz.interleave` — the same sweep over concurrent tracks
   under the deterministic scheduler, shrinking ops and then schedule.

@@ -2,11 +2,12 @@
 
 ``scenario_from_seed`` deterministically expands a seed integer into an
 op sequence: one or two attack-chain templates (the adversarial corpus's
-leak recipes, in order) interleaved with noise ops drawn from the
-reachability-triaged pool. Running the same seed always produces the
-same sequence, and :class:`~repro.fuzz.harness.RunResult.fingerprint`
-is counter-free, so a violation found at seed ``s`` replays
-byte-identically from ``s`` alone.
+leak recipes, in order) interleaved with noise ops drawn from a fixed
+ten-way choice of provider, file, clipboard, volatile-state, fault and
+crash ops. Running the same seed always produces the same sequence, and
+:class:`~repro.fuzz.harness.RunResult.fingerprint` is counter-free, so
+a violation found at seed ``s`` replays byte-identically from ``s``
+alone.
 
 A found violation is shrunk with greedy delta-debugging (drop every op
 whose removal preserves the violation — valid because ops on missing
@@ -138,7 +139,7 @@ _CHAINS: Tuple[Callable[[random.Random], List[Op]], ...] = (
 
 
 def _noise_op(rng: random.Random, actors: Sequence[str]) -> Op:
-    """One op from the triage-reachable pool, no attack intent."""
+    """One op from a fixed ten-way choice, no attack intent."""
     actor = rng.choice(tuple(actors))
     kind = rng.randrange(10)
     if kind == 0:

@@ -1,11 +1,11 @@
 """The fuzz world: op sequences on a fresh device, monitored live.
 
-One :class:`FuzzWorld` is one hypothesis example (or one seeded
-scenario): a fresh Maxoid device with the full corpus installed, a
-planted victim secret, the provenance ledger armed, and the online
-:class:`~repro.obs.monitor.SecurityMonitor` attached — every op's spans
-are evaluated against S1-S4 by the shared ``obs/sweep.py`` rule engine
-the moment they close.
+One :class:`FuzzWorld` is one seeded scenario (or one scheduled run of
+an interleaved one): a fresh Maxoid device with the full corpus
+installed, a planted victim secret, the provenance ledger armed, and
+the online :class:`~repro.obs.monitor.SecurityMonitor` attached — every
+op's spans are evaluated against S1-S4 by the shared ``obs/sweep.py``
+rule engine the moment they close.
 
 ``PLANTED_VULNS`` holds the deliberate-bug modes: each entry disables
 exactly one Maxoid *enforcement* point, leaving the detector untouched,

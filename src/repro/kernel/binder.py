@@ -14,7 +14,7 @@ the driver behaves like stock Android (everything goes through).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.boundary import boundary

@@ -13,8 +13,8 @@ readable (it is ordinary file state), matching the paper's semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.errors import FileNotFound, NetworkUnreachable
 from repro.kernel.proc import Process

@@ -10,7 +10,7 @@ Zygote forks the process.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import NoSuchProcess

@@ -10,7 +10,7 @@ Maxoid COW proxy is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.boundary import boundary
 from repro.errors import (

@@ -26,7 +26,7 @@ way to force a scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from repro.minisql import ast_nodes as ast

@@ -27,6 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
+from repro.naming import EXTDIR
 from repro.obs.sweep import parse_delegate_ctx, priv_owner
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
 _RANKS = {"public": 0, "vol": 1, "priv": 2, "dpriv": 3}
 
 #: Virtual prefix of volatile file state as the initiator sees it.
-_EXT_TMP_PREFIX = "/storage/sdcard/tmp/"
+_EXT_TMP_PREFIX = f"{EXTDIR}/tmp/"
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ across layers of the same synchronous call chain).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable
 
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.trace import Span, SpanNode, build_trees

@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.export import BASE_APP_UID, trace_metadata
 from repro.obs.recorder import BlackBox, Event, FlightRecorder

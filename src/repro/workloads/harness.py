@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import mean, median, stdev
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 

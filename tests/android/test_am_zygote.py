@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ActivityNotFound, NestedDelegationError
 from repro.android.intents import Intent, IntentFilter
-from repro import AndroidManifest, Device, MaxoidManifest
+from repro import AndroidManifest, MaxoidManifest
 
 A = "com.app.a"
 B = "com.app.b"

@@ -6,11 +6,10 @@ import pytest
 from repro.android.content.downloads import (
     DOWNLOADS_URI,
     STATUS_ERROR_NETWORK,
-    STATUS_PENDING,
     STATUS_SUCCESS,
 )
 from repro.android.content.provider import ContentValues
-from repro import AndroidManifest, Device
+from repro import AndroidManifest
 
 A = "com.app.initiator"
 B = "com.app.helper"

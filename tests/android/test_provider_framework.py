@@ -4,7 +4,7 @@ providers behind the Binder policy."""
 import pytest
 
 from repro.errors import IpcDenied, ProviderNotFound, SecurityException
-from repro.android.content.provider import ContentProvider, ContentValues, UriPermissionGrants
+from repro.android.content.provider import ContentProvider, UriPermissionGrants
 from repro.android.uri import Uri
 from repro import AndroidManifest
 from repro.minisql.engine import ResultSet

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SecurityException
 from repro.android.content.provider import ContentValues
 from repro.android.uri import Uri
-from repro import AndroidManifest, Device
+from repro import AndroidManifest
 
 WORDS = Uri.content("user_dictionary", "words")
 A = "com.app.alpha"

@@ -4,7 +4,6 @@ Browser, the wrapper app, and the app catalog."""
 import pytest
 
 from repro.errors import SecurityException
-from repro.android.intents import Intent
 from repro.apps import (
     BrowserApp,
     DropboxApp,
@@ -15,7 +14,7 @@ from repro.apps import (
     install_standard_apps,
     STANDARD_PACKAGES,
 )
-from repro import AndroidManifest, Device
+from repro import Device
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from repro.apps import (
     PdfViewerApp,
     VideoPlayerApp,
 )
-from repro import AndroidManifest, Device
+from repro import Device
 
 
 @pytest.fixture

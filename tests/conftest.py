@@ -1,8 +1,6 @@
-"""Shared fixtures: booted devices, installed app sets, fuzz profiles."""
+"""Shared fixtures: booted devices, installed app sets, the hypothesis profile."""
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -12,32 +10,22 @@ from repro.faults import FAULTS
 from repro.sched import SCHED
 
 try:
-    from hypothesis import HealthCheck, Phase, settings
+    from hypothesis import HealthCheck, settings
 
-    # The pinned CI fuzz profile: derandomized (fixed seed — a red run
-    # reproduces with no flake surface), no deadline (simulated devices
-    # pay a cold-start per example), example budget bounded but scalable
-    # through FUZZ_EXAMPLES (tier-1 keeps the default; the CI fuzz lane
-    # raises it). The planted-vulnerability positive controls disable the
-    # shrink phase: the seeded driver does its own delta-debugging, so
-    # hypothesis only needs to *find*, not minimize.
+    # The pinned CI property-test profile: derandomized (fixed seed — a
+    # red run reproduces with no flake surface), no deadline (simulated
+    # devices pay a cold-start per example), a bounded example budget.
     settings.register_profile(
         "repro-ci",
         derandomize=True,
         deadline=None,
-        max_examples=int(os.environ.get("FUZZ_EXAMPLES", "25")),
-        stateful_step_count=25,
+        max_examples=25,
         suppress_health_check=[
             HealthCheck.too_slow,
             HealthCheck.filter_too_much,
             HealthCheck.data_too_large,
         ],
         print_blob=True,
-    )
-    settings.register_profile(
-        "repro-ci-noshrink",
-        settings.get_profile("repro-ci"),
-        phases=(Phase.generate,),
     )
     settings.load_profile("repro-ci")
 except ImportError:  # pragma: no cover - hypothesis is an extra

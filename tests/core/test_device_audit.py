@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IpcDenied
-from repro import AndroidManifest, Device
+from repro import AndroidManifest
 from repro.core.audit import (
     audit_observer,
     find_marker_in_files,

@@ -2,37 +2,92 @@
 
 Two regimes, mirroring the acceptance bar:
 
-- **Soundness** (no false positives): the hypothesis stateful machine
-  and the seeded sweep over the unmodified rule engine + enforcement
-  must produce *zero* violations. ``FUZZ_EXAMPLES`` / ``FUZZ_SWEEP``
-  scale the budgets (the CI fuzz lane raises them to 500+).
+- **Soundness** (no false positives): the seeded sweep and the fixed
+  vocabulary scenario over the unmodified rule engine + enforcement
+  must produce *zero* violations. ``FUZZ_SWEEP`` scales the sweep
+  budget (the CI fuzz lane raises it to 500).
 - **Sensitivity** (no false negatives): with exactly one enforcement
-  point disabled (``PLANTED_VULNS``), both fuzzers must find a
-  violation; the seeded driver must shrink it to a minimal sequence
-  whose counterexample replays byte-identically from its seed and whose
-  lineage reaches the ``Priv`` source.
+  point disabled (``PLANTED_VULNS``), the seeded driver must find a
+  violation and shrink it to a minimal sequence whose counterexample
+  replays byte-identically from its seed and whose lineage reaches the
+  ``Priv`` source.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
+from typing import List
 
 import pytest
-from hypothesis import settings
-from hypothesis.stateful import run_state_machine_as_test
 
-from repro.fuzz import fuzz_sweep, scenario_from_seed, run_scenario
-from repro.fuzz.harness import VICTIM_PACKAGE
-from repro.fuzz.stateful import ConfinementViolated, DelegationMachine
+from repro.apps.adversarial import exfil_browser, interpreter, launderer, leaky_provider
+from repro.fuzz import (
+    BrowseFile,
+    ClipCopy,
+    ClipPaste,
+    IngestDocument,
+    Op,
+    ProviderFetch,
+    ProviderInsert,
+    ProviderQuery,
+    ReadExternal,
+    ReadSecret,
+    RunScript,
+    Spawn,
+    WriteExternal,
+    fuzz_sweep,
+    run_scenario,
+    scenario_from_seed,
+)
+from repro.fuzz.harness import SECRET_PATH, VICTIM_PACKAGE
 
 pytestmark = pytest.mark.fuzz
 
-#: Seeded-sweep budget; the CI fuzz lane raises this to >= 500.
+#: Seeded-sweep budget; the CI fuzz lane raises this to 500.
 SWEEP_N = int(os.environ.get("FUZZ_SWEEP", "40"))
 
+_ATTACKERS = (
+    interpreter.PACKAGE,
+    exfil_browser.PACKAGE,
+    leaky_provider.PACKAGE,
+    launderer.PACKAGE,
+)
 
-class PlantedClipboardMachine(DelegationMachine):
-    planted = "clipboard-isolation"
+
+def _vocabulary_scenario() -> List[Op]:
+    """Every subject-taking op by every subject, in one fixed list.
+
+    ``scenario_from_seed`` only hands each op to the subjects its attack
+    chains use (no plain interpreter or browser, no delegate mule, no
+    ``ReadSecret`` by a plain subject, ...). Here the victim and each
+    attacker, first as a delegate of the victim and then plain, run the
+    same block. A block ends by copying the secret to the clipboard and
+    the next one starts by pasting and publishing it, so a delegate
+    followed by its plain twin is a laundering chain that only the
+    clipboard isolation stops."""
+    spawns = [Spawn(VICTIM_PACKAGE)] + [
+        spawn
+        for package in _ATTACKERS
+        for spawn in (Spawn(package, VICTIM_PACKAGE), Spawn(package))
+    ]
+    ops: List[Op] = list(spawns)
+    for spawn in spawns:
+        actor = spawn.key
+        ops += [
+            ClipPaste(actor),
+            WriteExternal(actor, "loot"),
+            ReadExternal(actor, "loot"),
+            ProviderInsert(actor),
+            ProviderQuery(actor),
+            IngestDocument(actor, SECRET_PATH),
+            ProviderFetch(actor, "secret.txt"),
+            RunScript(actor, f"read {SECRET_PATH}\nexfil loot\nclip-copy"),
+            BrowseFile(actor, SECRET_PATH),
+            ReadSecret(actor),
+            ClipCopy(actor),
+        ]
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +95,26 @@ class PlantedClipboardMachine(DelegationMachine):
 # ---------------------------------------------------------------------------
 
 
-# The machine *is* the test: hypothesis drives DelegationMachine examples
-# under the pinned repro-ci profile; the invariant raising anywhere fails.
-TestDelegationInvariant = DelegationMachine.TestCase
+def test_vocabulary_scenario_is_clean_and_sharp():
+    """Clean on Maxoid; with the planted clipboard bug each of the 4
+    plain attackers pastes what its delegate twin copied and makes two
+    public writes from it (the publish and the script's exfil); stock
+    Android breaks S1 and S3."""
+    ops = _vocabulary_scenario()
+
+    clean = run_scenario(ops)
+    assert "skip" not in {outcome for _, outcome in clean.outcomes}
+    assert not clean.violations, clean.violation_renders()
+
+    planted = run_scenario(ops, planted="clipboard-isolation")
+    assert Counter(v.rule for v in planted.violations) == {"S1": 8}
+    assert all(
+        f"Priv({VICTIM_PACKAGE})" in render
+        for render in planted.violation_renders()
+    )
+
+    stock = run_scenario(ops, maxoid=False)
+    assert {v.rule for v in stock.violations} == {"S1", "S3"}
 
 
 def test_seeded_sweep_is_clean_on_stock_maxoid():
@@ -68,18 +140,6 @@ def test_runs_are_reproducible():
 # ---------------------------------------------------------------------------
 # Sensitivity (planted-vulnerability positive controls)
 # ---------------------------------------------------------------------------
-
-
-def test_stateful_machine_finds_planted_vulnerability():
-    cfg = settings(
-        settings.get_profile("repro-ci-noshrink"),
-        max_examples=max(80, int(os.environ.get("FUZZ_EXAMPLES", "80"))),
-    )
-    with pytest.raises(ConfinementViolated) as caught:
-        run_state_machine_as_test(PlantedClipboardMachine, settings=cfg)
-    message = str(caught.value)
-    assert "S1" in message
-    assert f"Priv({VICTIM_PACKAGE})" in message
 
 
 def test_sweep_finds_shrinks_and_explains_planted_vulnerability():

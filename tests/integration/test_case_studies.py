@@ -7,7 +7,7 @@ EBookDroid's persistent private state.
 
 import pytest
 
-from repro.errors import KernelError, SecurityException
+from repro.errors import KernelError
 from repro.android.intents import Intent
 from repro.android.uri import Uri
 from repro.core.audit import leaked_off_device

@@ -3,8 +3,8 @@
 
 import pytest
 
-from repro.errors import KernelError, NetworkUnreachable, PermissionDenied, FileNotFound
-from repro import AndroidManifest, Device
+from repro.errors import KernelError, NetworkUnreachable
+from repro import AndroidManifest
 from repro.core.audit import figure1_flow_matrix, leaked_off_device
 
 A = "com.secrets.holder"   # the initiator

@@ -2,14 +2,11 @@
 data processing apps we analyzed, only three ... cannot work when they
 run as delegates, due to loss of network connection")."""
 
-import pytest
-
 from repro import AndroidManifest
 from repro.apps.fleet import (
     CATEGORY_SIZES,
     NETWORK_DEPENDENT,
     build_study_fleet,
-    install_fleet,
     run_fleet_as_delegates,
 )
 from repro.core.audit import find_marker_in_files

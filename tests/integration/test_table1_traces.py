@@ -2,8 +2,6 @@
 traces the paper catalogues on stock Android, and Maxoid confines all of
 them when the app runs as a delegate."""
 
-import pytest
-
 from repro.android.intents import Intent
 from repro.android.uri import Uri
 from repro.core.audit import audit_observer, find_marker_in_files

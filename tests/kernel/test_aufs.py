@@ -5,13 +5,11 @@ import pytest
 
 from repro.errors import (
     DirectoryNotEmpty,
-    FileExists,
     FileNotFound,
-    IsADirectory,
     PermissionDenied,
     ReadOnlyFilesystem,
 )
-from repro.kernel.aufs import AufsMount, Branch, OPAQUE_MARKER, WHITEOUT_PREFIX
+from repro.kernel.aufs import AufsMount, Branch, WHITEOUT_PREFIX
 from repro.kernel.vfs import Credentials, Filesystem, ROOT_CRED
 
 APP = Credentials(uid=1001)

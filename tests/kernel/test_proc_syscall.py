@@ -8,7 +8,7 @@ import pytest
 from repro.errors import CrossDeviceLink, NoSuchProcess, PermissionDenied
 from repro.kernel.mounts import MountNamespace
 from repro.kernel.proc import Process, ProcessTable, TaskContext
-from repro.kernel.syscall import O_APPEND, O_CREAT, O_RDONLY, O_WRONLY, Syscalls
+from repro.kernel.syscall import O_APPEND, O_CREAT, O_WRONLY, Syscalls
 from repro.kernel.sysfs import Sysfs
 from repro.kernel.vfs import Credentials, Filesystem, ROOT_CRED
 

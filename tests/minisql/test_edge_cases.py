@@ -4,7 +4,7 @@ import sqlite3
 
 import pytest
 
-from repro.errors import SqlError, SqlNameError, SqlSyntaxError
+from repro.errors import SqlError, SqlNameError
 from repro.minisql import Database, engine
 
 

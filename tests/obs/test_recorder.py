@@ -27,7 +27,7 @@ import pytest
 from repro import AndroidManifest, Device
 from repro.core.audit import AuditLog
 from repro.faults import FAULTS, fail_nth
-from repro.obs import OBS, ObsContext
+from repro.obs import ObsContext
 from repro.obs.artifacts import load_blackbox, write_blackbox
 from repro.obs.export import BASE_APP_UID
 from repro.obs.recorder import (

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import FileNotFound
 from repro.obs import OBS, ObsContext, build_trees
-from repro.obs.trace import NOOP_SPAN, RingBufferSink, Tracer
+from repro.obs.trace import NOOP_SPAN, Tracer
 
 pytestmark = pytest.mark.trace
 
