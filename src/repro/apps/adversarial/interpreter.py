@@ -4,9 +4,9 @@ Terminal emulators and script runners on real devices execute whatever
 another app hands them — the *Cross-Platform Analysis of Indirect File
 Leaks* catalogue's first attacker class. This one accepts a newline-
 separated ``script`` extra in any SEND/VIEW intent and executes it with
-its own identity: reads of arbitrary paths, writes of the accumulator to
-arbitrary destinations, public exfiltration to external storage, posts
-to an attacker-controlled host, and clipboard copies.
+its own identity: reads of arbitrary paths, writes of the process's
+accumulator to arbitrary destinations, public exfiltration to external
+storage, posts to an attacker-controlled host, and clipboard copies.
 
 The interpreter is deliberately *careless*: every failing command is
 recorded in the transcript and execution continues, exactly like a shell
@@ -34,6 +34,9 @@ DROP_DIR = "interpreter/drop"
 class InterpreterApp(SimApp):
     """Executes victim-supplied command scripts, one line at a time.
 
+    Each process has its own accumulator, as each real process has its
+    own memory: bytes a delegate instance read never reach a plain one.
+
     Commands (whitespace-separated, ``#`` starts a comment line):
 
     - ``read <path>`` — load a file into the accumulator
@@ -55,8 +58,8 @@ class InterpreterApp(SimApp):
 
     def __init__(self) -> None:
         super().__init__()
-        #: Last bytes loaded by ``read``/``clip-paste``.
-        self.accumulator: bytes = b""
+        #: pid -> last bytes that process loaded by ``read``/``clip-paste``.
+        self.accumulators: Dict[int, bytes] = {}
         #: ``(command, outcome)`` per executed line, across invocations.
         self.transcript: List[Tuple[str, str]] = []
 
@@ -79,29 +82,34 @@ class InterpreterApp(SimApp):
                 continue
             executed += 1
             self.transcript.append((line, self._execute(api, line)))
-        return {"executed": executed, "accumulator_bytes": len(self.accumulator)}
+        return {"executed": executed, "accumulator_bytes": len(self.accumulator(api))}
+
+    def accumulator(self, api: AppApi) -> bytes:
+        """The accumulator of ``api``'s process."""
+        return self.accumulators.get(api.process.pid, b"")
 
     def _execute(self, api: AppApi, line: str) -> str:
         parts = line.split()
         command, args = parts[0], parts[1:]
+        pid = api.process.pid
         try:
             if command == "read" and args:
-                self.accumulator = api.sys.read_file(args[0])
-                return f"ok:{len(self.accumulator)}B"
+                self.accumulators[pid] = api.sys.read_file(args[0])
+                return f"ok:{len(self.accumulators[pid])}B"
             if command == "write" and args:
                 api.sys.makedirs(args[0].rsplit("/", 1)[0])
-                api.sys.write_file(args[0], self.accumulator)
+                api.sys.write_file(args[0], self.accumulator(api))
                 return "ok"
             if command == "exfil" and args:
-                api.write_external(f"{DROP_DIR}/{args[0]}", self.accumulator)
+                api.write_external(f"{DROP_DIR}/{args[0]}", self.accumulator(api))
                 return "ok"
             if command == "clip-copy":
-                api.clipboard_set(self.accumulator.decode("latin-1"))
+                api.clipboard_set(self.accumulator(api).decode("latin-1"))
                 return "ok"
             if command == "clip-paste":
                 text = api.clipboard_get()
-                self.accumulator = (text or "").encode("latin-1")
-                return f"ok:{len(self.accumulator)}B"
+                self.accumulators[pid] = (text or "").encode("latin-1")
+                return f"ok:{len(self.accumulators[pid])}B"
             if command == "post" and len(args) >= 2:
                 api.fetch(args[0], args[1])
                 return "ok"

@@ -28,11 +28,17 @@ from repro.core.views import BranchSpec, MountPlan
 from repro.kernel import path as vpath
 from repro.kernel.aufs import AufsMount, Branch, purge_copyup_temps
 from repro.kernel.mounts import MountNamespace
-from repro.kernel.vfs import Filesystem, ROOT_CRED
+from repro.kernel.vfs import Filesystem, InodeKind, ROOT_CRED
 
 
 class BranchManager:
-    """Owns branch backing stores and builds app mount namespaces."""
+    """Owns branch backing stores and builds app mount namespaces.
+
+    Each :class:`BranchSpec` is resolved to its frozen :class:`Branch`
+    once: a spec names its root as a pure string, so that cache never goes
+    stale. Every fork still gets its own namespace and mounts, and each
+    mount probes its roots, making any that a clear removed, so no clear,
+    nPriv discard or recovery has to invalidate anything."""
 
     def __init__(self, system_fs: Filesystem, obs: Optional[object] = None) -> None:
         self.system_fs = system_fs
@@ -49,6 +55,8 @@ class BranchManager:
         self.ppriv_fs = Filesystem(label="persistent-private")
         # (delegate package, initiator package) -> Priv(B) version at fork.
         self._fork_stamps: Dict[Tuple[str, str], int] = {}
+        # Every spec materialized so far -> its branch (see _branch).
+        self._branches: Dict[BranchSpec, Branch] = {}
         # Mounts built this session, for statistics.
         self.mounts_built = 0
 
@@ -80,41 +88,58 @@ class BranchManager:
         return initiator_key(segment)
 
     def _branch(self, spec: BranchSpec) -> Branch:
-        fs = self._fs_for_kind(spec.kind)
+        """The branch ``spec`` names, resolved on its first use. It does not
+        check its root: :class:`AufsMount` probes every root it mounts."""
+        branch = self._branches.get(spec)
+        if branch is None:
+            branch = Branch(
+                fs=self._fs_for_kind(spec.kind),
+                root=self._root(spec),
+                writable=spec.writable,
+                label=spec.label,
+            )
+            self._branches[spec] = branch
+        return branch
+
+    def _root(self, spec: BranchSpec) -> str:
+        """The directory in its backing store that ``spec`` exposes."""
         if spec.kind in ("vol_ext", "vol_int"):
             # The subpath is "<initiator>[/relative/dir]": the branch root is
             # the initiator's ext/int volatile tree plus the relative part,
             # so a write to EXTDIR/data/A lands at /<A>/ext/data/A.
             area = "ext" if spec.kind == "vol_ext" else "int"
             initiator, _, rest = spec.subpath.strip("/").partition("/")
-            root = vpath.join("/", self._dirkey(initiator), area, rest)
+            return vpath.join("/", self._dirkey(initiator), area, rest)
         elif spec.kind == "system_priv":
-            root = vpath.join(DATA_ROOT, spec.subpath)
+            return vpath.join(DATA_ROOT, spec.subpath)
         elif spec.kind == "pub":
-            root = vpath.normalize(spec.subpath)
+            return vpath.normalize(spec.subpath)
         elif spec.kind == "deleg_int":
             # The subpath is the "B@A" pair; its nPriv overlay lives in the
             # pair's "int" area (sibling of its external-private area).
-            root = vpath.join("/", self._dirkey(spec.subpath), "int")
+            return vpath.join("/", self._dirkey(spec.subpath), "int")
         elif spec.kind == "deleg_extpriv":
             pair, _, rest = spec.subpath.strip("/").partition("/")
-            root = vpath.join("/", self._dirkey(pair), "extpriv", rest)
+            return vpath.join("/", self._dirkey(pair), "extpriv", rest)
         elif spec.kind == "extpriv":
             # "<package>/<private-dir...>": one branch per app private dir.
             package, _, rest = spec.subpath.strip("/").partition("/")
-            root = vpath.join("/", self._dirkey(package), rest)
+            return vpath.join("/", self._dirkey(package), rest)
         else:  # ppriv: one directory per (delegate, initiator) pair
-            root = vpath.join("/", self._dirkey(spec.subpath))
-        if not fs.exists(root, ROOT_CRED):
-            fs.mkdir(root, ROOT_CRED, parents=True)
-        return Branch(fs=fs, root=root, writable=spec.writable, label=spec.label)
+            return vpath.join("/", self._dirkey(spec.subpath))
 
     # ------------------------------------------------------------------
     # Namespace assembly
     # ------------------------------------------------------------------
 
     def materialize(self, base: MountNamespace, plans: List[MountPlan]) -> MountNamespace:
-        """Clone ``base`` (the simulated ``unshare()``) and apply ``plans``."""
+        """Clone ``base`` (the simulated ``unshare()``) and apply ``plans``.
+
+        The namespace and its :class:`AufsMount` objects are new on every
+        call, so per-mount counters and locks stay per process and
+        ``Device.recover()`` can rebuild one process's mount table; only
+        the branches are shared, from :meth:`_branch`.
+        """
         namespace = base.unshare()
         for plan in plans:
             mount = AufsMount(
@@ -133,18 +158,15 @@ class BranchManager:
 
     def priv_version(self, package: str) -> int:
         """A version stamp for ``Priv(B)``: the max mtime in its tree."""
-        root = vpath.join(DATA_ROOT, package)
-        if not self.system_fs.exists(root, ROOT_CRED):
+        node = self.system_fs.probe(vpath.join(DATA_ROOT, package))
+        if node is None:
             return 0
-        newest = self.system_fs.stat(root, ROOT_CRED).mtime
-        stack = [root]
+        newest = node.mtime
+        stack = [node]
         while stack:
-            current = stack.pop()
-            for name in self.system_fs.readdir(current, ROOT_CRED):
-                child = vpath.join(current, name)
-                stat = self.system_fs.stat(child, ROOT_CRED)
-                newest = max(newest, stat.mtime)
-                if stat.is_dir:
+            for child in stack.pop().children.values():
+                newest = max(newest, child.mtime)
+                if child.kind is InodeKind.DIR:
                     stack.append(child)
         return newest
 
@@ -164,8 +186,8 @@ class BranchManager:
         if stamp is not None and stamp != current:
             # nPriv(B^A) covers both the internal overlay and the
             # delegate's external-private overlay; pPriv survives.
-            self._clear_tree(self.deleg_fs, branch_root)
-            self._clear_tree(self.deleg_fs, vpath.join(pair_root, "extpriv"))
+            self.deleg_fs.clear(branch_root)
+            self.deleg_fs.clear(vpath.join(pair_root, "extpriv"))
             discarded = True
         self._fork_stamps[key] = current
         if not self.deleg_fs.exists(branch_root, ROOT_CRED):
@@ -210,10 +232,10 @@ class BranchManager:
     def clear_volatile(self, initiator: str) -> int:
         """Discard ``Vol(initiator)`` entirely; returns files removed.
         (The Launcher's Clear-Vol drop target and the initiator API.)"""
-        removed = len(self.list_volatile_files(initiator))
-        for root in (self.volatile_ext_root(initiator), self.volatile_int_root(initiator)):
-            self._clear_tree(self.vol_fs, root)
-        return removed
+        return sum(
+            self.vol_fs.clear(root)
+            for root in (self.volatile_ext_root(initiator), self.volatile_int_root(initiator))
+        )
 
     def clear_delegate_priv(self, initiator: str) -> int:
         """Discard ``Priv(x^initiator)`` for every app x — both the nPriv
@@ -223,8 +245,9 @@ class BranchManager:
         for fs in (self.deleg_fs, self.ppriv_fs):
             for name in list(fs.readdir("/", ROOT_CRED)):
                 if name.endswith(suffix):
-                    self._clear_tree(fs, vpath.join("/", name))
-                    fs.rmdir(vpath.join("/", name), ROOT_CRED)
+                    pair_root = vpath.join("/", name)
+                    fs.clear(pair_root)
+                    fs.rmdir(pair_root, ROOT_CRED)
                     cleared += 1
         keys = [k for k in self._fork_stamps if k[1] == initiator]
         for key in keys:
@@ -245,15 +268,3 @@ class BranchManager:
         ):
             removed.extend(purge_copyup_temps(fs))
         return removed
-
-    @staticmethod
-    def _clear_tree(fs: Filesystem, root: str) -> None:
-        if not fs.exists(root, ROOT_CRED):
-            return
-        for name in list(fs.readdir(root, ROOT_CRED)):
-            child = vpath.join(root, name)
-            if fs.stat(child, ROOT_CRED).is_dir:
-                BranchManager._clear_tree(fs, child)
-                fs.rmdir(child, ROOT_CRED)
-            else:
-                fs.unlink(child, ROOT_CRED)

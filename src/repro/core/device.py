@@ -39,7 +39,7 @@ from repro.core.branches import BranchManager
 from repro.core.ipc_guard import IpcGuard
 from repro.core.journal import CommitJournal
 from repro.core.manifest import MaxoidManifest
-from repro.core.views import plan_delegate_mounts, plan_initiator_mounts
+from repro.core.views import MountPlan, plan_delegate_mounts, plan_initiator_mounts
 from repro.core.volatile import MaxoidSystemService
 from repro.errors import ReproError
 from repro.kernel import path as vpath
@@ -148,6 +148,10 @@ class Device:
         self.media_scanner = MediaScanner(self.resolver)
         # -- Maxoid hooks ---------------------------------------------------------
         self.maxoid_manifests: Dict[str, MaxoidManifest] = {}
+        # (package, initiator or None) -> its mount plan. A plan depends only
+        # on those two and their Maxoid manifests, which install() alone
+        # writes, so install() is the one place that empties this.
+        self._plans: Dict[Tuple[str, Optional[str]], List[MountPlan]] = {}
         self.ipc_guard: Optional[IpcGuard] = None
         if maxoid_enabled:
             self.ipc_guard = IpcGuard(self.binder)
@@ -184,14 +188,20 @@ class Device:
     def _build_namespace(self, package: str, initiator: Optional[str]) -> MountNamespace:
         if not self.maxoid_enabled:
             return self.base_namespace.unshare()
-        manifest = self.maxoid_manifests.get(package)
-        if initiator is None or initiator == package:
-            plans = plan_initiator_mounts(package, manifest)
-        else:
+        if initiator == package:
+            initiator = None
+        if initiator is not None:
             self.branches.prepare_delegate_priv(package, initiator)
-            plans = plan_delegate_mounts(
-                package, initiator, manifest, self.maxoid_manifests.get(initiator)
-            )
+        plans = self._plans.get((package, initiator))
+        if plans is None:
+            manifest = self.maxoid_manifests.get(package)
+            if initiator is None:
+                plans = plan_initiator_mounts(package, manifest)
+            else:
+                plans = plan_delegate_mounts(
+                    package, initiator, manifest, self.maxoid_manifests.get(initiator)
+                )
+            self._plans[(package, initiator)] = plans
         return self.branches.materialize(self.base_namespace, plans)
 
     # ------------------------------------------------------------------
@@ -204,6 +214,7 @@ class Device:
         installed = self.packages.install(manifest)
         if manifest.maxoid is not None:
             self.maxoid_manifests[manifest.package] = manifest.maxoid
+            self._plans.clear()
         if app is not None:
             self._apps[manifest.package] = app
             self.am.register_handler(manifest.package, self._make_handler(manifest.package))

