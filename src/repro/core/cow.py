@@ -666,7 +666,8 @@ class CowProxy:
         Allocated at journal-write time — not at apply time — and recorded
         in the intent, so replaying the entry after a crash reuses the same
         key instead of minting a duplicate row. Pending journal entries for
-        the table count as allocated.
+        the table count as allocated. The public table's ``MAX`` is read
+        from its largest key, not by a scan (:mod:`repro.minisql.planner`).
         """
         top = int(
             self.db.execute(f"SELECT MAX({primary.pk}) FROM {primary.name}").scalar()

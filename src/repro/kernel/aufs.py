@@ -70,7 +70,8 @@ class Branch:
     ``fs`` is the backing filesystem, ``root`` the subdirectory within it
     that this branch exposes, and ``writable`` whether writes may land here.
     At most one branch of a mount may be writable (as in the paper's mounts,
-    Table 2). Frozen, so mounts of many processes can share one.
+    Table 2). Frozen, so mounts of many processes can share one; ``root``
+    is made canonical once, at construction.
     """
 
     fs: Filesystem
@@ -78,13 +79,15 @@ class Branch:
     writable: bool = False
     label: str = ""
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "root", vpath.normalize(self.root))
+
     def path(self, union_path: str) -> str:
         """Translate a union-relative path into this branch's filesystem."""
-        root = vpath.normalize(self.root)
         union_path = vpath.normalize(union_path)
-        if root == "/":
+        if self.root == "/":
             return union_path
-        return root if union_path == "/" else root + union_path
+        return self.root if union_path == "/" else self.root + union_path
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         rw = "rw" if self.writable else "ro"

@@ -190,7 +190,9 @@ class Database:
 
         One line per FROM source: ``SCAN table (N rows)``, ``SEARCH table
         USING PRIMARY KEY (pk=?)`` for a table source narrowed by a
-        sargable key term, ``VIEW name (FLATTEN)`` for a UNION ALL view
+        sargable key term, ``SEARCH table USING PRIMARY KEY (max)`` for a
+        ``MAX(pk)`` answered from the table's largest key, ``VIEW name
+        (FLATTEN)`` for a UNION ALL view
         the planner would push the query into (its arms then show whether
         the outer key term reaches them), or ``VIEW name (MATERIALIZE)``
         when footnote-5 rules force the view into a temp result first.
@@ -231,6 +233,8 @@ class Database:
                         lines.append(
                             f"{pad}SEARCH {name} USING PRIMARY KEY ({table.pk_column}=?)"
                         )
+                    elif self._key_max_table(core) is not None:
+                        lines.append(f"{pad}SEARCH {name} USING PRIMARY KEY (max)")
                     else:
                         lines.append(f"{pad}SCAN {name} ({len(table)} rows)")
                 elif name in self.views:
@@ -612,6 +616,12 @@ class Database:
         flattened = self._try_flattened_view(core, enclosing, params, evaluator, outer_scope)
         if flattened is not None:
             return flattened
+        # --- planner hook: MAX(pk) from the table's largest key -----------
+        table = self._key_max_table(core)
+        if table is not None:
+            self.stats.index_lookups += 1
+            row = _ProjectedRow((table.largest_key(),), Scope({}, outer_scope))
+            return self._core_output_columns(core, []), [row]
         # --- build the row set and apply WHERE --------------------------------
         scopes: List[Scope]
         source_columns: List[Tuple[str, List[str]]] = []
@@ -755,6 +765,19 @@ class Database:
         if table is None:
             return None
         return planner.pk_probe(core.where, table.pk_column, {ref.effective_name.lower()})
+
+    def _key_max_table(self, core: ast.SelectCore) -> Optional[Table]:
+        """The base table whose largest key answers ``core``, when ``core``
+        is ``SELECT MAX(<integer primary key>) FROM`` that table."""
+        ref = core.source
+        if ref is None or ref.name is None:
+            return None
+        table = self.tables.get(ref.name.lower())
+        if table is None or not table.pk_is_integer:
+            return None
+        if not planner.is_key_max(core, table.pk_column, {ref.effective_name.lower()}):
+            return None
+        return table
 
     def _effective_probe(
         self, core: ast.SelectCore, pushed: Optional[List[ast.Expr]]

@@ -22,6 +22,11 @@ top-level ``AND`` term ``pk = <param|literal>`` or ``pk IN (<params|
 literals>)`` lets a row source probe the table's primary-key index instead
 of scanning it. As in SQLite, ``+pk = ?`` is not sargable, which is the
 way to force a scan.
+
+Like SQLite's MIN/MAX optimization, :func:`is_key_max` recognises a bare
+``SELECT MAX(<integer primary key>) FROM <base table>``: no WHERE, GROUP
+BY, HAVING, DISTINCT or join. The engine answers it from the table's kept
+largest key instead of scanning (:meth:`repro.minisql.table.Table.largest_key`).
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ class PlannerStats:
     """Counters the benchmarks read.
 
     ``rows_scanned`` counts base-table rows a FROM source actually visited
-    (every row for a scan, the matches for an index probe);
-    ``index_lookups`` counts sources and ``IN (SELECT pk ...)`` subqueries
-    answered from a primary-key index.
+    (every row for a scan, the matches for an index probe, none for a key
+    MAX); ``index_lookups`` counts sources, ``IN (SELECT pk ...)``
+    subqueries and ``MAX(pk)`` cores answered from a primary-key index.
     """
 
     flattened_queries: int = 0
@@ -189,3 +194,30 @@ def pk_probe(
         ):
             return list(term.items)
     return None
+
+
+def is_key_max(core: ast.SelectCore, column: Optional[str], qualifiers: Set[str]) -> bool:
+    """True if ``core`` is ``SELECT MAX(<column>) FROM <its one source>``
+    with no WHERE, GROUP BY, HAVING, DISTINCT or join, so its one row is
+    the source's largest ``column`` value (NULL when it has no rows).
+
+    ``column`` and ``qualifiers`` are as for :func:`pk_probe`; the caller
+    checks that the source is a base table whose key ``column`` is.
+    """
+    if (
+        core.where is not None
+        or core.group_by
+        or core.having is not None
+        or core.distinct
+        or core.joins
+        or len(core.items) != 1
+    ):
+        return False
+    call = core.items[0].expr
+    return (
+        isinstance(call, ast.FunctionCall)
+        and call.name == "max"
+        and not call.star
+        and len(call.args) == 1
+        and names_column(call.args[0], column, qualifiers)
+    )

@@ -1,11 +1,22 @@
 """Table storage for the mini SQL engine.
 
 Rows are stored as dictionaries keyed by rowid. A column declared
-``INTEGER PRIMARY KEY`` aliases the rowid (as in SQLite) and autoincrements
-from ``max(existing) + 1``. The COW proxy relies on being able to start a
-delta table's key space at a large offset ``N`` to avoid collisions with
-the primary table (paper section 5.2); :meth:`Table.set_autoincrement_base`
-provides that.
+``INTEGER PRIMARY KEY`` aliases the rowid, as in SQLite:
+
+- a key written by INSERT or UPDATE is converted as SQLite converts a
+  rowid (:func:`integer_key`): ``'7'`` and ``3.0`` become 7 and 3, and a
+  value with no integer form (``'abc'``, ``2.5``, NULL on UPDATE) raises
+  ``datatype mismatch``, so every stored key is an ``int``;
+- the table keeps its largest key (:meth:`Table.largest_key`). Indexing a
+  key raises it; removing the largest marks it stale, and the next read
+  recomputes it once;
+- a row inserted without a key gets the largest key + 1 (1 when empty),
+  so deleting the largest key lets it be reused, as SQLite does without
+  AUTOINCREMENT.
+
+The COW proxy relies on being able to start a delta table's key space at
+a large offset ``N`` to avoid collisions with the primary table (paper
+section 5.2); :meth:`Table.set_autoincrement_base` provides that.
 
 Each table keeps a primary-key hash index, ``pk_index`` (PK value ->
 rowid), current across every insert, replace, update and delete. NULL and
@@ -14,10 +25,42 @@ unhashable PK values are left out of it; they never equal a probe value.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import SqlIntegrityError, SqlNameError
 from repro.minisql import ast_nodes as ast
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# Numeric text SQLite's INTEGER affinity accepts (surrounding ASCII space
+# allowed; no hex, no digit separators).
+_SPACE = r"[ \t\n\v\f\r]*"
+_INTEGER_TEXT = re.compile(_SPACE + r"[+-]?\d+" + _SPACE, re.ASCII)
+_REAL_TEXT = re.compile(
+    _SPACE + r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?" + _SPACE, re.ASCII
+)
+
+
+def integer_key(value: object) -> int:
+    """``value`` as an INTEGER PRIMARY KEY, converted as SQLite converts a
+    rowid: an int, a bool, an integral real or numeric text with an
+    integral value becomes that ``int``; anything else, NULL included,
+    raises ``datatype mismatch``."""
+    if type(value) is int:
+        key = value
+    elif isinstance(value, int):  # bool
+        key = int(value)
+    elif isinstance(value, float) and value.is_integer():
+        key = int(value)
+    elif isinstance(value, str) and _INTEGER_TEXT.fullmatch(value):
+        key = int(value)
+    elif isinstance(value, str) and _REAL_TEXT.fullmatch(value):
+        return integer_key(float(value))
+    else:
+        raise SqlIntegrityError("datatype mismatch")
+    if not _INT64_MIN <= key <= _INT64_MAX:
+        raise SqlIntegrityError("datatype mismatch")
+    return key
 
 
 class Table:
@@ -37,8 +80,12 @@ class Table:
         )
         self.rows: Dict[int, Dict[str, object]] = {}
         self.pk_index: Dict[object, int] = {}
-        self._next_rowid = 1
-        self._autoincrement_base = 1
+        # The largest INTEGER PRIMARY KEY (None when empty); stale once
+        # that key leaves the index, until the next read recomputes it.
+        self._largest: Optional[int] = None
+        self._largest_stale = False
+        # The COW proxy's floor for allocated keys; None: no floor.
+        self._autoincrement_base: Optional[int] = None
         self._rowid_counter = 0
 
     # ------------------------------------------------------------------
@@ -56,12 +103,20 @@ class Table:
         """Start INTEGER PRIMARY KEY allocation at ``base`` (COW proxy hook)."""
         self._autoincrement_base = base
 
+    def largest_key(self) -> Optional[int]:
+        """The largest INTEGER PRIMARY KEY, or None when the table is empty
+        (SQLite's ``MAX(pk)``). O(1), except that the first read after the
+        largest key was removed recomputes it."""
+        if self._largest_stale:
+            self._largest = max(self.pk_index, default=None)  # type: ignore[type-var]
+            self._largest_stale = False
+        return self._largest
+
     def _allocate_pk(self) -> int:
-        current_max = 0
-        for value in self.pk_index:
-            if isinstance(value, int) and value > current_max:
-                current_max = value
-        return max(current_max + 1, self._autoincrement_base)
+        largest = self.largest_key()
+        key = 1 if largest is None else largest + 1
+        base = self._autoincrement_base
+        return key if base is None else max(key, base)
 
     def _next_internal_rowid(self) -> int:
         self._rowid_counter += 1
@@ -86,11 +141,13 @@ class Table:
             raise SqlNameError(
                 f"table {self.display_name} has no columns {sorted(unknown)}"
             )
-        if self.pk_column is not None and row.get(self.pk_column) is None:
-            if self.pk_is_integer:
-                row[self.pk_column] = self._allocate_pk()
-            else:
-                raise SqlIntegrityError(f"NOT NULL constraint: {self.pk_column}")
+        if self.pk_is_integer:
+            key = row[self.pk_column]  # type: ignore[index]
+            row[self.pk_column] = (  # type: ignore[index]
+                self._allocate_pk() if key is None else integer_key(key)
+            )
+        elif self.pk_column is not None and row.get(self.pk_column) is None:
+            raise SqlIntegrityError(f"NOT NULL constraint: {self.pk_column}")
         for column in self.columns:
             if column.not_null and row.get(column.name.lower()) is None and not column.primary_key:
                 raise SqlIntegrityError(
@@ -123,8 +180,8 @@ class Table:
         rowid = self._next_internal_rowid()
         self.rows[rowid] = row
         self._index(rowid, row)
-        if self.pk_is_integer and isinstance(row.get(self.pk_column), int):
-            return int(row[self.pk_column])  # type: ignore[arg-type]
+        if self.pk_is_integer:
+            return row[self.pk_column]  # type: ignore[index,return-value]
         return rowid
 
     def find_by_pk(self, value: object) -> Optional[int]:
@@ -153,13 +210,17 @@ class Table:
         if self.pk_column not in new_values:
             row.update(new_values)
             return
-        clash = self.find_by_pk(new_values[self.pk_column])
+        key = new_values[self.pk_column]
+        if self.pk_is_integer:
+            key = integer_key(key)
+        clash = self.find_by_pk(key)
         if clash is not None and clash != rowid:
             raise SqlIntegrityError(
                 f"UNIQUE constraint failed: {self.display_name}.{self.pk_column}"
             )
         self._unindex(rowid, row)
         row.update(new_values)
+        row[self.pk_column] = key
         self._index(rowid, row)
 
     def delete_rowids(self, rowids: List[int]) -> int:
@@ -181,7 +242,13 @@ class Table:
         try:
             self.pk_index[value] = rowid
         except TypeError:  # unhashable: never equal to a probe value
-            pass
+            return
+        if (
+            self.pk_is_integer
+            and not self._largest_stale
+            and (self._largest is None or value > self._largest)  # type: ignore[operator]
+        ):
+            self._largest = value  # type: ignore[assignment]
 
     def _unindex(self, rowid: int, row: Dict[str, object]) -> None:
         if self.pk_column is None:
@@ -189,6 +256,8 @@ class Table:
         value = row.get(self.pk_column)
         if self.find_by_pk(value) == rowid:
             del self.pk_index[value]
+            if value == self._largest:
+                self._largest_stale = True
 
     def _pop(self, rowid: int) -> None:
         self._unindex(rowid, self.rows.pop(rowid))

@@ -185,3 +185,62 @@ class TestIndexPlans:
             "SCAN words (20 rows)",
             "SCAN words_delta (1 rows)",
         ]
+
+
+class TestKeyMaxPlan:
+    MAX_PRIMARY = "SEARCH words USING PRIMARY KEY (max)"
+
+    @pytest.mark.parametrize(
+        "sql, value",
+        [
+            ("SELECT MAX(_id) FROM words", 20),
+            ("SELECT MAX(w._id) AS top FROM words w", 20),
+        ],
+    )
+    def test_bare_key_max_searches(self, sql, value):
+        db = _cow_db()
+        assert db.explain(sql) == [self.MAX_PRIMARY]
+        db.stats.reset()
+        assert db.execute(sql).scalar() == value
+        assert (db.stats.index_lookups, db.stats.rows_scanned) == (1, 0)
+
+    def test_empty_table_gives_null(self, db):
+        assert db.explain("SELECT MAX(_id) FROM b") == ["SEARCH b USING PRIMARY KEY (max)"]
+        assert db.execute("SELECT MAX(_id) FROM b").rows == [(None,)]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT MAX(_id) FROM words WHERE freq > 3",
+            "SELECT MAX(_id) FROM words GROUP BY freq",
+            "SELECT MAX(+_id) FROM words",
+            "SELECT MAX(freq) FROM words",
+            "SELECT MIN(_id) FROM words",
+            "SELECT MAX(_id), COUNT(*) FROM words",
+        ],
+    )
+    def test_anything_else_scans(self, sql):
+        db = _cow_db()
+        assert db.explain(sql) == ["SCAN words (20 rows)"]
+        db.stats.reset()
+        db.execute(sql)
+        assert db.stats.rows_scanned == 20
+
+    def test_view_source_falls_back_to_a_scan(self):
+        db = _cow_db()
+        plan = _stripped(db.explain("SELECT MAX(_id) FROM words_view"))
+        assert plan == [
+            "VIEW words_view (MATERIALIZE)",
+            "SCAN words (20 rows)",
+            "SCAN words_delta (1 rows)",
+        ]
+        assert db.execute("SELECT MAX(_id) FROM words_view").scalar() == 20
+
+    def test_each_compound_arm_answers_its_own_max(self):
+        db = _cow_db()
+        sql = "SELECT MAX(_id) FROM words UNION ALL SELECT MAX(_id) FROM words_delta"
+        assert db.explain(sql) == [
+            self.MAX_PRIMARY,
+            "SEARCH words_delta USING PRIMARY KEY (max)",
+        ]
+        assert db.execute(sql).rows == [(20,), (3,)]
