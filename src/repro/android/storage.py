@@ -53,11 +53,6 @@ class StorageLayout:
     def ppriv_database_path(self, name: str) -> str:
         return vpath.join(self.ppriv_dir, "databases", f"{name}.db")
 
-    def external_app_dir(self) -> str:
-        """The app's dedicated directory on external storage (Android
-        4.4-style ``Android/data/<pkg>``)."""
-        return vpath.join(EXTDIR, "Android", "data", self.package)
-
 
 class SharedPreferences:
     """A private key-value store backed by one file.

@@ -206,11 +206,6 @@ class CowProxy:
                         bases.add(key)
         return bases
 
-    def is_registered(self, name: str) -> bool:
-        """True if ``name`` is a proxy-managed table or user view."""
-        key = name.lower()
-        return key in self._tables or key in self._user_views
-
     def primary_key(self, name: str) -> Optional[str]:
         """The primary-key column of a registered table; None for a view."""
         primary = self._tables.get(name.lower())

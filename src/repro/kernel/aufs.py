@@ -49,6 +49,7 @@ from repro.kernel.vfs import (
     FileHandle,
     Filesystem,
     FilesystemAPI,
+    Inode,
     InodeKind,
     ROOT_CRED,
     Stat,
@@ -94,12 +95,6 @@ class Branch:
         return f"<Branch {self.label or self.root} ({rw})>"
 
 
-def _whiteout_path(branch: Branch, union_path: str) -> str:
-    parent = vpath.parent(union_path)
-    name = vpath.basename(union_path)
-    return vpath.join(branch.path(parent), WHITEOUT_PREFIX + name)
-
-
 def _copy_up_ctx(self, union_path: str, source_index: int, cred: Credentials) -> dict:
     return {"mount": self.label, "path": union_path}
 
@@ -123,14 +118,12 @@ def _open_attrs(self, path, cred, *, write=False, truncate=False, append=False, 
     }
 
 
-class _AufsFileHandle(FileHandle):
-    """File handle that counts copy-up work for the performance model."""
-
-
 class AufsMount(FilesystemAPI):
     """A union of branches presented as a single filesystem.
 
-    Branches are ordered highest-priority first. Statistics counters
+    Branches are ordered highest-priority first; only the top one may be
+    writable (as in every mount of the paper's Table 2), so an entry the
+    writable branch holds is always the visible one. Statistics counters
     (``copy_up_count``, ``copy_up_bytes``, ``lookup_branches_scanned``)
     feed the reproduction's latency model: the paper's Table 3 delegate
     overheads come precisely from multi-branch lookups and copy-up.
@@ -146,11 +139,10 @@ class AufsMount(FilesystemAPI):
     ) -> None:
         if not branches:
             raise ValueError("an Aufs mount needs at least one branch")
-        writable = [i for i, b in enumerate(branches) if b.writable]
-        if len(writable) > 1:
-            raise ValueError("at most one writable branch is supported")
+        if any(branch.writable for branch in branches[1:]):
+            raise ValueError("only the top branch may be writable")
         self.branches = list(branches)
-        self._writable_index: Optional[int] = writable[0] if writable else None
+        self.writable_branch: Optional[Branch] = branches[0] if branches[0].writable else None
         self.always_allow_read = always_allow_read
         self.label = label
         self.copy_up_count = 0
@@ -172,12 +164,6 @@ class AufsMount(FilesystemAPI):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<AufsMount {self.label} branches={self.branches!r}>"
-
-    @property
-    def writable_branch(self) -> Optional[Branch]:
-        if self._writable_index is None:
-            return None
-        return self.branches[self._writable_index]
 
     # ------------------------------------------------------------------
     # Visibility
@@ -253,27 +239,86 @@ class AufsMount(FilesystemAPI):
             raise ReadOnlyFilesystem(self.label or "no writable branch")
         return branch
 
-    def _ensure_parents(self, union_path: str) -> None:
-        """Replicate the ancestor directory chain into the writable branch."""
+    def _writable_dir(
+        self, union_path: str, cred: Optional[Credentials] = None, mode: int = 0o755
+    ) -> Tuple[Inode, str]:
+        """The one parent-chain walk of a union mutation: the writable
+        branch's directory at ``union_path`` as ``(inode, branch path)``.
+
+        It descends the writable branch's inodes as far as they hold the
+        chain; only the components beyond consult :meth:`_find`, and each
+        visible one is copied in with its mode and owner. A file on the way
+        raises :class:`NotADirectory`, a missing component
+        :class:`FileNotFound`, unless ``cred`` is given (``mkdir -p``): then
+        it and everything below it are made by :meth:`_new_dir`.
+        """
         branch = self._require_writable()
-        partial = "/"
-        for component in vpath.split(vpath.parent(union_path)):
-            partial = vpath.join(partial, component)
-            target = branch.path(partial)
-            if not branch.fs.exists(target, ROOT_CRED):
-                # The directory must be visible in the union for the write
-                # to be legal; copy its mode from the visible instance.
-                index, stat = self._find(partial)
+        node = branch.fs.probe(branch.root)
+        if node is None:  # Clear-Priv dropped the root under a live mount
+            raise FileNotFound(branch.root)
+        target, partial = branch.root, "/"
+        components = vpath.split(union_path)
+        for depth, name in enumerate(components):
+            partial = vpath.join(partial, name)
+            child = node.children.get(name)
+            if child is None:
+                try:
+                    _, stat = self._find(partial)
+                except FileNotFound:
+                    if cred is None:
+                        raise
+                    break
                 if not stat.is_dir:
                     raise NotADirectory(partial)
-                branch.fs.mkdir(target, ROOT_CRED, mode=stat.mode)
-                branch.fs.chown(target, stat.uid, gid=stat.gid)
+                node, target = self._new_dir(node, target, name, stat, stat.mode)
+            elif child.kind is InodeKind.DIR:
+                node, target = child, vpath.join(target, name)
+            else:
+                raise NotADirectory(partial)
+        else:
+            return node, target
+        # Nothing below a name missing from the union is visible either.
+        for name in components[depth:]:
+            node, target = self._new_dir(node, target, name, cred, mode)
+        return node, target
 
-    def _drop_whiteout(self, union_path: str) -> None:
-        branch = self._require_writable()
-        whiteout = _whiteout_path(branch, union_path)
-        if branch.fs.exists(whiteout, ROOT_CRED):
-            branch.fs.unlink(whiteout, ROOT_CRED)
+    def _place(self, union_path: str) -> Tuple[str, bool]:
+        """Ready the writable branch for an entry at ``union_path``: its
+        branch path, and whether a whiteout of the name was dropped."""
+        node, parent = self._writable_dir(vpath.parent(union_path))
+        name = vpath.basename(union_path)
+        return vpath.join(parent, name), self._unmask(node, parent, name)
+
+    def _unmask(self, node: Inode, target: str, name: str) -> bool:
+        """Drop ``name``'s whiteout from the writable directory ``node``
+        (branch path ``target``); True if there was one."""
+        whiteout = WHITEOUT_PREFIX + name
+        if whiteout not in node.children:
+            return False
+        self.writable_branch.fs.unlink(vpath.join(target, whiteout), ROOT_CRED)
+        return True
+
+    def _new_dir(self, node: Inode, target: str, name: str, owner, mode: int) -> Tuple[Inode, str]:
+        """Create directory ``name`` in the writable directory ``node`` with
+        ``owner``'s uid and gid (a writer's credentials, or the stat of the
+        visible directory it copies). Where it replaces a whiteout it is
+        made opaque, so the deleted name's stale lower entries stay hidden."""
+        fs = self.writable_branch.fs
+        masked = self._unmask(node, target, name)
+        target = vpath.join(target, name)
+        fs.mkdir(target, ROOT_CRED, mode=mode)
+        fs.chown(target, owner.uid, gid=owner.gid)
+        if masked:
+            fs.write_file(vpath.join(target, OPAQUE_MARKER), b"", ROOT_CRED)
+        return node.children[name], target
+
+    def _mask(self, union_path: str, start: int) -> None:
+        """Whiteout ``union_path`` if a branch from ``start`` down still
+        holds it, masked or not."""
+        if any(b.fs.probe(b.path(union_path)) is not None for b in self.branches[start:]):
+            _, parent = self._writable_dir(vpath.parent(union_path))
+            whiteout = vpath.join(parent, WHITEOUT_PREFIX + vpath.basename(union_path))
+            self.writable_branch.fs.write_file(whiteout, b"", ROOT_CRED)
 
     @boundary(
         "aufs.copy_up",
@@ -296,17 +341,12 @@ class AufsMount(FilesystemAPI):
         source = self.branches[source_index]
         data = source.fs.read_file(source.path(union_path), ROOT_CRED)
         stat = source.fs.stat(source.path(union_path), ROOT_CRED)
-        self._ensure_parents(union_path)
-        self._drop_whiteout(union_path)
-        target = branch.path(union_path)
+        target, _ = self._place(union_path)
         # Crash-atomic: stage the copy under a whiteout-prefixed temp name
         # (invisible through the union), then publish it with an atomic
         # rename — a crash at any intermediate point leaves either the old
         # view or the new one, never a torn file.
-        staging = vpath.join(
-            branch.path(vpath.parent(union_path)),
-            COPYUP_TMP_PREFIX + vpath.basename(union_path),
-        )
+        staging = vpath.join(vpath.parent(target), COPYUP_TMP_PREFIX + vpath.basename(target))
         branch.fs.write_file(staging, data, ROOT_CRED, mode=stat.mode | 0o600)
         branch.fs.chown(staging, cred.uid, gid=cred.gid)
         self._publish(branch, staging, target, union_path)
@@ -334,21 +374,41 @@ class AufsMount(FilesystemAPI):
         visible step."""
         branch.fs.rename(staging, target, ROOT_CRED)
 
-    def _copy_up_tree(self, union_path: str, cred: Credentials) -> None:
-        """Recursively materialize a visible subtree in the writable branch."""
-        index, stat = self._find(union_path)
+    def _copy_up_tree(self, union_path: str, index: int, stat: Stat, cred: Credentials) -> None:
+        """Recursively materialize the visible subtree that :meth:`_find`
+        put at branch ``index`` in the writable branch."""
         if stat.is_file:
             if not self.branches[index].writable:
                 self._copy_up(union_path, index, cred)
             return
-        branch = self._require_writable()
-        target = branch.path(union_path)
-        if not branch.fs.exists(target, ROOT_CRED):
-            self._ensure_parents(union_path)
-            self._drop_whiteout(union_path)
-            branch.fs.mkdir(target, ROOT_CRED, mode=stat.mode)
-        for name in self.readdir(union_path, ROOT_CRED):
-            self._copy_up_tree(vpath.join(union_path, name), cred)
+        self._writable_dir(union_path)
+        for name in self._merged_names(index, union_path):
+            child = vpath.join(union_path, name)
+            self._copy_up_tree(child, *self._find(child), cred)
+
+    def _merged_names(self, index: int, union_path: str) -> List[str]:
+        """The sorted names visible in the directory ``union_path``, whose
+        topmost instance :meth:`_find` put at branch ``index``."""
+        names = set()
+        hidden = set()
+        for i in range(index, len(self.branches)):
+            branch = self.branches[i]
+            branch_dir = branch.path(union_path)
+            node = branch.fs.probe(branch_dir)
+            if node is None:
+                continue
+            if node.kind is not InodeKind.DIR:
+                break
+            if i > index and self._hidden_by_upper(i, union_path):
+                break
+            for name in branch.fs.readdir(branch_dir, ROOT_CRED):
+                if name.startswith(WHITEOUT_PREFIX):  # the opaque marker too
+                    hidden.add(name[len(WHITEOUT_PREFIX) :])
+                elif name not in hidden:
+                    names.add(name)
+            if OPAQUE_MARKER in node.children:
+                break
+        return sorted(names)
 
     # ------------------------------------------------------------------
     # FilesystemAPI
@@ -395,19 +455,11 @@ class AufsMount(FilesystemAPI):
             return handle
         try:
             index, stat = self._find(path)
-            exists = True
         except FileNotFound:
-            exists = False
-            index, stat = -1, None
-        if exists and exclusive and create:
-            raise FileExists(path)
-        if not exists:
             if not create:
-                raise FileNotFound(path)
-            branch = self._require_writable()
-            self._ensure_parents(path)
-            self._drop_whiteout(path)
-            target = branch.path(path)
+                raise
+            target, _ = self._place(path)
+            branch = self.writable_branch
             handle = branch.fs.open(
                 target,
                 ROOT_CRED,
@@ -420,7 +472,8 @@ class AufsMount(FilesystemAPI):
             )
             branch.fs.chown(target, cred.uid, gid=cred.gid)
             return handle
-        assert stat is not None
+        if exclusive and create:
+            raise FileExists(path)
         if stat.is_dir:
             raise IsADirectory(path)
         if read:
@@ -429,7 +482,7 @@ class AufsMount(FilesystemAPI):
             self._check_access(stat, cred, 0o2)
             if not self.branches[index].writable:
                 self._copy_up(path, index, cred)
-                index = self._writable_index  # type: ignore[assignment]
+                index = 0
         branch = self.branches[index]
         return branch.fs.open(
             branch.path(path),
@@ -444,26 +497,14 @@ class AufsMount(FilesystemAPI):
         if self._single is not None and self._single.writable:
             self._single.fs.mkdir(self._single.path(path), ROOT_CRED, mode=mode, parents=parents)
             return
-        branch = self._require_writable()
-        if parents:
-            partial = "/"
-            for component in vpath.split(path):
-                partial = vpath.join(partial, component)
-                if not self.exists(partial, cred):
-                    self.mkdir(partial, cred, mode=mode, parents=False)
-            return
+        self._require_writable()
         if self.exists(path, cred):
-            raise FileExists(path)
-        had_whiteout = branch.fs.exists(_whiteout_path(branch, path), ROOT_CRED)
-        self._ensure_parents(path)
-        self._drop_whiteout(path)
-        target = branch.path(path)
-        branch.fs.mkdir(target, ROOT_CRED, mode=mode)
-        branch.fs.chown(target, cred.uid, gid=cred.gid)
-        if had_whiteout:
-            # The name was deleted earlier; the fresh directory must not let
-            # stale lower-branch entries show through.
-            branch.fs.write_file(vpath.join(target, OPAQUE_MARKER), b"", ROOT_CRED)
+            if not parents:
+                raise FileExists(path)
+        elif parents:
+            self._writable_dir(path, cred, mode)
+        else:
+            self._new_dir(*self._writable_dir(vpath.parent(path)), vpath.basename(path), cred, mode)
 
     def readdir(self, path: str, cred: Credentials) -> List[str]:
         if self._single is not None:
@@ -472,33 +513,7 @@ class AufsMount(FilesystemAPI):
         if not stat.is_dir:
             raise NotADirectory(path)
         self._check_access(stat, cred, 0o4)
-        names: List[str] = []
-        seen = set()
-        hidden = set()
-        for i in range(index, len(self.branches)):
-            branch = self.branches[i]
-            branch_dir = branch.path(path)
-            node = branch.fs.probe(branch_dir)
-            if node is None:
-                continue
-            if node.kind is not InodeKind.DIR:
-                break
-            if i > index and self._hidden_by_upper(i, path):
-                break
-            opaque = False
-            for name in branch.fs.readdir(branch_dir, ROOT_CRED):
-                if name == OPAQUE_MARKER:
-                    opaque = True
-                    continue
-                if name.startswith(WHITEOUT_PREFIX):
-                    hidden.add(name[len(WHITEOUT_PREFIX) :])
-                    continue
-                if name not in seen and name not in hidden:
-                    seen.add(name)
-                    names.append(name)
-            if opaque:
-                break
-        return sorted(names)
+        return self._merged_names(index, path)
 
     def unlink(self, path: str, cred: Credentials) -> None:
         if self._single is not None and self._single.writable:
@@ -512,39 +527,24 @@ class AufsMount(FilesystemAPI):
         if self.branches[index].writable:
             branch.fs.unlink(branch.path(path), ROOT_CRED)
             index += 1
-        # If the name still exists in any lower branch, mask it.
-        still_visible = any(
-            self.branches[i].fs.exists(self.branches[i].path(path), ROOT_CRED)
-            for i in range(index, len(self.branches))
-        )
-        if still_visible:
-            self._ensure_parents(path)
-            branch.fs.write_file(_whiteout_path(branch, path), b"", ROOT_CRED)
+        self._mask(path, index)
 
     def rmdir(self, path: str, cred: Credentials) -> None:
         index, stat = self._find(path)
         if not stat.is_dir:
             raise NotADirectory(path)
-        if self.readdir(path, ROOT_CRED):
+        if self._merged_names(index, path):
             raise DirectoryNotEmpty(path)
         self._check_access(stat, cred, 0o2)
         branch = self._require_writable()
         if self.branches[index].writable:
+            # What is left are whiteouts and the opaque marker.
             target = branch.path(path)
-            opaque = vpath.join(target, OPAQUE_MARKER)
-            if branch.fs.exists(opaque, ROOT_CRED):
-                branch.fs.unlink(opaque, ROOT_CRED)
-            for name in list(branch.fs.readdir(target, ROOT_CRED)):
+            for name in branch.fs.readdir(target, ROOT_CRED):
                 branch.fs.unlink(vpath.join(target, name), ROOT_CRED)
             branch.fs.rmdir(target, ROOT_CRED)
             index += 1
-        still_visible = any(
-            self.branches[i].fs.exists(self.branches[i].path(path), ROOT_CRED)
-            for i in range(index, len(self.branches))
-        )
-        if still_visible:
-            self._ensure_parents(path)
-            branch.fs.write_file(_whiteout_path(branch, path), b"", ROOT_CRED)
+        self._mask(path, index)
 
     def rename(self, old: str, new: str, cred: Credentials) -> None:
         """Rename within the union.
@@ -558,24 +558,19 @@ class AufsMount(FilesystemAPI):
         branch = self._require_writable()
         if stat.is_file:
             data = self.read_file(old, ROOT_CRED)
-            self._ensure_parents(new)
-            self._drop_whiteout(new)
-            target = branch.path(new)
+            target, _ = self._place(new)
             branch.fs.write_file(target, data, ROOT_CRED, mode=stat.mode)
             branch.fs.chown(target, cred.uid, gid=cred.gid)
             self.unlink(old, cred)
             return
-        # Directory rename: materialize the subtree under the new name.
-        self._copy_up_tree(old, cred)
-        source_root = branch.path(old)
-        self._ensure_parents(new)
-        self._drop_whiteout(new)
-        branch.fs.rename(source_root, branch.path(new), ROOT_CRED)
-        still_visible = any(
-            b.fs.exists(b.path(old), ROOT_CRED) for b in self.branches if not b.writable
-        )
-        if still_visible:
-            branch.fs.write_file(_whiteout_path(branch, old), b"", ROOT_CRED)
+        # Directory rename: materialize the subtree, then move it.
+        self._copy_up_tree(old, index, stat, cred)
+        target, masked = self._place(new)
+        branch.fs.rename(branch.path(old), target, ROOT_CRED)
+        if masked:
+            # As for mkdir: a deleted name's lower entries stay hidden.
+            branch.fs.write_file(vpath.join(target, OPAQUE_MARKER), b"", ROOT_CRED)
+        self._mask(old, 1)
 
     # ------------------------------------------------------------------
     # Introspection (used by the branch manager and the benchmarks)
@@ -588,12 +583,6 @@ class AufsMount(FilesystemAPI):
             rw = "rw" if branch.writable else "ro"
             out.append(f"{branch.label or branch.root}({rw})")
         return out
-
-    def reset_counters(self) -> None:
-        """Zero the copy-up/lookup statistics counters."""
-        self.copy_up_count = 0
-        self.copy_up_bytes = 0
-        self.lookup_branches_scanned = 0
 
 
 def purge_copyup_temps(fs: Filesystem) -> List[str]:

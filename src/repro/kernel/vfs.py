@@ -165,12 +165,6 @@ class FileHandle:
         self._offset = 0
         self._closed = False
 
-    # The Aufs handle needs to retarget after copy-up; expose the inode to
-    # subclasses via a property so that retargeting stays encapsulated.
-    @property
-    def inode(self) -> Inode:
-        return self._inode
-
     @property
     def ino(self) -> int:
         """Inode number — globally unique across simulated filesystems."""

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.boundary import boundary
 from repro.errors import (
     SqlError,
+    SqlIntegrityError,
     SqlNameError,
     SqlReadOnlyError,
 )
@@ -35,7 +36,7 @@ from repro.minisql.expr import (
     sql_compare,
 )
 from repro.minisql.parser import parse
-from repro.minisql.table import Table
+from repro.minisql.table import Table, integer_key
 from repro.obs import OBS as _OBS
 
 
@@ -90,8 +91,6 @@ class _ProjectedRow:
         self.values = values
         self.scope = scope
 
-
-_MISSING = object()
 
 #: Parsed statements by SQL text, shared by every Database in the process
 #: (SQLite's prepared statements, minus the per-connection plan). The
@@ -207,7 +206,7 @@ class Database:
         self,
         select: ast.Select,
         depth: int = 0,
-        probes: Optional[List[Optional[List[ast.Expr]]]] = None,
+        probes: Optional[List[Optional[planner.Probe]]] = None,
     ) -> List[str]:
         pad = "  " * depth
         lines: List[str] = []
@@ -261,17 +260,9 @@ class Database:
         """Sorted names of all base tables."""
         return sorted(self.tables)
 
-    def view_names(self) -> List[str]:
-        """Sorted names of all views."""
-        return sorted(self.views)
-
     def has_table(self, name: str) -> bool:
         """True if a base table named ``name`` exists."""
         return name.lower() in self.tables
-
-    def has_view(self, name: str) -> bool:
-        """True if a view named ``name`` exists."""
-        return name.lower() in self.views
 
     def table(self, name: str) -> Table:
         """The :class:`Table` object for ``name`` (raises if unknown)."""
@@ -554,7 +545,7 @@ class Database:
         select: ast.Select,
         params: List[object],
         outer_scope: Optional[Scope] = None,
-        probes: Optional[List[Optional[List[ast.Expr]]]] = None,
+        probes: Optional[List[Optional[planner.Probe]]] = None,
     ) -> ResultSet:
         """Run a SELECT; ``probes`` (one per core) are key terms pushed
         down from an enclosing statement (see :meth:`_arm_probes`)."""
@@ -610,7 +601,7 @@ class Database:
         params: List[object],
         evaluator: Evaluator,
         outer_scope: Optional[Scope],
-        probe: Optional[List[ast.Expr]] = None,
+        probe: Optional[planner.Probe] = None,
     ) -> Tuple[List[str], List[_ProjectedRow]]:
         # --- planner hook: flattened execution over a UNION ALL view -----
         flattened = self._try_flattened_view(core, enclosing, params, evaluator, outer_scope)
@@ -633,12 +624,12 @@ class Database:
                 scopes = [s for s in scopes if evaluator.truth(core.where, s)]
         else:
             name = core.source.effective_name
-            probe = self._effective_probe(core, probe)
-            cols, rows = self._source_rows(
-                core.source, params, outer_scope, self._probe_keys(probe, params)
+            keys, where = self._probe_keys(
+                self._source_table(core), self._effective_probe(core, probe), params, core.where
             )
+            cols, rows = self._source_rows(core.source, params, outer_scope, keys)
             source_columns.append((name, cols))
-            scopes = self._scan(row_names(name, cols), rows, core.where, evaluator, outer_scope)
+            scopes = self._scan(row_names(name, cols), rows, where, evaluator, outer_scope)
         # --- aggregate or plain projection ------------------------------------
         has_aggregates = any(contains_aggregate(item.expr) for item in core.items) or (
             core.having is not None and contains_aggregate(core.having)
@@ -715,7 +706,9 @@ class Database:
                         emit(values)
                 continue
             assert arm.source is not None
-            keys = self._probe_keys(self._effective_probe(arm, probe), params)
+            keys, arm_where = self._probe_keys(
+                table, self._effective_probe(arm, probe), params, arm.where
+            )
             rows = self._table_rows(table, keys)
             self.stats.rows_scanned += len(rows)
             items = [item.expr for item in arm.items]
@@ -725,7 +718,7 @@ class Database:
             view_row = ArmScope(positions, items, evaluator, arm_row, outer_scope)
             for _, row in rows:
                 arm_row.row = row
-                if arm.where is not None and not evaluator.truth(arm.where, arm_row):
+                if arm_where is not None and not evaluator.truth(arm_where, arm_row):
                     continue
                 if core.where is not None and not evaluator.truth(core.where, view_row):
                     continue
@@ -756,32 +749,33 @@ class Database:
 
     # -- primary-key probes ---------------------------------------------------
 
-    def _source_probe(self, core: ast.SelectCore) -> Optional[List[ast.Expr]]:
-        """Sargable key terms of ``core.where`` on its lone base-table source."""
+    def _source_table(self, core: ast.SelectCore) -> Optional[Table]:
+        """The base table that is ``core``'s lone source, if it has one."""
         ref = core.source
         if ref is None or ref.name is None or core.joins:
             return None
-        table = self.tables.get(ref.name.lower())
+        return self.tables.get(ref.name.lower())
+
+    def _source_probe(self, core: ast.SelectCore) -> Optional[planner.Probe]:
+        """Sargable key terms of ``core.where`` on its lone base-table source."""
+        table = self._source_table(core)
         if table is None:
             return None
-        return planner.pk_probe(core.where, table.pk_column, {ref.effective_name.lower()})
+        assert core.source is not None
+        return planner.pk_probe(core.where, table.pk_column, {core.source.effective_name.lower()})
 
     def _key_max_table(self, core: ast.SelectCore) -> Optional[Table]:
         """The base table whose largest key answers ``core``, when ``core``
         is ``SELECT MAX(<integer primary key>) FROM`` that table."""
-        ref = core.source
-        if ref is None or ref.name is None:
-            return None
-        table = self.tables.get(ref.name.lower())
+        table = self._source_table(core)
         if table is None or not table.pk_is_integer:
             return None
-        if not planner.is_key_max(core, table.pk_column, {ref.effective_name.lower()}):
+        assert core.source is not None
+        if not planner.is_key_max(core, table.pk_column, {core.source.effective_name.lower()}):
             return None
         return table
 
-    def _effective_probe(
-        self, core: ast.SelectCore, pushed: Optional[List[ast.Expr]]
-    ) -> Optional[List[ast.Expr]]:
+    def _effective_probe(self, core: ast.SelectCore, pushed: Optional[planner.Probe]) -> Optional[planner.Probe]:
         """The key terms narrowing ``core``'s source: those pushed into it
         by an enclosing statement, else those of its own WHERE."""
         return pushed if pushed is not None else self._source_probe(core)
@@ -798,7 +792,7 @@ class Database:
 
     def _arm_probes(
         self, view: _View, where: Optional[ast.Expr], qualifier: str
-    ) -> List[Optional[List[ast.Expr]]]:
+    ) -> List[Optional[planner.Probe]]:
         """Push ``where``'s sargable terms on ``view``'s columns into its
         arms, one probe (or None) per arm.
 
@@ -808,7 +802,7 @@ class Database:
         the term exactly when their key does.
         """
         columns = [c.lower() for c in view.columns]
-        probes: List[Optional[List[ast.Expr]]] = []
+        probes: List[Optional[planner.Probe]] = []
         for arm in view.select.cores:
             probes.append(self._arm_probe(arm, columns, where, qualifier.lower()))
         return probes
@@ -835,7 +829,7 @@ class Database:
         columns: List[str],
         where: Optional[ast.Expr],
         qualifier: str,
-    ) -> Optional[List[ast.Expr]]:
+    ) -> Optional[planner.Probe]:
         table = self._arm_table(arm, len(columns))
         if table is None:
             return None
@@ -852,38 +846,56 @@ class Database:
 
     @staticmethod
     def _probe_keys(
-        probe: Optional[List[ast.Expr]], params: Sequence[object]
-    ) -> Optional[List[object]]:
-        """The key values a probe looks up, or None to scan instead.
+        table: Optional[Table],
+        probe: Optional[planner.Probe],
+        params: Sequence[object],
+        where: Optional[ast.Expr],
+    ) -> Tuple[Optional[List[object]], Optional[ast.Expr]]:
+        """The key values ``probe`` looks up in ``table`` (None: scan), and
+        the part of ``where`` the rows found must still pass.
 
         SQL ``=`` is dict-key equality only for int, float and text, so
         any other value (bool included) falls back to the scan. NULL
-        equals nothing and adds no key.
+        equals nothing and adds no key. On an INTEGER PRIMARY KEY each
+        value is converted once by :func:`integer_key`, as SQLite applies
+        the key's numeric affinity to the other operand (``'7'`` and
+        ``7.0`` find key 7; ``'abc'``, ``2.5`` or a blob find none), so the
+        term holds for exactly the rows found and is not tested again.
         """
         if probe is None:
-            return None
+            return None, where
+        term, values = probe
+        integer = table is not None and table.pk_is_integer
         keys: List[object] = []
-        for expr in probe:
+        for expr in values:
             if isinstance(expr, ast.Param):
                 if expr.index >= len(params):
-                    return None
+                    return None, where
                 value = params[expr.index]
             else:
                 assert isinstance(expr, ast.Literal)
                 value = expr.value
             if value is None:
                 continue
-            if type(value) not in (int, float, str):
-                return None
-            keys.append(value)
-        return keys
+            if integer:
+                try:
+                    keys.append(integer_key(value))
+                except SqlIntegrityError:
+                    pass
+            elif type(value) in (int, float, str):
+                keys.append(value)
+            else:
+                return None, where
+        return keys, planner.without_term(where, term) if integer else where
 
     def _target_rows(
         self, table: Table, where: Optional[ast.Expr], params: Sequence[object]
-    ) -> List[Tuple[int, Dict[str, object]]]:
-        """(rowid, row) pairs an UPDATE/DELETE on ``table`` must test."""
+    ) -> Tuple[List[Tuple[int, Dict[str, object]]], Optional[ast.Expr]]:
+        """(rowid, row) pairs an UPDATE/DELETE on ``table`` must test, and
+        the WHERE to test them on."""
         probe = planner.pk_probe(where, table.pk_column, {table.name})
-        return self._table_rows(table, self._probe_keys(probe, params))
+        keys, where = self._probe_keys(table, probe, params, where)
+        return self._table_rows(table, keys), where
 
     def _index_keys(self, select: ast.Select) -> Optional[Iterable[object]]:
         """The key set of a bare ``SELECT pk FROM table`` (no WHERE, join,
@@ -1114,10 +1126,11 @@ class Database:
         evaluator = self._evaluator(params)
         updated = 0
         row_scope = RowScope(row_names(table.name, table.column_names), scope)
-        for rowid, row in self._target_rows(table, statement.where, params):
+        rows, where = self._target_rows(table, statement.where, params)
+        for rowid, row in rows:
             # Every assignment is evaluated before the row changes.
             row_scope.row = row
-            if not evaluator.truth(statement.where, row_scope):
+            if not evaluator.truth(where, row_scope):
                 continue
             new_values = {
                 column.lower(): evaluator.evaluate(expr, row_scope)
@@ -1140,9 +1153,10 @@ class Database:
         evaluator = self._evaluator(params)
         doomed: List[int] = []
         row_scope = RowScope(row_names(table.name, table.column_names), scope)
-        for rowid, row in self._target_rows(table, statement.where, params):
+        rows, where = self._target_rows(table, statement.where, params)
+        for rowid, row in rows:
             row_scope.row = row
-            if evaluator.truth(statement.where, row_scope):
+            if evaluator.truth(where, row_scope):
                 doomed.append(rowid)
         removed = table.delete_rowids(doomed)
         return ResultSet(rowcount=removed)

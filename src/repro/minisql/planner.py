@@ -32,7 +32,7 @@ largest key instead of scanning (:meth:`repro.minisql.table.Table.largest_key`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.minisql import ast_nodes as ast
 
@@ -169,15 +169,20 @@ def _is_constant(expr: ast.Expr) -> bool:
     return isinstance(expr, (ast.Param, ast.Literal))
 
 
+#: A sargable key term and its value expressions (:func:`pk_probe`).
+Probe = Tuple[ast.Expr, List[ast.Expr]]
+
+
 def pk_probe(
     where: Optional[ast.Expr], column: Optional[str], qualifiers: Set[str]
-) -> Optional[List[ast.Expr]]:
-    """The value expressions of the first sargable term of ``where`` on
-    ``column``, or None when there is none.
+) -> Optional[Probe]:
+    """The first sargable term of ``where`` on ``column`` and its value
+    expressions, or None when there is none.
 
     ``column`` is the lowercased key column; ``qualifiers`` the lowercased
     names a qualified reference to it may use. A probe only narrows the
-    candidate rows: the caller still evaluates the whole WHERE on each.
+    candidate rows: the caller still evaluates the WHERE on each, less
+    what the term itself settles (:func:`without_term`).
     """
     if column is None:
         return None
@@ -185,15 +190,30 @@ def pk_probe(
         if isinstance(term, ast.Binary) and term.op == "=":
             for key, value in ((term.left, term.right), (term.right, term.left)):
                 if names_column(key, column, qualifiers) and _is_constant(value):
-                    return [value]
+                    return term, [value]
         if (
             isinstance(term, ast.InList)
             and not term.negated
             and names_column(term.operand, column, qualifiers)
             and all(_is_constant(item) for item in term.items)
         ):
-            return list(term.items)
+            return term, list(term.items)
     return None
+
+
+def without_term(where: Optional[ast.Expr], term: ast.Expr) -> Optional[ast.Expr]:
+    """``where`` with its top-level ``AND`` term ``term`` dropped (None
+    when nothing is left)."""
+    if where is term:
+        return None
+    if not (isinstance(where, ast.Binary) and where.op == "AND"):
+        return where
+    left, right = without_term(where.left, term), without_term(where.right, term)
+    if left is None or right is None:
+        return left or right
+    if left is where.left and right is where.right:
+        return where
+    return ast.Binary("AND", left, right)
 
 
 def is_key_max(core: ast.SelectCore, column: Optional[str], qualifiers: Set[str]) -> bool:

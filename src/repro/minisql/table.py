@@ -90,15 +90,6 @@ class Table:
 
     # ------------------------------------------------------------------
 
-    def has_column(self, name: str) -> bool:
-        return name.lower() in self.column_names
-
-    def column_def(self, name: str) -> ast.ColumnDef:
-        for column in self.columns:
-            if column.name.lower() == name.lower():
-                return column
-        raise SqlNameError(f"table {self.display_name} has no column {name}")
-
     def set_autoincrement_base(self, base: int) -> None:
         """Start INTEGER PRIMARY KEY allocation at ``base`` (COW proxy hook)."""
         self._autoincrement_base = base

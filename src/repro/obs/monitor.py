@@ -97,7 +97,3 @@ class SecurityMonitor:
     def messages(self) -> List[str]:
         """Violation messages as plain strings."""
         return [violation.message for violation in self.violations]
-
-    def explain_all(self) -> List[str]:
-        """Every violation rendered with its lineage chain."""
-        return [violation.render() for violation in self.violations]

@@ -56,14 +56,6 @@ class Measurement:
         self._require_trials("stdev")
         return stdev(self.trials_ms) if len(self.trials_ms) > 1 else 0.0
 
-    @property
-    def mad_ms(self) -> float:
-        """Median absolute deviation: a spread estimate that one slow
-        trial cannot inflate, printed beside the median."""
-        self._require_trials("mad")
-        center = median(self.trials_ms)
-        return median(abs(sample - center) for sample in self.trials_ms)
-
     def quantile(self, q: float) -> float:
         """The ``q``-quantile of the raw trials (nearest-rank)."""
         self._require_trials("quantile")

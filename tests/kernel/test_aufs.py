@@ -120,6 +120,10 @@ class TestCopyUp:
                 [Branch(upper, "/", writable=True), Branch(lower, "/", writable=True)]
             )
 
+    def test_writable_lower_branch_rejected(self, lower, upper):
+        with pytest.raises(ValueError):
+            AufsMount([Branch(lower, "/"), Branch(upper, "/", writable=True)])
+
 
 class TestWhiteouts:
     def test_unlink_lower_file_creates_whiteout(self, union, upper, lower):
@@ -181,6 +185,14 @@ class TestRename:
         union.rename("/docs", "/papers", APP)
         assert union.read_file("/papers/a.txt", APP) == b"lower-a"
         assert not union.exists("/docs", APP)
+
+    def test_directory_renamed_over_a_whiteout_hides_lower_entries(self, union, lower):
+        lower.mkdir("/old", ROOT_CRED)
+        lower.write_file("/old/ghost", b"g", ROOT_CRED)
+        union.unlink("/old/ghost", ROOT_CRED)
+        union.rmdir("/old", ROOT_CRED)
+        union.rename("/docs", "/old", APP)
+        assert union.readdir("/old", APP) == ["a.txt", "b.txt"]
 
 
 class TestPermissionsAndTheMaxoidPatch:

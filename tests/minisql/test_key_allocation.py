@@ -5,7 +5,9 @@ largest + 1 and ``SELECT MAX(pk) FROM t`` is answered without a scan.
 This property pins that the kept key, the allocated keys, the key
 conversion and the errors are exactly what stdlib ``sqlite3`` gives for
 the same statements, whatever sequence of inserts, key updates and
-deletes (the largest key's included) came first.
+deletes (the largest key's included) came first. A SELECT or DELETE that
+compares the key with text or a real converts that operand as SQLite does
+(``'7'`` finds key 7).
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ steps = st.lists(
         st.tuples(st.just("auto"), st.none(), st.none()),
         st.tuples(st.just("insert"), key_values, st.none()),
         st.tuples(st.just("update"), ints, key_values),
-        st.tuples(st.just("delete"), ints, st.none()),
+        st.tuples(st.just("delete"), key_values, st.none()),
+        st.tuples(st.just("select"), key_values, st.none()),
+        st.tuples(st.just("select_text"), st.none(), st.none()),
         st.tuples(st.just("delete_max"), st.none(), st.none()),
     ),
     min_size=1,
@@ -47,6 +51,10 @@ STATEMENTS = {
     "insert": "INSERT INTO t (id, v) VALUES (?, 'keyed')",
     "update": "UPDATE t SET id = ? WHERE id = ?",
     "delete": "DELETE FROM t WHERE id = ?",
+    "select": "SELECT id, v FROM t WHERE id = ?",
+    "select_text": (
+        "SELECT id FROM t WHERE id IN ('3', ' 4 ', '5.0', '1e1', 'abc', 2.5) AND v IS NOT NULL"
+    ),
     "delete_max": "DELETE FROM t WHERE id = (SELECT MAX(id) FROM t)",
 }
 
@@ -58,13 +66,15 @@ def _params(op, first, second):
 
 
 def _outcome(execute, op, sql, params):
-    """What a statement did: the allocated key for an insert, the row
-    count otherwise, or the integrity error's message."""
+    """What a statement did: the allocated key for an insert, the rows of
+    a query, the row count otherwise, or the integrity error's message."""
     try:
-        lastrowid, rowcount = execute(sql, params)
+        lastrowid, rowcount, rows = execute(sql, params)
     except (SqlIntegrityError, sqlite3.IntegrityError) as error:
         return ("error", str(error))
-    return ("key", lastrowid) if op in ("auto", "insert") else ("rows", rowcount)
+    if op.startswith("select"):
+        return ("rows", rows)
+    return ("key", lastrowid) if op in ("auto", "insert") else ("count", rowcount)
 
 
 @given(ops=steps)
@@ -77,6 +87,16 @@ def _outcome(execute, op, sql, params):
         ("auto", None, None),
     ]
 )
+@example(  # text and real operands find the key stored as 7
+    ops=[
+        ("insert", 7, None),
+        ("select", "7", None),
+        ("select", 7.0, None),
+        ("select", " 7 ", None),
+        ("select", "7.5", None),
+        ("delete", "+7", None),
+    ]
+)
 @settings(max_examples=200)
 def test_keys_max_and_errors_match_sqlite(ops):
     ours = Database()
@@ -86,11 +106,11 @@ def test_keys_max_and_errors_match_sqlite(ops):
 
     def run_ours(sql, params):
         result = ours.execute(sql, params)
-        return result.lastrowid, result.rowcount
+        return result.lastrowid, result.rowcount, result.rows
 
     def run_reference(sql, params):
         cursor = reference.execute(sql, params)
-        return cursor.lastrowid, cursor.rowcount
+        return cursor.lastrowid, cursor.rowcount, cursor.fetchall()
 
     for op, first, second in ops:
         sql, params = STATEMENTS[op], _params(op, first, second)

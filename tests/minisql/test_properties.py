@@ -290,6 +290,11 @@ class TestSargableEquivalence:
             ("SELECT * FROM tab_delta WHERE _id IN (?, ?)", [key, other]),
         ]
         for sql, params in queries:
+            if "tab_view" not in sql and any(isinstance(p, str) for p in params):
+                # As in SQLite, a base table's key converts a text operand
+                # ('5' finds key 5) and ``+_id``, which has no affinity,
+                # does not; test_key_allocation checks that against sqlite3.
+                continue
             fast = db.execute(sql, params)
             slow = db.execute(_twin(sql), params)
             assert fast.rows == slow.rows, sql
