@@ -596,11 +596,10 @@ class CowProxy:
     )
     def _commit_row(self, name: str, initiator: str, row_id: int) -> bool:
         """Journal one sealed commit intent, then apply it."""
-        entry = self._journal_commit_intent(name, initiator, row_id, sealed=1)
-        if entry is None:
-            return False
-        self._apply_entry(entry)
-        return True
+        entries = self._journal_commit_intents(name, initiator, [row_id], sealed=1)
+        for entry in entries:
+            self._apply_entry(entry)
+        return bool(entries)
 
     @boundary("cow.commit_batch", span=False, done=_commit_batch_done)
     def commit_volatile_batch(
@@ -628,11 +627,7 @@ class CowProxy:
     )
     def _commit_rows(self, name: str, initiator: str, row_ids: Sequence[int]) -> int:
         """Journal the rows unsealed, seal them in one statement, apply."""
-        entries = []
-        for row_id in row_ids:
-            entry = self._journal_commit_intent(name, initiator, row_id, sealed=0)
-            if entry is not None:
-                entries.append(entry)
+        entries = self._journal_commit_intents(name, initiator, row_ids, sealed=0)
         if not entries:
             return 0
         jids = ", ".join("?" for _ in entries)
@@ -655,67 +650,72 @@ class CowProxy:
                 "payload TEXT)"
             )
 
-    def _allocate_public_pk(self, primary: _PrimaryTable) -> int:
-        """Pre-allocate the public key a delegate-created row commits under.
+    def _journal_commit_intents(
+        self, name: str, initiator: str, row_ids: Sequence[int], sealed: int
+    ) -> List[Dict[str, object]]:
+        """Write one commit intent per row still live in the delta; returns
+        the in-memory entries.
 
-        Allocated at journal-write time — not at apply time — and recorded
-        in the intent, so replaying the entry after a crash reuses the same
-        key instead of minting a duplicate row. Pending journal entries for
-        the table count as allocated. The public table's ``MAX`` is read
-        from its largest key, not by a scan (:mod:`repro.minisql.planner`).
+        A row the delegate created gets a fresh public key, allocated here
+        and recorded in its intent, so replaying the entry after a crash
+        reuses the same key instead of minting a duplicate row. The key is
+        one more than both the public table's largest key (read from the
+        key, not by a scan: :mod:`repro.minisql.planner`) and every key a
+        journal entry for the table holds. Those entries are read once per
+        call; the keys journaled after that are tracked as they are
+        written, so a batch never rescans its own entries.
         """
-        top = int(
-            self.db.execute(f"SELECT MAX({primary.pk}) FROM {primary.name}").scalar()
-            or 0
-        )
-        pending = int(
-            self.db.execute(
-                f"SELECT MAX(public_pk) FROM {JOURNAL_TABLE} WHERE tbl = ?",
-                [primary.name],
-            ).scalar()
-            or 0
-        )
-        return max(top, pending) + 1
-
-    def _journal_commit_intent(
-        self, name: str, initiator: str, row_id: int, sealed: int
-    ) -> Optional[Dict[str, object]]:
-        """Write one commit intent; returns the in-memory entry or None."""
         self._ensure_journal()
         delta = self.delta_name(name, initiator)
         primary = self._tables[name.lower()]
-        row = self.db.execute(
-            f"SELECT * FROM {delta} WHERE {primary.pk} = ? AND _whiteout = 0", [row_id]
-        )
-        if not row.rows:
-            return None
-        record = dict(zip([c.lower() for c in row.columns], row.rows[0]))
-        record.pop("_whiteout", None)
-        if row_id >= VOLATILE_PK_BASE:
-            # A row the delegate created: give it a fresh public key.
-            record[primary.pk] = self._allocate_public_pk(primary)
-        result = self.db.execute(
-            f"INSERT INTO {JOURNAL_TABLE} "
-            "(tbl, initiator, delta_pk, public_pk, sealed, payload) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            [
-                primary.name,
-                initiator,
-                row_id,
-                record[primary.pk],
-                sealed,
-                _encode_payload(record),
-            ],
-        )
-        return {
-            "jid": result.lastrowid,
-            "tbl": primary.name,
-            "record": record,
-            "pk": primary.pk,
-            "delta": delta,
-            "delta_pk": row_id,
-            "initiator": initiator,
-        }
+        pending: Optional[int] = None
+        entries: List[Dict[str, object]] = []
+        for row_id in row_ids:
+            row = self.db.execute(
+                f"SELECT * FROM {delta} WHERE {primary.pk} = ? AND _whiteout = 0", [row_id]
+            )
+            if not row.rows:
+                continue
+            record = dict(zip([c.lower() for c in row.columns], row.rows[0]))
+            record.pop("_whiteout", None)
+            if row_id >= VOLATILE_PK_BASE:
+                if pending is None:
+                    pending = int(
+                        self.db.execute(
+                            f"SELECT MAX(public_pk) FROM {JOURNAL_TABLE} WHERE tbl = ?",
+                            [primary.name],
+                        ).scalar()
+                        or 0
+                    )
+                top = self.db.execute(f"SELECT MAX({primary.pk}) FROM {primary.name}")
+                record[primary.pk] = max(int(top.scalar() or 0), pending) + 1
+            result = self.db.execute(
+                f"INSERT INTO {JOURNAL_TABLE} "
+                "(tbl, initiator, delta_pk, public_pk, sealed, payload) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                [
+                    primary.name,
+                    initiator,
+                    row_id,
+                    record[primary.pk],
+                    sealed,
+                    _encode_payload(record),
+                ],
+            )
+            if pending is not None:
+                pending = max(pending, int(record[primary.pk]))  # type: ignore[call-overload]
+            entries.append(
+                {
+                    "jid": result.lastrowid,
+                    "tbl": primary.name,
+                    "record": record,
+                    "pk": primary.pk,
+                    "delta": delta,
+                    "delta_pk": row_id,
+                    "initiator": initiator,
+                }
+            )
+        return entries
 
     def _apply_record(self, table: str, record: Dict[str, object]) -> None:
         columns = list(record)

@@ -551,11 +551,20 @@ class AufsMount(FilesystemAPI):
 
         Implemented as copy-up of the source into the writable branch at the
         new name, then deletion of the old name — the strategy real union
-        filesystems use when the source lives in a read-only branch.
+        filesystems use when the source lives in a read-only branch. As
+        for :meth:`Filesystem.rename`, the new name may not be a directory
+        the union shows entries in, whichever branches hold them.
         """
         index, stat = self._find(old)
         self._check_access(stat, cred, 0o2)
         branch = self._require_writable()
+        try:
+            existing_index, existing = self._find(new)
+        except FileNotFound:
+            pass
+        else:
+            if existing.is_dir and self._merged_names(existing_index, new):
+                raise DirectoryNotEmpty(new)
         if stat.is_file:
             data = self.read_file(old, ROOT_CRED)
             target, _ = self._place(new)

@@ -66,11 +66,71 @@ class ResultSet:
         return iter(self.rows)
 
 
+class _Access:
+    """How one base-table source is read (:meth:`Database._access`): its
+    ``table``, the sargable key term of its own WHERE (``probe``), the
+    table whose keys its key anti-join excludes (``anti``), and its WHERE
+    less that anti-join term (``where``)."""
+
+    __slots__ = ("table", "probe", "anti", "where")
+
+    def __init__(
+        self,
+        table: Table,
+        probe: Optional[planner.Probe] = None,
+        anti: Optional[Table] = None,
+        where: Optional[ast.Expr] = None,
+    ) -> None:
+        self.table = table
+        self.probe = probe
+        self.anti = anti
+        self.where = where
+
+
+class _Arm:
+    """One arm of a flattened UNION ALL view (:meth:`Database._plan_arm`).
+
+    ``access`` says how its base table is read row by row (None: the arm
+    runs whole). ``names`` are the arm row's own names (:func:`row_names`);
+    ``view_names`` maps view-column names read straight from the arm row
+    to their row key, and ``view_items`` the other view-column names to
+    the arm item that computes them. ``key_columns`` are the view columns
+    whose item is the arm table's key: an outer key term on one of them
+    reaches the arm as a probe."""
+
+    __slots__ = ("core", "access", "names", "view_names", "view_items", "items", "key_columns")
+
+    def __init__(self, core: ast.SelectCore, access: Optional[_Access] = None) -> None:
+        self.core = core
+        self.access = access
+        self.names: Dict[str, str] = {}
+        self.view_names: Dict[str, str] = {}
+        self.view_items: Dict[str, ast.Expr] = {}
+        self.items: List[ast.Expr] = []
+        self.key_columns: List[str] = []
+
+
+class _ViewPlan:
+    """A flattened view read under the lowercased effective name
+    ``qualifier``: its column names (bare and qualified) by position, and
+    its arms."""
+
+    __slots__ = ("qualifier", "positions", "arms")
+
+    def __init__(self, qualifier: str, positions: Dict[str, int], arms: List[_Arm]) -> None:
+        self.qualifier = qualifier
+        self.positions = positions
+        self.arms = arms
+
+
 @dataclass
 class _View:
     name: str
     select: ast.Select
     columns: List[str]
+    #: Plans by the lowercased effective name of the query reading the
+    #: view; dropped whenever a base table is created or dropped.
+    plans: Dict[str, _ViewPlan] = field(default_factory=dict)
 
 
 @dataclass
@@ -195,7 +255,9 @@ class Database:
         the planner would push the query into (its arms then show whether
         the outer key term reaches them), or ``VIEW name (MATERIALIZE)``
         when footnote-5 rules force the view into a temp result first.
-        Subqueries are annotated recursively.
+        A table source with a key anti-join ends in ``EXCEPT KEYS OF
+        other`` (the COW view's public arm). Subqueries are annotated
+        recursively.
         """
         statement = prepare(sql)
         if not isinstance(statement, ast.Select):
@@ -225,24 +287,27 @@ class Database:
                 name = (ref.name or "").lower()
                 if name in self.tables:
                     table = self.tables[name]
+                    access = self._core_access(core) if ref is core.source else None
                     probe = None
-                    if ref is core.source:
-                        probe = self._effective_probe(core, probes[index] if probes else None)
+                    if access is not None:
+                        probe = probes[index] if probes and probes[index] else access.probe
                     if probe is not None:
-                        lines.append(
-                            f"{pad}SEARCH {name} USING PRIMARY KEY ({table.pk_column}=?)"
-                        )
+                        line = f"SEARCH {name} USING PRIMARY KEY ({table.pk_column}=?)"
                     elif self._key_max_table(core) is not None:
-                        lines.append(f"{pad}SEARCH {name} USING PRIMARY KEY (max)")
+                        line = f"SEARCH {name} USING PRIMARY KEY (max)"
                     else:
-                        lines.append(f"{pad}SCAN {name} ({len(table)} rows)")
+                        line = f"SCAN {name} ({len(table)} rows)"
+                    if access is not None and access.anti is not None:
+                        line += f" EXCEPT KEYS OF {access.anti.name}"
+                    lines.append(pad + line)
                 elif name in self.views:
                     view = self.views[name]
                     pushed = None
                     if view.select.is_compound:
                         flattens = ref is core.source and self._flattened_view(core, select)
                         if flattens:
-                            pushed = self._arm_probes(view, core.where, ref.effective_name)
+                            plan = self._view_plan(view, ref.effective_name)
+                            pushed = self._arm_probes(plan, core.where)
                         mode = "FLATTEN" if flattens else "MATERIALIZE"
                         lines.append(f"{pad}VIEW {name} ({mode})")
                     else:
@@ -316,7 +381,13 @@ class Database:
                 return ResultSet()
             raise SqlNameError(f"table {statement.name} already exists")
         self.tables[key] = Table(statement.name, statement.columns)
+        self._drop_view_plans()
         return ResultSet()
+
+    def _drop_view_plans(self) -> None:
+        """Forget every view's plans: they hold the base tables they read."""
+        for view in self.views.values():
+            view.plans.clear()
 
     def _execute_create_view(self, statement: ast.CreateView) -> ResultSet:
         key = statement.name.lower()
@@ -366,6 +437,7 @@ class Database:
                     return ResultSet()
                 raise SqlNameError(f"no such table: {statement.name}")
             del self.tables[key]
+            self._drop_view_plans()
         elif statement.kind == "VIEW":
             if key not in self.views:
                 if statement.if_exists:
@@ -430,13 +502,11 @@ class Database:
         ref: ast.TableRef,
         params: List[object],
         outer_scope: Optional[Scope],
-        keys: Optional[List[object]] = None,
     ) -> Tuple[List[str], List[Dict[str, object]]]:
         """Produce (column names, row dicts) for a FROM source.
 
         Base-table rows are handed out by reference (scopes copy what they
-        bind); ``keys`` narrows a base table to the rows whose primary key
-        is among them. A view is always evaluated whole here: this is the
+        bind). A view is always evaluated whole here: this is the
         materialise path, which gets no probe (footnote 5).
         """
         if ref.subquery is not None:
@@ -447,9 +517,8 @@ class Database:
         key = ref.name.lower()
         if key in self.tables:
             table = self.tables[key]
-            rows = [row for _, row in self._table_rows(table, keys)]
-            self.stats.rows_scanned += len(rows)
-            return [c.name for c in table.columns], rows
+            pairs, _ = self._key_rows(_Access(table), params)
+            return [c.name for c in table.columns], [row for _, row in pairs]
         if key in self.views:
             view = self.views[key]
             result = self._execute_select(view.select, params, outer_scope=outer_scope)
@@ -624,10 +693,15 @@ class Database:
                 scopes = [s for s in scopes if evaluator.truth(core.where, s)]
         else:
             name = core.source.effective_name
-            keys, where = self._probe_keys(
-                self._source_table(core), self._effective_probe(core, probe), params, core.where
-            )
-            cols, rows = self._source_rows(core.source, params, outer_scope, keys)
+            access = self._core_access(core)
+            if access is None:
+                cols, rows = self._source_rows(core.source, params, outer_scope)
+                where = core.where
+            else:
+                pairs, settled = self._key_rows(access, params, probe)
+                cols = [c.name for c in access.table.columns]
+                rows = [row for _, row in pairs]
+                where = planner.without_term(access.where, settled)
             source_columns.append((name, cols))
             scopes = self._scan(row_names(name, cols), rows, where, evaluator, outer_scope)
         # --- aggregate or plain projection ------------------------------------
@@ -663,66 +737,54 @@ class Database:
     ) -> Optional[Tuple[List[str], List[_ProjectedRow]]]:
         """Execute ``SELECT ... FROM union_all_view WHERE ...`` by pushing
         the work into the view's arms when the planner allows it. The outer
-        WHERE's sargable key term also reaches each arm as an index probe;
-        the whole WHERE is still evaluated on every arm row.
+        WHERE's sargable key term also reaches each arm as an index probe.
 
-        An arm over a base table is scanned in place: each stored row is
-        tested against the arm's WHERE, then against the outer WHERE with
-        view column *i* read through arm item *i*, and only a row that
-        passes both is projected. Any other arm (``*``, an aggregate, a
-        view source) runs whole and its rows are tested afterwards."""
+        An arm over a base table is read in place from its row source
+        (:meth:`_key_rows`): each row is tested against the arm's WHERE,
+        then against the outer WHERE on an :class:`ArmScope` over the same
+        row, and only a row that passes both is projected. A pushed key
+        term the probe settles is tested on neither. Any other arm (``*``,
+        an aggregate, a view source) runs whole and its rows are tested
+        afterwards."""
         view = self._flattened_view(core, enclosing)
         if view is None:
             return None
         self.stats.flattened_queries += 1
         assert core.source is not None
-        effective = core.source.effective_name
+        plan = self._view_plan(view, core.source.effective_name)
         width = len(view.columns)
-        positions = {
-            name: index
-            for index, column in enumerate(view.columns)
-            for name in row_names(effective, [column])
-        }
-        source_columns = [(effective, list(view.columns))]
+        source_columns = [(core.source.effective_name, list(view.columns))]
         out_rows: List[_ProjectedRow] = []
 
         def emit(values: Sequence[object]) -> None:
-            scope = ValuesScope(positions, values, outer_scope)
+            scope = ValuesScope(plan.positions, values, outer_scope)
             projected = self._project(core, scope, source_columns, evaluator)
             out_rows.append(_ProjectedRow(tuple(projected), scope))
 
-        probes = self._arm_probes(view, core.where, effective)
-        for arm, probe in zip(view.select.cores, probes):
-            table = self._arm_table(arm, width)
-            if table is None:
+        for arm, probe in zip(plan.arms, self._arm_probes(plan, core.where)):
+            if arm.access is None:
                 _, arm_rows = self._execute_core(
-                    arm, view.select, params, evaluator, outer_scope, probe
+                    arm.core, view.select, params, evaluator, outer_scope, probe
                 )
                 for arm_row in arm_rows:
                     values = (arm_row.values + (None,) * width)[:width]
                     if core.where is None or evaluator.truth(
-                        core.where, ValuesScope(positions, values, outer_scope)
+                        core.where, ValuesScope(plan.positions, values, outer_scope)
                     ):
                         emit(values)
                 continue
-            assert arm.source is not None
-            keys, arm_where = self._probe_keys(
-                table, self._effective_probe(arm, probe), params, arm.where
-            )
-            rows = self._table_rows(table, keys)
-            self.stats.rows_scanned += len(rows)
-            items = [item.expr for item in arm.items]
-            arm_row = RowScope(
-                row_names(arm.source.effective_name, table.column_names), outer_scope
-            )
-            view_row = ArmScope(positions, items, evaluator, arm_row, outer_scope)
-            for _, row in rows:
-                arm_row.row = row
-                if arm_where is not None and not evaluator.truth(arm_where, arm_row):
+            pairs, settled = self._key_rows(arm.access, params, probe)
+            arm_where = planner.without_term(arm.access.where, settled)
+            where = planner.without_term(core.where, settled)
+            row_scope = RowScope(arm.names, outer_scope)
+            view_row = ArmScope(arm.view_names, arm.view_items, evaluator, row_scope, outer_scope)
+            for _, row in pairs:
+                row_scope.row = row
+                if arm_where is not None and not evaluator.truth(arm_where, row_scope):
                     continue
-                if core.where is not None and not evaluator.truth(core.where, view_row):
+                if where is not None and not evaluator.truth(where, view_row):
                     continue
-                emit([evaluator.evaluate(expr, arm_row) for expr in items])
+                emit([evaluator.evaluate(expr, row_scope) for expr in arm.items])
         return self._core_output_columns(core, source_columns), out_rows
 
     def _flattened_view(
@@ -747,7 +809,53 @@ class Database:
             return None
         return view
 
-    # -- primary-key probes ---------------------------------------------------
+    def _view_plan(self, view: _View, qualifier: str) -> _ViewPlan:
+        """How ``view``'s arms are read by a query naming it ``qualifier``,
+        planned on first use and kept on the view."""
+        key = qualifier.lower()
+        plan = view.plans.get(key)
+        if plan is None:
+            positions = {
+                name: index
+                for index, column in enumerate(view.columns)
+                for name in row_names(key, [column])
+            }
+            columns = [column.lower() for column in view.columns]
+            arms = [self._plan_arm(arm, positions, columns) for arm in view.select.cores]
+            plan = view.plans[key] = _ViewPlan(key, positions, arms)
+        return plan
+
+    def _plan_arm(
+        self, arm: ast.SelectCore, positions: Dict[str, int], columns: List[str]
+    ) -> _Arm:
+        """Plan one arm of a view with the lowercased ``columns``, whose
+        names map to their positions by ``positions``. View column *i* is
+        arm item *i*; where that item is a bare column of the arm's table,
+        the view column is read straight from the arm row."""
+        table = self._arm_table(arm, len(columns))
+        if table is None:
+            return _Arm(arm)
+        assert arm.source is not None
+        qualifier = arm.source.effective_name
+        plan = _Arm(arm, self._access(table, arm.where, qualifier))
+        plan.names = names = row_names(qualifier, table.column_names)
+        plan.items = items = [item.expr for item in arm.items]
+        for name, index in positions.items():
+            item = items[index]
+            key = names.get(item.qualified.lower()) if isinstance(item, ast.Column) else None
+            if key is None:
+                plan.view_items[name] = item
+            else:
+                plan.view_names[name] = key
+        plan.key_columns = [
+            column
+            for item, column in zip(items, columns)
+            if columns.count(column) == 1
+            and planner.names_column(item, table.pk_column, {qualifier.lower()})
+        ]
+        return plan
+
+    # -- the base-table row source ---------------------------------------------
 
     def _source_table(self, core: ast.SelectCore) -> Optional[Table]:
         """The base table that is ``core``'s lone source, if it has one."""
@@ -756,13 +864,27 @@ class Database:
             return None
         return self.tables.get(ref.name.lower())
 
-    def _source_probe(self, core: ast.SelectCore) -> Optional[planner.Probe]:
-        """Sargable key terms of ``core.where`` on its lone base-table source."""
+    def _core_access(self, core: ast.SelectCore) -> Optional[_Access]:
+        """How ``core``'s lone base-table source is read, if it has one."""
         table = self._source_table(core)
         if table is None:
             return None
         assert core.source is not None
-        return planner.pk_probe(core.where, table.pk_column, {core.source.effective_name.lower()})
+        return self._access(table, core.where, core.source.effective_name)
+
+    def _access(
+        self, table: Table, where: Optional[ast.Expr], qualifier: str
+    ) -> _Access:
+        """How ``table``, named ``qualifier``, is read under ``where``: its
+        sargable key term and its key anti-join, a top-level ``pk NOT IN
+        (SELECT pk FROM other)`` whose subquery :meth:`_key_set` answers."""
+        qualifiers = {qualifier.lower()}
+        probe = planner.pk_probe(where, table.pk_column, qualifiers)
+        term = planner.pk_anti_join(where, table.pk_column, qualifiers)
+        anti = self._key_set(term.select) if term is not None else None
+        if anti is not None:
+            where = planner.without_term(where, term)
+        return _Access(table, probe, anti, where)
 
     def _key_max_table(self, core: ast.SelectCore) -> Optional[Table]:
         """The base table whose largest key answers ``core``, when ``core``
@@ -775,36 +897,63 @@ class Database:
             return None
         return table
 
-    def _effective_probe(self, core: ast.SelectCore, pushed: Optional[planner.Probe]) -> Optional[planner.Probe]:
-        """The key terms narrowing ``core``'s source: those pushed into it
-        by an enclosing statement, else those of its own WHERE."""
-        return pushed if pushed is not None else self._source_probe(core)
+    def _key_rows(
+        self,
+        access: _Access,
+        params: Sequence[object],
+        pushed: Optional[planner.Probe] = None,
+    ) -> Tuple[List[Tuple[int, Dict[str, object]]], Optional[ast.Expr]]:
+        """The one base-table row source: the (rowid, row) pairs of
+        ``access.table`` its WHERE must test, and the key term those rows
+        are known to hold (None: none).
 
-    def _table_rows(
-        self, table: Table, keys: Optional[List[object]]
-    ) -> List[Tuple[int, Dict[str, object]]]:
-        """(rowid, row) pairs of ``table``: every row, or with ``keys`` only
-        those whose primary key is among them, found in the index."""
+        The rows are those whose primary key the probe finds (``pushed``
+        by an enclosing statement, else the source's own), or every row.
+        The key anti-join then drops each row whose key is in the other
+        table's index, read once per statement; a NULL key is dropped too,
+        as ``NULL NOT IN (...)`` is not true. ``stats.rows_scanned``
+        counts the rows read before the anti-join, which visits each one.
+        """
+        table = access.table
+        keys, settled = self._probe_keys(
+            table, pushed if pushed is not None else access.probe, params
+        )
         if keys is None:
-            return list(table.rows.items())
-        self.stats.index_lookups += 1
-        return [(rowid, table.rows[rowid]) for rowid in table.probe(keys)]
+            pairs = list(table.rows.items())
+        else:
+            self.stats.index_lookups += 1
+            pairs = [(rowid, table.rows[rowid]) for rowid in table.probe(keys)]
+        self.stats.rows_scanned += len(pairs)
+        if access.anti is not None:
+            self.stats.index_lookups += 1
+            excluded, pk = access.anti.pk_index, table.pk_column
+            pairs = [
+                (rowid, row)
+                for rowid, row in pairs
+                if (key := row[pk]) is not None and key not in excluded
+            ]
+        return pairs, settled
 
     def _arm_probes(
-        self, view: _View, where: Optional[ast.Expr], qualifier: str
+        self, plan: _ViewPlan, where: Optional[ast.Expr]
     ) -> List[Optional[planner.Probe]]:
-        """Push ``where``'s sargable terms on ``view``'s columns into its
+        """Push ``where``'s sargable terms on the view's columns into its
         arms, one probe (or None) per arm.
 
-        A view column maps to an arm by position, and reaches the arm only
-        where that arm's item is a bare column naming its base table's
-        primary key and the arm does not aggregate, so the arm's rows match
-        the term exactly when their key does.
+        A view column reaches an arm only where that arm's item is a bare
+        column naming its base table's primary key and the arm does not
+        aggregate (:attr:`_Arm.key_columns`), so the arm's rows match the
+        term exactly when their key does.
         """
-        columns = [c.lower() for c in view.columns]
+        qualifiers = {plan.qualifier}
         probes: List[Optional[planner.Probe]] = []
-        for arm in view.select.cores:
-            probes.append(self._arm_probe(arm, columns, where, qualifier.lower()))
+        for arm in plan.arms:
+            probe = None
+            for column in arm.key_columns:
+                probe = planner.pk_probe(where, column, qualifiers)
+                if probe is not None:
+                    break
+            probes.append(probe)
         return probes
 
     def _arm_table(self, arm: ast.SelectCore, width: int) -> Optional[Table]:
@@ -823,36 +972,12 @@ class Database:
             return None
         return self.tables.get(ref.name.lower())
 
-    def _arm_probe(
-        self,
-        arm: ast.SelectCore,
-        columns: List[str],
-        where: Optional[ast.Expr],
-        qualifier: str,
-    ) -> Optional[planner.Probe]:
-        table = self._arm_table(arm, len(columns))
-        if table is None:
-            return None
-        assert arm.source is not None
-        arm_names = {arm.source.effective_name.lower()}
-        for item, column in zip(arm.items, columns):
-            if columns.count(column) == 1 and planner.names_column(
-                item.expr, table.pk_column, arm_names
-            ):
-                probe = planner.pk_probe(where, column, {qualifier})
-                if probe is not None:
-                    return probe
-        return None
-
     @staticmethod
     def _probe_keys(
-        table: Optional[Table],
-        probe: Optional[planner.Probe],
-        params: Sequence[object],
-        where: Optional[ast.Expr],
+        table: Table, probe: Optional[planner.Probe], params: Sequence[object]
     ) -> Tuple[Optional[List[object]], Optional[ast.Expr]]:
         """The key values ``probe`` looks up in ``table`` (None: scan), and
-        the part of ``where`` the rows found must still pass.
+        its term when the rows found hold it exactly (None otherwise).
 
         SQL ``=`` is dict-key equality only for int, float and text, so
         any other value (bool included) falls back to the scan. NULL
@@ -863,21 +988,20 @@ class Database:
         term holds for exactly the rows found and is not tested again.
         """
         if probe is None:
-            return None, where
+            return None, None
         term, values = probe
-        integer = table is not None and table.pk_is_integer
         keys: List[object] = []
         for expr in values:
             if isinstance(expr, ast.Param):
                 if expr.index >= len(params):
-                    return None, where
+                    return None, None
                 value = params[expr.index]
             else:
                 assert isinstance(expr, ast.Literal)
                 value = expr.value
             if value is None:
                 continue
-            if integer:
+            if table.pk_is_integer:
                 try:
                     keys.append(integer_key(value))
                 except SqlIntegrityError:
@@ -885,21 +1009,22 @@ class Database:
             elif type(value) in (int, float, str):
                 keys.append(value)
             else:
-                return None, where
-        return keys, planner.without_term(where, term) if integer else where
+                return None, None
+        return keys, term if table.pk_is_integer else None
 
     def _target_rows(
         self, table: Table, where: Optional[ast.Expr], params: Sequence[object]
     ) -> Tuple[List[Tuple[int, Dict[str, object]]], Optional[ast.Expr]]:
         """(rowid, row) pairs an UPDATE/DELETE on ``table`` must test, and
         the WHERE to test them on."""
-        probe = planner.pk_probe(where, table.pk_column, {table.name})
-        keys, where = self._probe_keys(table, probe, params, where)
-        return self._table_rows(table, keys), where
+        access = self._access(table, where, table.name)
+        pairs, settled = self._key_rows(access, params)
+        return pairs, planner.without_term(access.where, settled)
 
-    def _index_keys(self, select: ast.Select) -> Optional[Iterable[object]]:
-        """The key set of a bare ``SELECT pk FROM table`` (no WHERE, join,
-        ORDER BY or LIMIT), which an ``IN`` test reads from the index."""
+    def _key_set(self, select: ast.Select) -> Optional[Table]:
+        """The table whose primary-key index holds the rows of ``select``,
+        when it is a bare ``SELECT pk FROM table`` (no WHERE, join, ORDER
+        BY or LIMIT)."""
         # A single plain core with no ORDER BY/LIMIT is what flattening needs.
         if select.is_compound or not planner.view_is_flattenable(select):
             return None
@@ -912,6 +1037,14 @@ class Database:
         if table is None or not planner.names_column(
             core.items[0].expr, table.pk_column, {ref.effective_name.lower()}
         ):
+            return None
+        return table
+
+    def _index_keys(self, select: ast.Select) -> Optional[Iterable[object]]:
+        """The key set of a bare ``SELECT pk FROM table``, which an ``IN``
+        test reads from the index (:meth:`_key_set`)."""
+        table = self._key_set(select)
+        if table is None:
             return None
         self.stats.index_lookups += 1
         return table.pk_index
@@ -1222,7 +1355,7 @@ class Database:
         term is pushed into the arms of a flattenable view."""
         probes = None
         if planner.view_is_flattenable(view.select):
-            probes = self._arm_probes(view, where, view.name)
+            probes = self._arm_probes(self._view_plan(view, view.name), where)
         result = self._execute_select(view.select, params, outer_scope=scope, probes=probes)
         lowered = [c.lower() for c in view.columns]
         return [dict(zip(lowered, row)) for row in result.rows]

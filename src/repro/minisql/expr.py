@@ -11,8 +11,9 @@ scope so correlated subqueries resolve the enclosing row's columns:
 - :class:`Scope` holds its bindings in a dict (joins, triggers);
 - :class:`RowScope` reads one stored row in place, so a scan tests its
   WHERE without copying the row;
-- :class:`ArmScope` reads a flattened UNION ALL view's column *i* through
-  arm item *i* of the arm row being tested;
+- :class:`ArmScope` reads a flattened UNION ALL view's column *i* from
+  the arm row being tested: straight from the row where arm item *i* is a
+  bare column of the arm's table, else by evaluating that item;
 - :class:`ValuesScope` reads a projected row's values by position.
 """
 
@@ -90,33 +91,40 @@ class RowScope(Scope):
 
 
 class ArmScope(Scope):
-    """A flattened view's row, read through the arm that produces it.
+    """A flattened view's row, read in place from the arm row that
+    produces it.
 
-    ``positions`` maps each name of the view's columns (bare and
-    qualified) to its position *i*; the value is arm item *i* evaluated
-    against ``inner``, the arm's row. Nothing else of the arm row is
-    visible: other names go to ``outer``, the enclosing query's scope."""
+    ``inner`` is the arm's :class:`RowScope`; view column *i* is arm item
+    *i*. ``names`` maps the names (bare and qualified) of each view column
+    whose item is a bare column of the arm's table to that row key, so the
+    value is read straight from ``inner.row``; ``items`` maps the names of
+    the other view columns to their item, evaluated against ``inner``.
+    Nothing else of the arm row is visible: other names go to ``outer``,
+    the enclosing query's scope."""
 
-    __slots__ = ("positions", "items", "evaluator", "inner")
+    __slots__ = ("names", "items", "evaluator", "inner")
 
     def __init__(
         self,
-        positions: Dict[str, int],
-        items: Sequence[ast.Expr],
+        names: Dict[str, str],
+        items: Dict[str, ast.Expr],
         evaluator: "Evaluator",
-        inner: Scope,
+        inner: RowScope,
         outer: Optional[Scope],
     ) -> None:
-        self.positions = positions
+        self.names = names
         self.items = items
         self.evaluator = evaluator
         self.inner = inner
         self.outer = outer
 
     def lookup(self, name: str) -> object:
-        position = self.positions.get(name)
-        if position is not None:
-            return self.evaluator.evaluate(self.items[position], self.inner)
+        key = self.names.get(name)
+        if key is not None:
+            return self.inner.row.get(key)  # type: ignore[union-attr]
+        item = self.items.get(name)
+        if item is not None:
+            return self.evaluator.evaluate(item, self.inner)
         return _outer_lookup(self.outer, name)
 
 

@@ -23,6 +23,14 @@ literals>)`` lets a row source probe the table's primary-key index instead
 of scanning it. As in SQLite, ``+pk = ?`` is not sargable, which is the
 way to force a scan.
 
+A top-level ``pk NOT IN (SELECT ...)`` term is a *key anti-join*
+(:func:`pk_anti_join`): when the subquery is a bare ``SELECT pk FROM
+table``, the row source drops the scanned rows whose key is in that
+table's index and the term leaves the WHERE. It is how SQLite answers
+the public arm of a COW view (``_id NOT IN (SELECT _id FROM delta)``)
+from the delta's key index instead of testing every row against the
+subquery.
+
 Like SQLite's MIN/MAX optimization, :func:`is_key_max` recognises a bare
 ``SELECT MAX(<integer primary key>) FROM <base table>``: no WHERE, GROUP
 BY, HAVING, DISTINCT or join. The engine answers it from the table's kept
@@ -41,10 +49,12 @@ from repro.minisql import ast_nodes as ast
 class PlannerStats:
     """Counters the benchmarks read.
 
-    ``rows_scanned`` counts base-table rows a FROM source actually visited
-    (every row for a scan, the matches for an index probe, none for a key
-    MAX); ``index_lookups`` counts sources, ``IN (SELECT pk ...)``
-    subqueries and ``MAX(pk)`` cores answered from a primary-key index.
+    ``rows_scanned`` counts base-table rows a row source actually visited,
+    for a FROM source or the target of an UPDATE or DELETE (every row for
+    a scan, the matches for an index probe, none for a key MAX; a key
+    anti-join visits the rows it drops); ``index_lookups`` counts sources
+    and targets probed, key anti-joins, ``IN (SELECT pk ...)`` subqueries
+    and ``MAX(pk)`` cores answered from a primary-key index.
     """
 
     flattened_queries: int = 0
@@ -201,9 +211,36 @@ def pk_probe(
     return None
 
 
-def without_term(where: Optional[ast.Expr], term: ast.Expr) -> Optional[ast.Expr]:
+def pk_anti_join(
+    where: Optional[ast.Expr], column: Optional[str], qualifiers: Set[str]
+) -> Optional[ast.InSelect]:
+    """The first top-level ``column NOT IN (SELECT ...)`` term of
+    ``where``, or None when there is none.
+
+    ``column`` and ``qualifiers`` are as for :func:`pk_probe`. The caller
+    checks that the subquery is answered by a key index; only then do the
+    rows it keeps hold the term exactly, so it is dropped
+    (:func:`without_term`).
+    """
+    if column is None:
+        return None
+    for term in _conjuncts(where):
+        if (
+            isinstance(term, ast.InSelect)
+            and term.negated
+            and names_column(term.operand, column, qualifiers)
+        ):
+            return term
+    return None
+
+
+def without_term(
+    where: Optional[ast.Expr], term: Optional[ast.Expr]
+) -> Optional[ast.Expr]:
     """``where`` with its top-level ``AND`` term ``term`` dropped (None
-    when nothing is left)."""
+    when nothing is left); ``where`` itself when ``term`` is None."""
+    if term is None:
+        return where
     if where is term:
         return None
     if not (isinstance(where, ast.Binary) and where.op == "AND"):

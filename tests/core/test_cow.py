@@ -137,6 +137,32 @@ class TestVolatileManagement:
         fresh = [r for r in public if r[1] == "fresh"]
         assert fresh and fresh[0][0] < VOLATILE_PK_BASE
 
+    def test_batch_commit_reads_the_journal_once(self, proxy, monkeypatch):
+        # An entry left pending (say by an interrupted commit) holds key 50,
+        # so the batch's fresh keys start above it, and the journal is read
+        # once for the whole batch, not once per allocated key.
+        row_ids = [proxy.insert("words", A, {"word": f"w{i}"}) for i in range(20)]
+        proxy.update("words", A, {"word": "edited"}, "_id = 2")
+        proxy.update("words", A, {"word": "first"}, "_id = 1")
+        assert proxy.commit_volatile("words", A, 1)
+        proxy.db.execute(
+            "INSERT INTO _maxoid_journal (tbl, public_pk, sealed) VALUES ('words', 50, 1)"
+        )
+        statements = []
+        execute = proxy.db.execute
+
+        def counted(sql, params=()):
+            statements.append(sql)
+            return execute(sql, params)
+
+        monkeypatch.setattr(proxy.db, "execute", counted)
+        assert proxy.commit_volatile_batch("words", A, row_ids[:10] + [2] + row_ids[10:]) == 21
+        assert sum("MAX(public_pk)" in sql for sql in statements) == 1
+        monkeypatch.undo()
+        public = {row[1]: row[0] for row in proxy.query("words", None).rows}
+        assert [public[f"w{i}"] for i in range(20)] == list(range(51, 71))
+        assert public["edited"] == 2
+
     def test_commit_missing_row_returns_false(self, proxy):
         assert not proxy.commit_volatile("words", A, 12345)
 

@@ -194,6 +194,18 @@ class TestRename:
         union.rename("/docs", "/old", APP)
         assert union.readdir("/old", APP) == ["a.txt", "b.txt"]
 
+    def test_file_renamed_onto_a_lower_non_empty_directory_raises(self, union, upper, lower):
+        # As Filesystem.rename does: the directory /d is non-empty in the
+        # union although the writable branch holds nothing of it.
+        upper.write_file("/f", b"f", ROOT_CRED, mode=0o666)
+        lower.mkdir("/d", ROOT_CRED, mode=0o777)
+        lower.write_file("/d/inner", b"i", ROOT_CRED)
+        with pytest.raises(DirectoryNotEmpty):
+            union.rename("/f", "/d", APP)
+        assert union.read_file("/f", APP) == b"f"
+        assert union.readdir("/d", APP) == ["inner"]
+        assert not upper.exists("/d", ROOT_CRED)
+
 
 class TestPermissionsAndTheMaxoidPatch:
     def test_union_enforces_lower_modes_by_default(self, lower, upper):

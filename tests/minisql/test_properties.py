@@ -290,10 +290,12 @@ class TestSargableEquivalence:
             ("SELECT * FROM tab_delta WHERE _id IN (?, ?)", [key, other]),
         ]
         for sql, params in queries:
-            if "tab_view" not in sql and any(isinstance(p, str) for p in params):
-                # As in SQLite, a base table's key converts a text operand
-                # ('5' finds key 5) and ``+_id``, which has no affinity,
-                # does not; test_key_allocation checks that against sqlite3.
+            if isinstance(key, str) or (isinstance(other, str) and " IN " in sql):
+                # As in SQLite, a key converts a text operand ('5' finds key
+                # 5), in a base table and through a view column that is an
+                # arm's key, and ``+_id``, which has no affinity, does not;
+                # test_key_allocation and test_cow_view_oracle check that
+                # against sqlite3.
                 continue
             fast = db.execute(sql, params)
             slow = db.execute(_twin(sql), params)
@@ -330,6 +332,9 @@ class TestSargableEquivalence:
         # The outer key term filters an aggregate arm's output, so it must
         # not narrow the rows that arm aggregates.
         assume(state[0])  # a bare column beside COUNT(*) of no rows is unsupported
+        # A text key finds the delta arm's row through its key, which
+        # ``+_id`` does not (see test_queries_match_non_sargable_twin).
+        assume(not isinstance(key, str))
         fast, slow = (_cow_view_db(*state) for _ in range(2))
         for db in (fast, slow):
             db.execute(
