@@ -367,7 +367,6 @@ class Database:
             subquery_runner=lambda select, scope: self._execute_select(
                 select, list(params), outer_scope=scope
             ).rows,
-            index_keys=self._index_keys,
         )
 
     # ------------------------------------------------------------------
@@ -902,6 +901,7 @@ class Database:
         access: _Access,
         params: Sequence[object],
         pushed: Optional[planner.Probe] = None,
+        target: bool = False,
     ) -> Tuple[List[Tuple[int, Dict[str, object]]], Optional[ast.Expr]]:
         """The one base-table row source: the (rowid, row) pairs of
         ``access.table`` its WHERE must test, and the key term those rows
@@ -912,7 +912,8 @@ class Database:
         The key anti-join then drops each row whose key is in the other
         table's index, read once per statement; a NULL key is dropped too,
         as ``NULL NOT IN (...)`` is not true. ``stats.rows_scanned``
-        counts the rows read before the anti-join, which visits each one.
+        counts the rows read before the anti-join, which visits each one,
+        except for an UPDATE/DELETE ``target``.
         """
         table = access.table
         keys, settled = self._probe_keys(
@@ -923,7 +924,8 @@ class Database:
         else:
             self.stats.index_lookups += 1
             pairs = [(rowid, table.rows[rowid]) for rowid in table.probe(keys)]
-        self.stats.rows_scanned += len(pairs)
+        if not target:
+            self.stats.rows_scanned += len(pairs)
         if access.anti is not None:
             self.stats.index_lookups += 1
             excluded, pk = access.anti.pk_index, table.pk_column
@@ -1018,7 +1020,7 @@ class Database:
         """(rowid, row) pairs an UPDATE/DELETE on ``table`` must test, and
         the WHERE to test them on."""
         access = self._access(table, where, table.name)
-        pairs, settled = self._key_rows(access, params)
+        pairs, settled = self._key_rows(access, params, target=True)
         return pairs, planner.without_term(access.where, settled)
 
     def _key_set(self, select: ast.Select) -> Optional[Table]:
@@ -1039,15 +1041,6 @@ class Database:
         ):
             return None
         return table
-
-    def _index_keys(self, select: ast.Select) -> Optional[Iterable[object]]:
-        """The key set of a bare ``SELECT pk FROM table``, which an ``IN``
-        test reads from the index (:meth:`_key_set`)."""
-        table = self._key_set(select)
-        if table is None:
-            return None
-        self.stats.index_lookups += 1
-        return table.pk_index
 
     def _core_output_columns(
         self, core: ast.SelectCore, source_columns: List[Tuple[str, List[str]]]

@@ -684,19 +684,15 @@ class Evaluator:
     ``subquery_runner`` is provided by the engine: it executes a
     :class:`~repro.minisql.ast_nodes.Select` with the current scope as the
     outer scope and returns the result rows (list of tuples).
-    ``index_keys`` is too: it returns the primary-key index of a table when
-    a subquery is a bare ``SELECT pk FROM table``, else None.
     """
 
     def __init__(
         self,
         params: Sequence[object],
         subquery_runner: Optional[Callable[[ast.Select, Scope], List[tuple]]] = None,
-        index_keys: Optional[Callable[[ast.Select], Optional[Iterable[object]]]] = None,
     ) -> None:
         self.params = params
         self.subquery_runner = subquery_runner
-        self.index_keys = index_keys
         # Results of uncorrelated subqueries, valid for this statement
         # execution (SQLite likewise evaluates them once). Keyed by the AST
         # node identity.
@@ -724,20 +720,13 @@ class Evaluator:
         """A hash set answering ``IN (select)`` for the whole statement, or
         ``(None, rows)`` when the subquery's rows must be scanned.
 
-        A bare ``SELECT pk FROM table`` is answered from the table's index
-        keys, snapshotted once per statement, without scanning the table.
-        Otherwise only a cached (uncorrelated) result gets a set: its row
+        Only a cached (uncorrelated) result gets a set: its row
         list is stable for the whole statement. Ints and text hash
         compatibly with SQL equality; unhashable values fall back to the
         scan.
         """
         membership = self._membership_sets.get(id(select))
         if membership is not None:
-            return membership, []
-        keys = self.index_keys(select) if self.index_keys is not None else None
-        if keys is not None:
-            membership = frozenset(keys)
-            self._membership_sets[id(select)] = membership
             return membership, []
         rows = self._run_subquery(select, scope)
         if self._subquery_cache.get(id(select)) is not rows:

@@ -49,12 +49,12 @@ from repro.minisql import ast_nodes as ast
 class PlannerStats:
     """Counters the benchmarks read.
 
-    ``rows_scanned`` counts base-table rows a row source actually visited,
-    for a FROM source or the target of an UPDATE or DELETE (every row for
-    a scan, the matches for an index probe, none for a key MAX; a key
-    anti-join visits the rows it drops); ``index_lookups`` counts sources
-    and targets probed, key anti-joins, ``IN (SELECT pk ...)`` subqueries
-    and ``MAX(pk)`` cores answered from a primary-key index.
+    ``rows_scanned`` counts base-table rows a FROM source actually visited
+    (every row for a scan, the matches for an index probe, none for a key
+    MAX; a key anti-join visits the rows it drops); the rows an UPDATE or
+    DELETE tests are not counted. ``index_lookups`` counts sources and
+    targets probed, key anti-joins and ``MAX(pk)`` cores answered from a
+    primary-key index.
     """
 
     flattened_queries: int = 0

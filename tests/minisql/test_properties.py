@@ -332,9 +332,6 @@ class TestSargableEquivalence:
         # The outer key term filters an aggregate arm's output, so it must
         # not narrow the rows that arm aggregates.
         assume(state[0])  # a bare column beside COUNT(*) of no rows is unsupported
-        # A text key finds the delta arm's row through its key, which
-        # ``+_id`` does not (see test_queries_match_non_sargable_twin).
-        assume(not isinstance(key, str))
         fast, slow = (_cow_view_db(*state) for _ in range(2))
         for db in (fast, slow):
             db.execute(
@@ -347,7 +344,10 @@ class TestSargableEquivalence:
                 "INSERT INTO removed (_id, n) VALUES (OLD._id, OLD.n); END"
             )
         query = "SELECT * FROM tab_counts WHERE _id = ?"
-        assert fast.execute(query, [key]).rows == slow.execute(_twin(query), [key]).rows
+        if not isinstance(key, str):
+            # A text key finds the delta arm's row through its key, which
+            # ``+_id`` does not (see test_queries_match_non_sargable_twin).
+            assert fast.execute(query, [key]).rows == slow.execute(_twin(query), [key]).rows
         delete = "DELETE FROM tab_counts WHERE _id = ?"
         assert fast.execute(delete, [key]).rowcount == slow.execute(_twin(delete), [key]).rowcount
         removed = "SELECT * FROM removed"
