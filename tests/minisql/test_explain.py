@@ -117,6 +117,15 @@ class TestIndexPlans:
         assert db.stats.index_lookups == 6
         assert db.stats.rows_scanned == 3
 
+    def test_write_targets_are_not_counted_as_scanned(self):
+        db = _cow_db()
+        db.stats.reset()
+        db.execute("UPDATE words SET freq = 0 WHERE _id = ?", [4])
+        db.execute("DELETE FROM words WHERE word LIKE 'zz%'")
+        # rows_scanned counts the rows FROM sources visit; a target's
+        # probe still counts as an index lookup.
+        assert (db.stats.index_lookups, db.stats.rows_scanned) == (1, 0)
+
     def test_key_term_inside_and_still_searches(self):
         db = _cow_db()
         plan = _stripped(db.explain("SELECT * FROM words_view WHERE (word LIKE ?) AND _id = ?"))
