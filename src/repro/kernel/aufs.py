@@ -312,10 +312,15 @@ class AufsMount(FilesystemAPI):
             fs.write_file(vpath.join(target, OPAQUE_MARKER), b"", ROOT_CRED)
         return node.children[name], target
 
+    def _held(self, union_path: str, start: int) -> bool:
+        """True if a branch from ``start`` down holds ``union_path``, masked
+        or not."""
+        return any(b.fs.probe(b.path(union_path)) is not None for b in self.branches[start:])
+
     def _mask(self, union_path: str, start: int) -> None:
         """Whiteout ``union_path`` if a branch from ``start`` down still
-        holds it, masked or not."""
-        if any(b.fs.probe(b.path(union_path)) is not None for b in self.branches[start:]):
+        holds it."""
+        if self._held(union_path, start):
             _, parent = self._writable_dir(vpath.parent(union_path))
             whiteout = vpath.join(parent, WHITEOUT_PREFIX + vpath.basename(union_path))
             self.writable_branch.fs.write_file(whiteout, b"", ROOT_CRED)
@@ -538,13 +543,18 @@ class AufsMount(FilesystemAPI):
         self._check_access(stat, cred, 0o2)
         branch = self._require_writable()
         if self.branches[index].writable:
-            # What is left are whiteouts and the opaque marker.
-            target = branch.path(path)
-            for name in branch.fs.readdir(target, ROOT_CRED):
-                branch.fs.unlink(vpath.join(target, name), ROOT_CRED)
-            branch.fs.rmdir(target, ROOT_CRED)
+            self._drop_dir(branch, path)
             index += 1
         self._mask(path, index)
+
+    @staticmethod
+    def _drop_dir(branch: Branch, union_path: str) -> None:
+        """Remove the writable branch's copy of a directory the union shows
+        empty: what it still holds are whiteouts and the opaque marker."""
+        target = branch.path(union_path)
+        for name in branch.fs.readdir(target, ROOT_CRED):
+            branch.fs.unlink(vpath.join(target, name), ROOT_CRED)
+        branch.fs.rmdir(target, ROOT_CRED)
 
     def rename(self, old: str, new: str, cred: Credentials) -> None:
         """Rename within the union.
@@ -553,18 +563,27 @@ class AufsMount(FilesystemAPI):
         new name, then deletion of the old name — the strategy real union
         filesystems use when the source lives in a read-only branch. As
         for :meth:`Filesystem.rename`, the new name may not be a directory
-        the union shows entries in, whichever branches hold them.
+        the union shows entries in, whichever branches hold them. An empty
+        one is replaced, even where the writable branch's copy still holds
+        the whiteouts that emptied it.
         """
         index, stat = self._find(old)
         self._check_access(stat, cred, 0o2)
         branch = self._require_writable()
+        if vpath.normalize(old) == vpath.normalize(new):
+            return
+        masked = False
         try:
             existing_index, existing = self._find(new)
         except FileNotFound:
             pass
         else:
-            if existing.is_dir and self._merged_names(existing_index, new):
-                raise DirectoryNotEmpty(new)
+            if existing.is_dir:
+                if self._merged_names(existing_index, new):
+                    raise DirectoryNotEmpty(new)
+                if existing_index == 0:  # held by the writable branch
+                    self._drop_dir(branch, new)
+                    masked = self._held(new, 1)
         if stat.is_file:
             data = self.read_file(old, ROOT_CRED)
             target, _ = self._place(new)
@@ -574,9 +593,9 @@ class AufsMount(FilesystemAPI):
             return
         # Directory rename: materialize the subtree, then move it.
         self._copy_up_tree(old, index, stat, cred)
-        target, masked = self._place(new)
+        target, unmasked = self._place(new)
         branch.fs.rename(branch.path(old), target, ROOT_CRED)
-        if masked:
+        if masked or unmasked:
             # As for mkdir: a deleted name's lower entries stay hidden.
             branch.fs.write_file(vpath.join(target, OPAQUE_MARKER), b"", ROOT_CRED)
         self._mask(old, 1)

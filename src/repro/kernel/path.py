@@ -2,11 +2,28 @@
 
 All simulated paths are absolute, ``/``-separated, and normalized before any
 filesystem sees them. Paths never refer to the host filesystem.
+
+Each layer a file operation crosses (syscalls, the mount namespace, Aufs
+and its branches) asks ``split``, ``join``, ``parent`` or ``basename`` of
+the same few paths again, so those four answer from one table shared by
+every device in the process. They are pure functions of immutable strings,
+so a parsed answer is never stale: a raw path maps to its canonical form,
+components, parent and basename, and a tuple of ``join`` fragments to the
+entry of the path they join to. The table holds at most
+:data:`PATH_CACHE_LIMIT` inputs and is cleared when it reaches that many,
+as :func:`repro.minisql.engine.prepare` treats its statements. Threads
+share it without a lock: every entry for a key is the same answer, so a
+racing insert or clear costs at most one parse more.
+
+``normalize`` is not memoised: a canonical input is already returned as
+is, without splitting (the same object, which a table keyed by equality
+could not promise), and a non-canonical one is parsed by the helper that
+receives it once, on its first use.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple, Union
 
 
 def normalize(path: str) -> str:
@@ -47,6 +64,28 @@ def normalize(path: str) -> str:
     return "/" + "/".join(parts)
 
 
+#: Inputs the table holds before it is cleared. Far above the distinct
+#: paths of a whole workload (about 1,200 per helper over thousands of
+#: delegate invocations), so a clear is rare and costs one parse per path.
+PATH_CACHE_LIMIT = 4096
+
+#: A raw path, or a tuple of ``join`` fragments, to the entry
+#: ``(canonical path, components, parent, basename)`` of the path it names.
+_Entry = Tuple[str, Tuple[str, ...], str, str]
+_parsed: Dict[Union[str, Tuple[str, ...]], _Entry] = {}
+
+
+def _parse(key: Union[str, Tuple[str, ...]], path: str) -> _Entry:
+    """Parse ``path`` once and file its entry under ``key``."""
+    path = normalize(path)
+    head, _, name = path.rpartition("/")
+    entry = (path, tuple(path[1:].split("/")) if name else (), head or "/", name)
+    if len(_parsed) >= PATH_CACHE_LIMIT:
+        _parsed.clear()
+    _parsed[key] = entry
+    return entry
+
+
 def split(path: str) -> Tuple[str, ...]:
     """Split a normalized path into its components.
 
@@ -55,10 +94,10 @@ def split(path: str) -> Tuple[str, ...]:
     >>> split("/")
     ()
     """
-    path = normalize(path)
-    if path == "/":
-        return ()
-    return tuple(path[1:].split("/"))
+    try:
+        return _parsed[path][1]
+    except KeyError:
+        return _parse(path, path)[1]
 
 
 def join(*parts: str) -> str:
@@ -69,10 +108,13 @@ def join(*parts: str) -> str:
     >>> join("/", "/a/", "b")
     '/a/b'
     """
-    # Fragments lose their outer slashes first, so joining canonical
-    # fragments yields a canonical path that normalize returns unchanged.
-    stripped = [p.strip("/") for p in parts]
-    return normalize("/" + "/".join(p for p in stripped if p))
+    try:
+        return _parsed[parts][0]
+    except KeyError:
+        # Fragments lose their outer slashes first, so joining canonical
+        # fragments yields a canonical path that normalize returns unchanged.
+        stripped = [p.strip("/") for p in parts]
+        return _parse(parts, "/" + "/".join(p for p in stripped if p))[0]
 
 
 def parent(path: str) -> str:
@@ -83,7 +125,10 @@ def parent(path: str) -> str:
     >>> parent("/")
     '/'
     """
-    return normalize(path).rpartition("/")[0] or "/"
+    try:
+        return _parsed[path][2]
+    except KeyError:
+        return _parse(path, path)[2]
 
 
 def basename(path: str) -> str:
@@ -92,7 +137,10 @@ def basename(path: str) -> str:
     >>> basename("/a/b")
     'b'
     """
-    return normalize(path).rpartition("/")[2]
+    try:
+        return _parsed[path][3]
+    except KeyError:
+        return _parse(path, path)[3]
 
 
 def is_within(path: str, ancestor: str) -> bool:

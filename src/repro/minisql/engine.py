@@ -10,7 +10,7 @@ Maxoid COW proxy is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.boundary import boundary
 from repro.errors import (
@@ -613,17 +613,14 @@ class Database:
         select: ast.Select,
         params: List[object],
         outer_scope: Optional[Scope] = None,
-        probes: Optional[List[Optional[planner.Probe]]] = None,
     ) -> ResultSet:
-        """Run a SELECT; ``probes`` (one per core) are key terms pushed
-        down from an enclosing statement (see :meth:`_arm_probes`)."""
+        """Run a SELECT: each core, then the compound ORDER BY and LIMIT."""
         evaluator = self._evaluator(params)
         projected: List[_ProjectedRow] = []
         columns: List[str] = []
         for index, core in enumerate(select.cores):
             core_columns, core_rows = self._execute_core(
-                core, select, params, evaluator, outer_scope,
-                probes[index] if probes else None,
+                core, select, params, evaluator, outer_scope
             )
             if index == 0:
                 columns = core_columns
@@ -669,7 +666,6 @@ class Database:
         params: List[object],
         evaluator: Evaluator,
         outer_scope: Optional[Scope],
-        probe: Optional[planner.Probe] = None,
     ) -> Tuple[List[str], List[_ProjectedRow]]:
         # --- planner hook: flattened execution over a UNION ALL view -----
         flattened = self._try_flattened_view(core, enclosing, params, evaluator, outer_scope)
@@ -697,7 +693,7 @@ class Database:
                 cols, rows = self._source_rows(core.source, params, outer_scope)
                 where = core.where
             else:
-                pairs, settled = self._key_rows(access, params, probe)
+                pairs, settled = self._key_rows(access, params)
                 cols = [c.name for c in access.table.columns]
                 rows = [row for _, row in pairs]
                 where = planner.without_term(access.where, settled)
@@ -735,56 +731,67 @@ class Database:
         outer_scope: Optional[Scope],
     ) -> Optional[Tuple[List[str], List[_ProjectedRow]]]:
         """Execute ``SELECT ... FROM union_all_view WHERE ...`` by pushing
-        the work into the view's arms when the planner allows it. The outer
-        WHERE's sargable key term also reaches each arm as an index probe.
-
-        An arm over a base table is read in place from its row source
-        (:meth:`_key_rows`): each row is tested against the arm's WHERE,
-        then against the outer WHERE on an :class:`ArmScope` over the same
-        row, and only a row that passes both is projected. A pushed key
-        term the probe settles is tested on neither. Any other arm (``*``,
-        an aggregate, a view source) runs whole and its rows are tested
-        afterwards."""
+        the work into the view's arms (:meth:`_arm_rows`) when the planner
+        allows it."""
         view = self._flattened_view(core, enclosing)
         if view is None:
             return None
         self.stats.flattened_queries += 1
         assert core.source is not None
         plan = self._view_plan(view, core.source.effective_name)
-        width = len(view.columns)
         source_columns = [(core.source.effective_name, list(view.columns))]
         out_rows: List[_ProjectedRow] = []
-
-        def emit(values: Sequence[object]) -> None:
+        for values in self._arm_rows(view, plan, core.where, params, evaluator, outer_scope):
             scope = ValuesScope(plan.positions, values, outer_scope)
             projected = self._project(core, scope, source_columns, evaluator)
             out_rows.append(_ProjectedRow(tuple(projected), scope))
+        return self._core_output_columns(core, source_columns), out_rows
 
-        for arm, probe in zip(plan.arms, self._arm_probes(plan, core.where)):
+    def _arm_rows(
+        self,
+        view: _View,
+        plan: _ViewPlan,
+        where: Optional[ast.Expr],
+        params: List[object],
+        evaluator: Evaluator,
+        outer_scope: Optional[Scope],
+    ) -> Iterator[Sequence[object]]:
+        """The values of each row of the flattenable ``view``, read as
+        ``plan`` says, that ``where`` holds for. Its sargable key term also
+        reaches each arm as an index probe.
+
+        An arm over a base table is read in place from its row source
+        (:meth:`_key_rows`): each row is tested against the arm's WHERE,
+        then against ``where`` on an :class:`ArmScope` over the same row,
+        and only a row that passes both is computed. A pushed key term the
+        probe settles is tested on neither. Any other arm (``*``, an
+        aggregate, a view source) runs whole and its rows are tested
+        afterwards."""
+        width = len(view.columns)
+        for arm, probe in zip(plan.arms, self._arm_probes(plan, where)):
             if arm.access is None:
                 _, arm_rows = self._execute_core(
-                    arm.core, view.select, params, evaluator, outer_scope, probe
+                    arm.core, view.select, params, evaluator, outer_scope
                 )
                 for arm_row in arm_rows:
                     values = (arm_row.values + (None,) * width)[:width]
-                    if core.where is None or evaluator.truth(
-                        core.where, ValuesScope(plan.positions, values, outer_scope)
+                    if where is None or evaluator.truth(
+                        where, ValuesScope(plan.positions, values, outer_scope)
                     ):
-                        emit(values)
+                        yield values
                 continue
             pairs, settled = self._key_rows(arm.access, params, probe)
             arm_where = planner.without_term(arm.access.where, settled)
-            where = planner.without_term(core.where, settled)
+            arm_outer = planner.without_term(where, settled)
             row_scope = RowScope(arm.names, outer_scope)
             view_row = ArmScope(arm.view_names, arm.view_items, evaluator, row_scope, outer_scope)
             for _, row in pairs:
                 row_scope.row = row
                 if arm_where is not None and not evaluator.truth(arm_where, row_scope):
                     continue
-                if where is not None and not evaluator.truth(where, view_row):
+                if arm_outer is not None and not evaluator.truth(arm_outer, view_row):
                     continue
-                emit([evaluator.evaluate(expr, row_scope) for expr in arm.items])
-        return self._core_output_columns(core, source_columns), out_rows
+                yield [evaluator.evaluate(expr, row_scope) for expr in arm.items]
 
     def _flattened_view(
         self, core: ast.SelectCore, enclosing: ast.Select
@@ -1337,21 +1344,27 @@ class Database:
             self._run_trigger(trigger, params, new_row=new_row, old_row=None)
         return ResultSet(rowcount=len(value_rows))
 
-    def _view_rows_with_scopes(
+    def _view_write_rows(
         self,
         view: _View,
         params: List[object],
         scope: Optional[Scope],
         where: Optional[ast.Expr],
+        evaluator: Evaluator,
     ) -> List[Dict[str, object]]:
-        """The view rows an UPDATE/DELETE tests against ``where``; its key
-        term is pushed into the arms of a flattenable view."""
-        probes = None
-        if planner.view_is_flattenable(view.select):
-            probes = self._arm_probes(self._view_plan(view, view.name), where)
-        result = self._execute_select(view.select, params, outer_scope=scope, probes=probes)
+        """The view rows an UPDATE/DELETE acts on: those ``where`` holds
+        for, all read before any trigger fires. A flattenable view is read
+        arm by arm as a flattened SELECT is (:meth:`_arm_rows`), so a key
+        term an arm's probe settles is not tested again on its rows."""
         lowered = [c.lower() for c in view.columns]
-        return [dict(zip(lowered, row)) for row in result.rows]
+        if planner.view_is_flattenable(view.select):
+            plan = self._view_plan(view, view.name)
+            rows = list(self._arm_rows(view, plan, where, params, evaluator, scope))
+            return [dict(zip(lowered, values)) for values in rows]
+        names = row_names(view.name, view.columns)
+        result = self._execute_select(view.select, params, outer_scope=scope)
+        rows = [dict(zip(lowered, values)) for values in result.rows]
+        return [row for row in rows if evaluator.truth(where, RowScope(names, scope, row))]
 
     def _update_view(
         self, statement: ast.Update, params: List[object], scope: Optional[Scope]
@@ -1359,19 +1372,15 @@ class Database:
         view = self.views[statement.table.lower()]
         trigger = self._view_trigger(statement.table.lower(), "UPDATE")
         evaluator = self._evaluator(params)
-        rows = self._view_rows_with_scopes(view, params, scope, statement.where)
+        rows = self._view_write_rows(view, params, scope, statement.where, evaluator)
         names = row_names(view.name, view.columns)
-        updated = 0
         for row in rows:
             row_scope = RowScope(names, scope, row)
-            if not evaluator.truth(statement.where, row_scope):
-                continue
             new_row = dict(row)
             for column, expr in statement.assignments:
                 new_row[column.lower()] = evaluator.evaluate(expr, row_scope)
             self._run_trigger(trigger, params, new_row=new_row, old_row=row)
-            updated += 1
-        return ResultSet(rowcount=updated)
+        return ResultSet(rowcount=len(rows))
 
     def _delete_from_view(
         self, statement: ast.Delete, params: List[object], scope: Optional[Scope]
@@ -1379,12 +1388,7 @@ class Database:
         view = self.views[statement.table.lower()]
         trigger = self._view_trigger(statement.table.lower(), "DELETE")
         evaluator = self._evaluator(params)
-        rows = self._view_rows_with_scopes(view, params, scope, statement.where)
-        names = row_names(view.name, view.columns)
-        deleted = 0
+        rows = self._view_write_rows(view, params, scope, statement.where, evaluator)
         for row in rows:
-            if not evaluator.truth(statement.where, RowScope(names, scope, row)):
-                continue
             self._run_trigger(trigger, params, new_row=None, old_row=row)
-            deleted += 1
-        return ResultSet(rowcount=deleted)
+        return ResultSet(rowcount=len(rows))

@@ -206,6 +206,33 @@ class TestRename:
         assert union.readdir("/d", APP) == ["inner"]
         assert not upper.exists("/d", ROOT_CRED)
 
+    def test_directory_renamed_onto_a_directory_whiteouts_emptied(self, union, upper, lower):
+        # As Filesystem.rename replaces an empty directory; the writable
+        # branch's copy of /d holds only the whiteout of inner.
+        lower.mkdir("/d", ROOT_CRED, mode=0o777)
+        lower.write_file("/d/inner", b"i", ROOT_CRED, mode=0o666)
+        union.unlink("/d/inner", APP)
+        union.rename("/docs", "/d", APP)
+        assert union.readdir("/d", APP) == ["a.txt", "b.txt"]
+        assert union.read_file("/d/a.txt", APP) == b"lower-a"
+        assert not union.exists("/docs", APP)
+        # The deleted lower entry stays hidden under the new name.
+        assert not union.exists("/d/inner", APP)
+        assert upper.readdir("/d", ROOT_CRED) == [".wh..wh..opq", "a.txt", "b.txt"]
+        assert lower.read_file("/d/inner", ROOT_CRED) == b"i"
+
+    def test_file_renamed_onto_a_directory_whiteouts_emptied(self, union, upper, lower):
+        lower.mkdir("/d", ROOT_CRED, mode=0o777)
+        lower.write_file("/d/inner", b"i", ROOT_CRED, mode=0o666)
+        union.unlink("/d/inner", APP)
+        union.rename("/top.txt", "/d", APP)
+        assert union.read_file("/d", APP) == b"lower-top"
+        assert not union.exists("/top.txt", APP)
+
+    def test_directory_renamed_onto_itself_is_kept(self, union):
+        union.rename("/docs", "/docs", APP)
+        assert union.readdir("/docs", APP) == ["a.txt", "b.txt"]
+
 
 class TestPermissionsAndTheMaxoidPatch:
     def test_union_enforces_lower_modes_by_default(self, lower, upper):

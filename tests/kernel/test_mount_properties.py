@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import posixpath
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -37,6 +38,29 @@ def reference_normalize(path: str) -> str:
     if expected.startswith("//"):
         expected = "/" + expected.lstrip("/")
     return expected
+
+
+def reference_parse(path: str):
+    """``(split, parent, basename)`` of ``path`` as the unmemoised helpers
+    compute them, straight from its canonical form."""
+    canonical = vpath.normalize(path)
+    head, _, name = canonical.rpartition("/")
+    parts = () if canonical == "/" else tuple(canonical[1:].split("/"))
+    return parts, head or "/", name
+
+
+def reference_join(*fragments: str) -> str:
+    """``join`` as the unmemoised helper computes it."""
+    stripped = [p.strip("/") for p in fragments]
+    return vpath.normalize("/" + "/".join(p for p in stripped if p))
+
+
+class _Text(str):
+    """A caller's own ``str`` subclass: equal to, and hashed as, its text."""
+
+
+# Raw paths, some of them handed in as a str subclass.
+raw_input = st.one_of(raw_path, raw_path.map(_Text))
 
 
 class _Unsplittable(str):
@@ -93,6 +117,36 @@ class TestPathProperties:
     @settings(max_examples=50, deadline=None)
     def test_every_path_within_root(self, path):
         assert vpath.is_within(path, "/")
+
+    @given(paths=st.lists(raw_input, min_size=1, max_size=6), cap=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_memoised_helpers_match_reference(self, paths, cap):
+        # Each input is asked twice: parsed (or found in the table), then
+        # found in it; a small cap clears the table along the way.
+        with mock.patch.object(vpath, "PATH_CACHE_LIMIT", cap):
+            vpath._parsed.clear()
+            for _ in range(2):
+                for path in paths:
+                    answers = (vpath.split(path), vpath.parent(path), vpath.basename(path))
+                    assert answers == reference_parse(path)
+                    assert all(type(answer) is str for answer in answers[1:] + answers[0])
+                    assert len(vpath._parsed) <= cap
+                joined = vpath.join(*paths)
+                assert joined == reference_join(*paths)
+                assert type(joined) is str
+
+    def test_table_is_cleared_at_its_cap(self):
+        with mock.patch.object(vpath, "PATH_CACHE_LIMIT", 3):
+            vpath._parsed.clear()
+            assert [vpath.split(p) for p in ("/a", "b/", "/c/./d")] == [("a",), ("b",), ("c", "d")]
+            assert len(vpath._parsed) == 3
+            # The fourth input finds the table full: it is cleared first.
+            assert vpath.join("/x", "y/") == "/x/y"
+            assert list(vpath._parsed) == [("/x", "y/")]
+            # Inputs parsed before the clear are parsed again, alike.
+            assert vpath.parent("/c/./d") == "/c"
+            assert vpath.basename("b/") == "b"
+            assert len(vpath._parsed) == 3
 
 
 # Few, short names so that drawn mount points nest (/a and /a/b/c), share a

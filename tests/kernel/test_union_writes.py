@@ -197,6 +197,8 @@ def expected_change(before: Dict, op: str, path: str, new: Optional[str]):
         del after[path]
         return after, None
     assert op == "rename"
+    # An empty directory at the new name is replaced.
+    after.pop(new, None)
     moved = {p: v for p, v in before.items() if vpath.is_within(p, path)}
     for p in moved:
         del after[p]
@@ -234,10 +236,15 @@ def test_mutation_changes_exactly_its_view(op, trees, salt, data):
     )
     new = None
     if op == "rename":
-        # A visible entry moves to a fresh name in a visible directory
-        # outside the entry itself.
-        new = data.draw(st.sampled_from(fresh), label="new") if fresh else "/"
-        if path not in before or new in before or vpath.is_within(new, path):
+        # A visible entry moves to a fresh name in a visible directory, or
+        # onto an empty visible directory, outside the entry itself.
+        empty = [
+            d for d in directories
+            if d != "/" and not any(vpath.parent(p) == d for p in visible)
+        ]
+        names = [st.sampled_from(c) for c in (fresh, empty) if c]
+        new = data.draw(st.one_of(names), label="new") if names else "/"
+        if path not in before or new == "/" or vpath.is_within(new, path):
             return
     lower = tree(low.root)
     expected, error = expected_change(before, op, path, new)

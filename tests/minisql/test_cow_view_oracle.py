@@ -160,6 +160,39 @@ def test_text_key_finds_the_row_in_each_arm():
     assert sorted(mine.execute("SELECT v FROM w WHERE id = '7'").rows) == [("a",), ("x",)]
 
 
+def test_text_key_writes_through_each_arm():
+    # An UPDATE or DELETE through the view acts on the rows each arm's
+    # converted probe finds, as SQLite's INSTEAD OF triggers do: the key
+    # term is not tested again, without affinity, on the view row.
+    mine, reference = Database(), sqlite3.connect(":memory:")
+    for execute in (mine.execute, reference.execute):
+        execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        execute("CREATE TABLE u (id INTEGER PRIMARY KEY, v TEXT)")
+        execute("CREATE TABLE log (event TEXT, id INTEGER, v TEXT)")
+        execute("INSERT INTO t VALUES (7, 'a'), (8, 'b')")
+        execute("INSERT INTO u VALUES (7, 'x'), (9, 'y')")
+        execute("CREATE VIEW w AS SELECT id, v FROM t UNION ALL SELECT id, v FROM u")
+        execute(
+            "CREATE TRIGGER w_update INSTEAD OF UPDATE ON w BEGIN "
+            "INSERT INTO log VALUES ('update', old.id, new.v); END"
+        )
+        execute(
+            "CREATE TRIGGER w_delete INSTEAD OF DELETE ON w BEGIN "
+            "INSERT INTO log VALUES ('delete', old.id, old.v); END"
+        )
+    for sql, params in (
+        ("UPDATE w SET v = 'z' WHERE id = '7'", []),
+        ("UPDATE w SET v = v || '!' WHERE id IN (?, 9.0) AND v <> 'b'", [" 8 "]),
+        ("DELETE FROM w WHERE id = ? AND v = 'x'", ["7.0"]),
+        ("DELETE FROM w WHERE id IN ('9', 'abc')", []),
+    ):
+        mine.execute(sql, params)
+        reference.execute(sql, params)
+        log = "SELECT event, id, v FROM log"
+        assert sorted(mine.execute(log).rows) == sorted(reference.execute(log).fetchall()), sql
+    assert mine.execute(log).rows[:2] == [("update", 7, "z"), ("update", 7, "z")]
+
+
 class TestViewPlans:
     """A view is planned once per effective name, and a plan never
     outlives the schema it was made for."""
