@@ -23,6 +23,7 @@ receives it once, on its first use.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Tuple, Union
 
 
@@ -64,9 +65,9 @@ def normalize(path: str) -> str:
     return "/" + "/".join(parts)
 
 
-#: Inputs the table holds before it is cleared. Far above the distinct
-#: paths of a whole workload (about 1,200 per helper over thousands of
-#: delegate invocations), so a clear is rare and costs one parse per path.
+#: Inputs the table holds before it is cleared: over twice the distinct
+#: inputs of thousands of delegate invocations (about 1,800), so a clear
+#: is rare and costs one parse per path.
 PATH_CACHE_LIMIT = 4096
 
 #: A raw path, or a tuple of ``join`` fragments, to the entry
@@ -76,10 +77,13 @@ _parsed: Dict[Union[str, Tuple[str, ...]], _Entry] = {}
 
 
 def _parse(key: Union[str, Tuple[str, ...]], path: str) -> _Entry:
-    """Parse ``path`` once and file its entry under ``key``."""
+    """Parse ``path`` once and file its entry under ``key``. The parts
+    are interned: the many paths that share a parent or component then
+    share one copy of it."""
     path = normalize(path)
     head, _, name = path.rpartition("/")
-    entry = (path, tuple(path[1:].split("/")) if name else (), head or "/", name)
+    parts = tuple(map(sys.intern, path[1:].split("/"))) if name else ()
+    entry = (path, parts, sys.intern(head or "/"), sys.intern(name))
     if len(_parsed) >= PATH_CACHE_LIMIT:
         _parsed.clear()
     _parsed[key] = entry
