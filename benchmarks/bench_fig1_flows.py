@@ -1,75 +1,52 @@
 """Figure 1: the confinement overview.
 
 The figure shows which read/write arrows exist between A, B^A and the
-Priv/Pub/Vol states. The benchmark executes the full flow matrix (11
-attempted flows) on a fresh device and asserts every arrow matches the
-figure — present arrows succeed, absent arrows are blocked. :func:`render`
-prints the matrix with a verdict per arrow.
+Priv/Pub/Vol states. Each of its 11 arrows is a cell of the policy table
+(:mod:`repro.core.policy`). :func:`render` probes every arrow on a fresh
+Maxoid device and a fresh stock device and prints the table's outcome next
+to what was observed, with one verdict per arrow covering both columns.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import make_device
-from repro.core.audit import figure1_flow_matrix
+from repro.core.policy import Cell, expected, probe
 from repro.workloads.reports import render_table
 
-A = "com.fig1.initiator"
-B = "com.fig1.delegate"
-
-
-def flow_device(maxoid: bool):
-    device = make_device(maxoid, A, B)
-    device.network.add_host("example.com")
-    return device
-
-
-def flow_matrix():
-    return figure1_flow_matrix(flow_device(True), A, B)
+#: Figure 1's arrows as cells of the policy table.
+FIGURE1 = {
+    "B^A reads Priv(A)": Cell("B^A", "Priv(A)", "read"),
+    "B^A reads Priv(B^A) (forked from Priv(B))": Cell("B^A", "Priv(B)", "read"),
+    "B^A reads Pub(all)": Cell("B^A", "public file", "read"),
+    "B^A write reaches Pub(all) directly": Cell("B^A", "public file", "write"),
+    "A reads Vol(A)": Cell("A", "Vol(A) file", "read"),
+    "B^A reads its own public write": Cell("B^A", "Vol(A) file", "read"),
+    "B^A write reaches Priv(A) directly": Cell("B^A", "Priv(A)", "write"),
+    "B^A private write reaches Priv(B)": Cell("B", "Priv(B^A)", "read"),
+    "A reads Priv(B^A)": Cell("A", "Priv(B^A)", "read"),
+    "B^A reaches the network": Cell("B^A", "network", "connect"),
+    "X reads Vol(A)": Cell("X", "Vol(A) file", "read"),
+}
 
 
 def render() -> str:
-    rows = [
-        [c.description, "yes" if c.expected else "no", "yes" if c.observed else "no",
-         "OK" if c.ok else "MISMATCH"]
-        for c in flow_matrix()
-    ]
+    observed = {maxoid: probe(FIGURE1.values(), maxoid) for maxoid in (True, False)}
+    rows = []
+    for description, cell in FIGURE1.items():
+        pairs = [(expected(cell, m).outcome, observed[m][cell]) for m in (True, False)]
+        verdict = "OK" if all(want == got for want, got in pairs) else "MISMATCH"
+        rows.append([description, *pairs[0], *pairs[1], verdict])
     return render_table(
-        ["Flow", "Figure 1 allows", "Observed", "Verdict"],
+        ["Flow", "Maxoid policy", "Maxoid observed", "Stock policy", "Stock observed", "Verdict"],
         rows,
-        title="Figure 1 — information-flow matrix",
+        title="Figure 1 — information-flow matrix (policy table vs live devices)",
     )
 
 
 @pytest.mark.benchmark(group="fig1-flow-matrix")
-def bench_flow_matrix(benchmark):
-    checks = benchmark(flow_matrix)
-    assert len(checks) == 11
-    failures = [c for c in checks if not c.ok]
-    assert not failures, failures
-
-
-@pytest.mark.benchmark(group="fig1-flow-matrix")
-def bench_flow_matrix_stock_android(benchmark):
-    """The same attempts on stock Android: the forbidden flows mostly
-    succeed — the motivation for Maxoid. (Delegation does not exist on
-    stock, so instances run unconfined.)"""
-
-    def run():
-        device = flow_device(False)
-        a = device.spawn(A)
-        b = device.spawn(B)  # "B^A" does not exist on stock; B is unconfined
-        a.write_external("fig1/doc.txt", b"shared secret")
-        b.sys.write_file("/storage/sdcard/fig1/doc.txt", b"overwritten!")
-        overwrote = a.sys.read_file("/storage/sdcard/fig1/doc.txt") == b"overwritten!"
-        reached_network = True
-        try:
-            b.connect("example.com")
-        except Exception:
-            reached_network = False
-        return overwrote, reached_network
-
-    overwrote, reached_network = benchmark(run)
-    assert overwrote, "stock Android lets the helper overwrite in place"
-    assert reached_network, "stock Android gives the helper the network"
+@pytest.mark.parametrize("maxoid", [True, False], ids=["maxoid", "stock"])
+def bench_flow_matrix(benchmark, maxoid):
+    observed = benchmark(probe, FIGURE1.values(), maxoid)
+    assert len(observed) == 11
+    assert observed == {cell: expected(cell, maxoid).outcome for cell in observed}

@@ -67,9 +67,7 @@ class AppApi:
 
     @property
     def volatile(self) -> VolatileFiles:
-        return VolatileFiles(
-            self.process, journal=getattr(self.device, "commit_journal", None)
-        )
+        return VolatileFiles(self.process, self.device.commit_journal)
 
     def clear_my_volatile(self) -> int:
         """Discard Vol(self) via the Maxoid system service."""

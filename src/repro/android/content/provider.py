@@ -24,6 +24,7 @@ from repro.core.cow import CowProxy
 from repro.kernel.binder import BinderDriver, Transaction
 from repro.kernel.proc import Process, TaskContext
 from repro.minisql.engine import ResultSet
+from repro.naming import initiator_key
 
 
 class ContentValues:
@@ -260,16 +261,24 @@ class CowProvider(ContentProvider):
 
     def open_file(self, uri: Uri, context: TaskContext) -> bytes:
         """Read the file a row's ``_data`` names, from the state the row
-        belongs to (found through the proxy's administrative view)."""
+        belongs to. Only rows in the caller's view count: public rows, plus
+        its initiator's delta for a delegate and its own delta through a
+        volatile URI (found through the proxy's administrative view)."""
         _, source, key = self._route(uri, context)
         row_id = uri.row_id
         if self._io is None or key is None or row_id is None:
             raise FileNotFound(str(uri))
+        owner = self.initiator_of(context) or (context.app if uri.is_volatile else None)
+        visible = (None, initiator_key(owner) if owner else None)
+        found = None
         for row in self.proxy.admin_rows(source):
-            if row[key] == row_id and not row["_whiteout"]:
-                state = CowProxy.state_initiator(str(row["_state"]))
-                return self._io.read(state, str(row["_data"]))
-        raise FileNotFound(str(uri))
+            # A delta row comes after the public row it shadows.
+            if row[key] == row_id and CowProxy.state_initiator(str(row["_state"])) in visible:
+                found = row
+        if found is None or found["_whiteout"]:
+            raise FileNotFound(str(uri))
+        state = CowProxy.state_initiator(str(found["_state"]))
+        return self._io.read(state, str(found["_data"]))
 
 
 @dataclass

@@ -132,12 +132,3 @@ class ClipboardLaundererApp(SimApp):
         )
         self.loot.append(path)
         return path
-
-    def relay(self, api: AppApi, prefix: str = "") -> Optional[str]:
-        """Paste and immediately re-copy — a pure laundering hop that
-        moves data between clipboard domains the mule can reach."""
-        text = api.clipboard_get()
-        if text is None:
-            return None
-        api.clipboard_set(prefix + text)
-        return text

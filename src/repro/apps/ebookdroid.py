@@ -58,10 +58,6 @@ class EBookDroidApp(SimApp):
         db.execute("INSERT INTO recent (name) VALUES (?)", [name])
         return {"name": name, "bytes": len(data), "recent": self.recent_list(api)}
 
-    def add_bookmark(self, api: AppApi, name: str, position: int) -> None:
-        db = self._recent_db(api)
-        db.execute("INSERT INTO recent (name, bookmark) VALUES (?, ?)", [name, position])
-
     def recent_list(self, api: AppApi) -> List[str]:
         """Recents merged from the normal and persistent databases."""
         names: List[str] = []

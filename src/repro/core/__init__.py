@@ -21,7 +21,10 @@ This package implements the paper's primary contribution:
 - :mod:`repro.core.device` — the device facade that boots a simulated
   Android system with or without Maxoid.
 - :mod:`repro.core.audit` — who-can-see-what analysis used by the Table 1
-  and Figure 1 experiments.
+  experiment.
+- :mod:`repro.core.policy` — the confinement policy as one table of
+  (subject, resource, op) cells on Maxoid and stock Android, and the prober
+  that checks a live device against it (Figure 1 and triage read it).
 """
 
 from repro.core.cow import CowProxy

@@ -1,8 +1,8 @@
 """Who-can-see-what auditing (paper sections 2.2 and 3.1).
 
 Drives the Table 1 experiment ("state left after apps process their
-target data") and the Figure 1 experiment (which information flows are
-possible between ``A``, ``B^A``, ``Priv``/``Pub``/``Vol`` states).
+target data"). Figure 1's flows are cells of the policy table in
+:mod:`repro.core.policy`.
 
 The auditor plants a *marker* byte string inside sensitive data, runs a
 scenario, then searches every observer's view — files it can read, its
@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import KernelError, ReproError
 from repro.android.app_api import AppApi
-from repro.android.storage import DATA_ROOT, EXTDIR
+from repro.android.storage import EXTDIR
 from repro.android.uri import Uri
 from repro.kernel import path as vpath
 from repro.tap import Tap
@@ -117,130 +117,6 @@ def leaked_off_device(device: Any, marker: bytes) -> bool:
         return True
     text = marker.decode("utf-8", "ignore")
     return bool(text) and device.telephony.leaked(text)
-
-
-# ---------------------------------------------------------------------------
-# Figure 1: the information-flow matrix
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FlowCheck:
-    """One attempted flow and whether it succeeded."""
-
-    description: str
-    expected: bool
-    observed: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.observed
-
-
-def figure1_flow_matrix(device: Any, initiator_pkg: str, delegate_pkg: str) -> List[FlowCheck]:
-    """Exercise the solid (allowed) and absent (forbidden) arrows of the
-    paper's Figure 1 and report what actually happened.
-
-    Plants distinct markers in Priv(A) and Priv(B), runs ``B^A`` against
-    them, and checks every read/write edge.
-    """
-    checks: List[FlowCheck] = []
-    a = device.spawn(initiator_pkg)
-    priv_a_path = a.write_internal("figure1/secret_a.txt", b"MARK-PRIV-A")
-    b_normal = device.spawn(delegate_pkg)
-    priv_b_path = b_normal.write_internal("figure1/own_b.txt", b"MARK-PRIV-B")
-    b_normal.write_external("figure1/public.txt", b"MARK-PUB")
-    delegate = device.spawn(delegate_pkg, initiator=initiator_pkg)
-
-    def attempt(fn) -> bool:
-        try:
-            fn()
-            return True
-        except ReproError:
-            return False
-
-    # 1. B^A reads Priv(A) — allowed.
-    checks.append(
-        FlowCheck(
-            "B^A reads Priv(A)",
-            expected=True,
-            observed=attempt(lambda: delegate.sys.read_file(priv_a_path)),
-        )
-    )
-    # 2. B^A reads Priv(B) (its forked copy) — allowed (U1).
-    checks.append(
-        FlowCheck(
-            "B^A reads Priv(B^A) (forked from Priv(B))",
-            expected=True,
-            observed=attempt(lambda: delegate.sys.read_file(priv_b_path)),
-        )
-    )
-    # 3. B^A reads Pub(all) — allowed (U1).
-    checks.append(
-        FlowCheck(
-            "B^A reads Pub(all)",
-            expected=True,
-            observed=attempt(
-                lambda: delegate.sys.read_file(vpath.join(EXTDIR, "figure1/public.txt"))
-            ),
-        )
-    )
-    # 4. B^A writes its view of public state -> redirected to Vol(A).
-    delegate.write_external("figure1/delegate-output.txt", b"MARK-VOL-A")
-    wrote_public = b_normal.sys.exists(vpath.join(EXTDIR, "figure1/delegate-output.txt"))
-    checks.append(
-        FlowCheck("B^A write reaches Pub(all) directly", expected=False, observed=wrote_public)
-    )
-    vol_visible_to_a = attempt(
-        lambda: a.sys.read_file(vpath.join(EXTDIR, "tmp/figure1/delegate-output.txt"))
-    )
-    checks.append(FlowCheck("A reads Vol(A)", expected=True, observed=vol_visible_to_a))
-    # 5. B^A reads its own write (read-your-writes, U2).
-    checks.append(
-        FlowCheck(
-            "B^A reads its own public write",
-            expected=True,
-            observed=attempt(
-                lambda: delegate.sys.read_file(
-                    vpath.join(EXTDIR, "figure1/delegate-output.txt")
-                )
-            ),
-        )
-    )
-    # 6. B^A overwrites Priv(A) in place — must be copy-on-write.
-    delegate.sys.write_file(priv_a_path, b"MARK-TAMPERED")
-    a_sees_tamper = a.sys.read_file(priv_a_path) == b"MARK-TAMPERED"
-    checks.append(
-        FlowCheck("B^A write reaches Priv(A) directly", expected=False, observed=a_sees_tamper)
-    )
-    # 7. B^A's private write stays out of Priv(B).
-    delegate.write_internal("figure1/delegate-private.txt", b"MARK-PRIV-BA")
-    b_sees = b_normal.sys.exists(
-        vpath.join(DATA_ROOT, delegate_pkg, "figure1/delegate-private.txt")
-    )
-    checks.append(
-        FlowCheck("B^A private write reaches Priv(B)", expected=False, observed=b_sees)
-    )
-    # 8. A reads Priv(B^A) — forbidden (S3).
-    a_reads_ba = attempt(
-        lambda: a.sys.read_file(vpath.join(DATA_ROOT, delegate_pkg, "figure1/own_b.txt"))
-    )
-    checks.append(FlowCheck("A reads Priv(B^A)", expected=False, observed=a_reads_ba))
-    # 9. B^A reaches the network — forbidden.
-    checks.append(
-        FlowCheck(
-            "B^A reaches the network",
-            expected=False,
-            observed=attempt(lambda: delegate.connect("example.com")),
-        )
-    )
-    # 10. Another app X reads Vol(A) — forbidden (S1).
-    x = device.spawn(delegate_pkg)  # fresh normal instance = X's rights
-    x_reads_vol = attempt(
-        lambda: x.sys.read_file(vpath.join(EXTDIR, "tmp/figure1/delegate-output.txt"))
-    )
-    checks.append(FlowCheck("X reads Vol(A)", expected=False, observed=x_reads_vol))
-    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,6 @@ class Device:
             self.ipc_guard = IpcGuard(self.binder)
             self.maxoid_service = MaxoidSystemService(
                 self.binder,
-                self.branches,
                 clear_volatile=self.clear_volatile,
                 clear_delegate_priv=self.clear_delegate_priv,
             )
@@ -236,9 +235,6 @@ class Device:
         so the IPC guard lets the owner's delegates reach it — the Email
         attachment flow (paper section 2.2.III)."""
         self.resolver.register(provider)
-        proxy = getattr(provider, "proxy", None)
-        if proxy is not None and hasattr(proxy, "bind_obs"):
-            proxy.bind_obs(self.obs)
         if self.ipc_guard is not None and provider.owner is not None:
             self.ipc_guard.register_instance(
                 f"provider:{provider.authority}",

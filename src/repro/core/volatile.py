@@ -17,7 +17,7 @@ it goes through the Maxoid system service on Binder.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List
 
 from repro.android.storage import DATA_ROOT, EXTDIR
 from repro.boundary import boundary
@@ -26,7 +26,6 @@ from repro.kernel import path as vpath
 from repro.kernel.binder import BinderDriver, Transaction
 from repro.kernel.proc import Process
 from repro.kernel.syscall import Syscalls
-from repro.core.branches import BranchManager
 from repro.core.journal import CommitJournal
 
 EXT_TMP = vpath.join(EXTDIR, "tmp")
@@ -42,9 +41,7 @@ def _commit_done(self, span, destination: str) -> None:
 class VolatileFiles:
     """An initiator's window onto its volatile file state."""
 
-    def __init__(
-        self, process: Process, journal: Optional[CommitJournal] = None
-    ) -> None:
+    def __init__(self, process: Process, journal: CommitJournal) -> None:
         if process.context.is_delegate:
             raise IpcDenied("delegates have no volatile state of their own")
         self._process = process
@@ -53,8 +50,6 @@ class VolatileFiles:
         # Resolve observability through the process: volatile-state spans
         # land in the owning device's context.
         self.obs = process.obs
-        # The device-wide commit WAL; without one (bare construction in
-        # unit tests) commits fall back to the direct, non-journaled copy.
         self._journal = journal
 
     @property
@@ -122,16 +117,14 @@ class VolatileFiles:
         complete intent or rolls back a torn one — the destination is never
         left half-written without a journal entry covering it."""
         data = self._sys.read_file(tmp_path)
-        entry = None
-        if self._journal is not None:
-            entry = self._journal.begin(
-                package=self._package or "",
-                source=tmp_path,
-                destination=destination,
-                data=data,
-                uid=self._process.cred.uid,
-                gid=self._process.cred.gid,
-            )
+        entry = self._journal.begin(
+            package=self._package or "",
+            source=tmp_path,
+            destination=destination,
+            data=data,
+            uid=self._process.cred.uid,
+            gid=self._process.cred.gid,
+        )
         self._apply(tmp_path, destination, data)
         self._truncate(destination, entry)
         return destination
@@ -162,10 +155,9 @@ class VolatileFiles:
         },
         sched=lambda self, destination, entry: {"path": destination},
     )
-    def _truncate(self, destination: str, entry: Optional[str]) -> None:
+    def _truncate(self, destination: str, entry: str) -> None:
         """Drop the applied commit's journal entry."""
-        if entry is not None:
-            self._journal.truncate(entry)
+        self._journal.truncate(entry)
 
 
 class MaxoidSystemService:
@@ -182,13 +174,11 @@ class MaxoidSystemService:
     def __init__(
         self,
         binder: BinderDriver,
-        branches: BranchManager,
-        clear_volatile=None,
-        clear_delegate_priv=None,
+        clear_volatile: Callable[[str], int],
+        clear_delegate_priv: Callable[[str], int],
     ) -> None:
-        self._branches = branches
-        self._clear_volatile = clear_volatile or branches.clear_volatile
-        self._clear_delegate_priv = clear_delegate_priv or branches.clear_delegate_priv
+        self._clear_volatile = clear_volatile
+        self._clear_delegate_priv = clear_delegate_priv
         binder.register(MAXOID_SERVICE, self._handle, is_system=True)
 
     def _handle(self, transaction: Transaction):
@@ -208,6 +198,4 @@ class MaxoidSystemService:
             return self._clear_volatile(target)
         if transaction.code == "clear_delegate_priv":
             return self._clear_delegate_priv(target)
-        if transaction.code == "list_volatile":
-            return self._branches.list_volatile_files(target)
         raise ValueError(f"unknown maxoid service call {transaction.code}")

@@ -71,6 +71,10 @@ class BadFileDescriptor(KernelError):
     errno_name = "EBADF"
 
 
+class InvalidArgument(KernelError):
+    """rename() of a directory into its own subtree (EINVAL)."""
+
+
 class CrossDeviceLink(KernelError):
     """rename() across mounts (EXDEV)."""
 

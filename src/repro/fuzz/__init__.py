@@ -1,14 +1,10 @@
 """Property-based delegation fuzzing with lineage counterexamples.
 
 The adversarial corpus (:mod:`repro.apps.adversarial`) gives the
-reproduction apps that *try* to leak; this package drives them. Four
-pieces cooperate:
+reproduction apps that *try* to leak; this package drives them. Three
+pieces cooperate (the PolyScope-style triage of the op space is a view
+of the policy table, :func:`repro.core.policy.triage`):
 
-- :mod:`repro.fuzz.reachability` — a PolyScope-style triage pass that
-  enumerates every ``(subject, resource, op)`` triple a delegation
-  topology makes reachable and predicts, from the policy alone, which
-  ones the reference monitor denies (tests cross-check the predictions
-  against live enforcement);
 - :mod:`repro.fuzz.ops` + :mod:`repro.fuzz.harness` — a small op
   language (spawn, read, publish, clipboard, provider, fault, crash) and
   a world that executes op sequences on a fresh device with the online
@@ -78,12 +74,6 @@ from repro.fuzz.interleave import (
     interleave_sweep,
     run_interleaved,
 )
-from repro.fuzz.reachability import (
-    ReachabilityReport,
-    Subject,
-    Triple,
-    triage,
-)
 
 __all__ = [
     "FuzzWorld",
@@ -124,8 +114,4 @@ __all__ = [
     "concurrent_scenario_from_seed",
     "interleave_sweep",
     "run_interleaved",
-    "Subject",
-    "Triple",
-    "ReachabilityReport",
-    "triage",
 ]

@@ -53,6 +53,7 @@ from repro.kernel.vfs import (
     InodeKind,
     ROOT_CRED,
     Stat,
+    check_rename,
 )
 from repro.sched.locks import RWLock
 
@@ -562,10 +563,11 @@ class AufsMount(FilesystemAPI):
         Implemented as copy-up of the source into the writable branch at the
         new name, then deletion of the old name — the strategy real union
         filesystems use when the source lives in a read-only branch. As
-        for :meth:`Filesystem.rename`, the new name may not be a directory
-        the union shows entries in, whichever branches hold them. An empty
-        one is replaced, even where the writable branch's copy still holds
-        the whiteouts that emptied it.
+        for :meth:`Filesystem.rename`, :func:`check_rename`'s rules hold
+        and the new name may not be a directory the union shows entries
+        in, whichever branches hold them. An empty one is replaced, even
+        where the writable branch's copy still holds the whiteouts that
+        emptied it.
         """
         index, stat = self._find(old)
         self._check_access(stat, cred, 0o2)
@@ -576,14 +578,14 @@ class AufsMount(FilesystemAPI):
         try:
             existing_index, existing = self._find(new)
         except FileNotFound:
-            pass
-        else:
-            if existing.is_dir:
-                if self._merged_names(existing_index, new):
-                    raise DirectoryNotEmpty(new)
-                if existing_index == 0:  # held by the writable branch
-                    self._drop_dir(branch, new)
-                    masked = self._held(new, 1)
+            existing_index, existing = -1, None
+        check_rename(old, new, stat.kind, existing.kind if existing else None)
+        if existing is not None and existing.is_dir:
+            if self._merged_names(existing_index, new):
+                raise DirectoryNotEmpty(new)
+            if existing_index == 0:  # held by the writable branch
+                self._drop_dir(branch, new)
+                masked = self._held(new, 1)
         if stat.is_file:
             data = self.read_file(old, ROOT_CRED)
             target, _ = self._place(new)

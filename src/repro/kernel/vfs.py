@@ -27,6 +27,7 @@ from repro.errors import (
     DirectoryNotEmpty,
     FileExists,
     FileNotFound,
+    InvalidArgument,
     IsADirectory,
     NotADirectory,
     PermissionDenied,
@@ -70,6 +71,19 @@ class Credentials:
 
 
 ROOT_CRED = Credentials(uid=0)
+
+
+def check_rename(old: str, new: str, kind: InodeKind, onto: Optional[InodeKind]) -> None:
+    """The rename(2) rules every filesystem here shares: a directory may not
+    move into its own subtree (EINVAL), a file may not replace a directory
+    (EISDIR) nor a directory a file (ENOTDIR). ``onto`` is the kind of what
+    ``new`` names, None when nothing."""
+    if kind is InodeKind.DIR and vpath.is_within(new, old):
+        raise InvalidArgument(f"cannot move {old} into its own subtree {new}")
+    if onto is InodeKind.DIR and kind is not InodeKind.DIR:
+        raise IsADirectory(new)
+    if kind is InodeKind.DIR and onto is InodeKind.FILE:
+        raise NotADirectory(new)
 
 
 @dataclass
@@ -517,7 +531,10 @@ class Filesystem(FilesystemAPI):
         if not old_parent.permits(cred, 0o3) or not new_parent.permits(cred, 0o3):
             raise PermissionDenied(f"rename denied: {old} -> {new}")
         existing = new_parent.children.get(new_name)
-        if existing is not None and existing.kind is InodeKind.DIR and existing.children:
+        if existing is node:
+            return
+        check_rename(old, new, node.kind, existing.kind if existing else None)
+        if existing is not None and existing.children:
             raise DirectoryNotEmpty(new)
         del old_parent.children[old_name]
         new_parent.children[new_name] = node

@@ -11,7 +11,7 @@ from repro.android.content.media import FILES_URI
 from repro.android.content.provider import ContentValues
 from repro.android.content.user_dictionary import WORDS_URI
 from repro.android.uri import Uri
-from repro.errors import SecurityException
+from repro.errors import FileNotFound, SecurityException
 
 A = "com.app.initiator"
 B = "com.app.helper"
@@ -77,6 +77,30 @@ def test_volatile_uri_rule(env, name):
     assert len(env.spawn(B).query(uri).rows) == 1
     assert initiator.query(tmp).rows == []
     assert len(delegate.query(uri).rows) == 1
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+def test_open_file_serves_only_rows_the_caller_sees(env, name):
+    """Public rows open for every caller. A delegate also opens its
+    initiator's delta rows, and the initiator opens them through volatile
+    URIs; no other caller does. Providers without ``_data`` open nothing."""
+    uri, public_row, delegate_row = PROVIDERS[name]
+    initiator, delegate, plain = env.spawn(A), env.spawn(B, initiator=A), env.spawn(B)
+    for api, row in ((initiator, public_row), (delegate, delegate_row)):
+        if "_data" in row:
+            api.sys.write_file(row["_data"], row["title"].encode(), mode=0o666)
+    public_uri = initiator.insert(uri, ContentValues(public_row))
+    volatile_uri = delegate.insert(uri, ContentValues(delegate_row))
+    served = "_data" in public_row
+    opens = [(api, public_uri, b"public") for api in (initiator, delegate, plain)]
+    opens += [(delegate, volatile_uri, b"volatile"), (initiator, volatile_uri.to_volatile(), b"volatile")]
+    opens = [(api, row_uri, data if served else None) for api, row_uri, data in opens]
+    for api, row_uri, data in opens + [(initiator, volatile_uri, None), (plain, volatile_uri, None)]:
+        if data is None:
+            with pytest.raises(FileNotFound):
+                api.open_input(row_uri)
+        else:
+            assert api.open_input(row_uri) == data
 
 
 def test_initiator_insert_through_tmp_uri_is_volatile(env):

@@ -162,7 +162,7 @@ class TestVolatileFilesApi:
         device.install(AndroidManifest(package="com.b"), Nop())
         delegate = device.spawn("com.b", initiator="com.a")
         with pytest.raises(IpcDenied):
-            VolatileFiles(delegate.process)
+            VolatileFiles(delegate.process, device.commit_journal)
 
     def test_commit_external(self, device):
         class Nop:

@@ -14,9 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import ADVERSARIAL_PACKAGES, ALL_PACKAGES, install_full_corpus
+from repro.android.content.media import FILES_URI
+from repro.android.content.provider import ContentValues
 from repro.apps.adversarial import exfil_browser, interpreter, launderer, leaky_provider
 from repro.core.device import Device
-from repro.errors import ReproError, SecurityException
+from repro.errors import FileNotFound, ReproError, SecurityException
 from repro.fuzz.harness import SECRET, SECRET_PATH, VICTIM_PACKAGE, FuzzWorld
 from repro.fuzz.ops import RunScript, Spawn
 from repro.obs import OBS
@@ -131,6 +133,20 @@ def test_browser_delegate_renders_but_outbox_is_volatile(monitored):
     with pytest.raises(ReproError):
         plain.read_external(f"{exfil_browser.OUTBOX_DIR}/secret.txt")
     assert monitor.violations == []
+
+
+def test_webexfil_cannot_open_a_media_row_the_victims_delegate_inserted(corpus_device):
+    """A Media row URI opens only rows in the caller's view: the row a
+    delegate inserted for a file in Vol(victim) is not in an unrelated
+    app's, so its bytes are not either."""
+    delegate = corpus_device.spawn(interpreter.PACKAGE, VICTIM_PACKAGE)
+    loot = delegate.write_external("interpreter/loot.txt", delegate.sys.read_file(SECRET_PATH))
+    uri = delegate.insert(FILES_URI, ContentValues({"_data": loot, "title": "loot"}))
+    assert delegate.open_input(uri) == SECRET
+    webexfil = corpus_device.spawn(exfil_browser.PACKAGE)
+    assert webexfil.query(uri).rows == []
+    with pytest.raises(FileNotFound):
+        webexfil.open_input(uri)
 
 
 def test_browser_negative_control_without_delegation(monitored):

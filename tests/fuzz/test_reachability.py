@@ -1,133 +1,55 @@
-"""The PolyScope-style triage pass: policy-derived pruning of the fuzz
-space, cross-checked against what the simulation actually enforces."""
+"""The PolyScope-style triage: a view of the policy table that prunes the
+cells the reference monitor denies outright, so fuzzing spends nothing
+on them."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps.adversarial import interpreter, launderer, leaky_provider
-from repro.fuzz.harness import FuzzWorld, SECRET_PATH, VICTIM_PACKAGE
-from repro.fuzz.reachability import Subject, triage
+from repro.core.policy import CELLS, DENY, REDIRECT, Cell, expected, triage
 
 pytestmark = pytest.mark.fuzz
 
-_PACKAGES = (VICTIM_PACKAGE, interpreter.PACKAGE, launderer.PACKAGE)
-_PROVIDERS = {
-    "user_dictionary": (None, False),
-    leaky_provider.AUTHORITY: (leaky_provider.PACKAGE, True),
-    "com.android.email.attachmentprovider": (VICTIM_PACKAGE, False),
-}
+_DELEGATES = ("B^A", "X^A")
+reachable, pruned = triage()
 
 
-@pytest.fixture
-def report():
-    subjects = [
-        Subject(VICTIM_PACKAGE),
-        Subject(interpreter.PACKAGE),
-        Subject(interpreter.PACKAGE, initiator=VICTIM_PACKAGE),
-        Subject(launderer.PACKAGE),
-    ]
-    return triage(subjects, _PACKAGES, providers=_PROVIDERS)
+def test_triage_prunes_a_meaningful_fraction():
+    assert sorted(reachable + pruned) == sorted(CELLS)
+    # A sizeable slice of the raw product space never needs a fuzz example.
+    assert 0.15 <= len(pruned) / len(CELLS) <= 0.75
 
 
-def test_triage_prunes_a_meaningful_fraction(report):
-    assert report.total > 0
-    # The whole point: a sizeable slice of the raw product space never
-    # needs a fuzz example.
-    assert 0.15 <= report.pruned_fraction <= 0.75, report.summary()
+def test_plain_foreign_priv_is_pruned():
+    assert Cell("X", "Priv(A)", "read") in pruned and Cell("A", "Priv(A)", "read") in reachable
+    assert all((cell in pruned) == (expected(cell).outcome == DENY) for cell in CELLS)
 
 
-def test_plain_foreign_priv_is_pruned(report):
-    attacker = Subject(interpreter.PACKAGE)
-    assert not report.is_reachable(attacker, f"priv:{VICTIM_PACKAGE}", "read")
-    assert report.is_reachable(attacker, f"priv:{interpreter.PACKAGE}", "read")
+def test_delegate_reaches_initiator_priv_but_not_third_parties():
+    assert all(Cell(delegate, "Priv(A)", "read") in reachable for delegate in _DELEGATES)
+    assert Cell("X^A", "Priv(B)", "read") in pruned
 
 
-def test_delegate_reaches_initiator_priv_but_not_third_parties(report):
-    delegate = Subject(interpreter.PACKAGE, initiator=VICTIM_PACKAGE)
-    assert report.is_reachable(delegate, f"priv:{VICTIM_PACKAGE}", "read")
-    assert not report.is_reachable(delegate, f"priv:{launderer.PACKAGE}", "read")
+def test_delegate_write_notes_volatile_redirect():
+    for delegate in _DELEGATES:
+        for resource in ("public file", "public row", "Priv(A)"):
+            rule = expected(Cell(delegate, resource, "write"))
+            assert rule.outcome == REDIRECT and "Vol(A)" in rule.why
 
 
-def test_delegate_write_notes_volatile_redirect(report):
-    delegate = Subject(interpreter.PACKAGE, initiator=VICTIM_PACKAGE)
-    triples = [
-        t for t in report.pool(delegate)
-        if t.resource == "ext:shared" and t.op == "write"
-    ]
-    assert triples and "Vol" in triples[0].note
+def test_delegate_network_and_foreign_providers_pruned():
+    # Exported or not, a foreign app-defined endpoint is behind the Binder
+    # policy for delegates.
+    for delegate in _DELEGATES:
+        assert Cell(delegate, "network", "connect") in pruned
+        assert Cell(delegate, "app provider", "open") in pruned
 
 
-def test_delegate_network_and_foreign_providers_pruned(report):
-    delegate = Subject(interpreter.PACKAGE, initiator=VICTIM_PACKAGE)
-    pruned = {(t.resource, t.op) for t, _ in report.pruned if t.subject == delegate}
-    assert ("net:internet", "connect") in pruned
-    # Exported or not, a foreign app-defined endpoint is behind the
-    # Binder policy for delegates.
-    assert (f"provider:{leaky_provider.AUTHORITY}", "open") in pruned
-    # ...but the victim's delegates may reach the victim's own provider.
-    assert report.is_reachable(
-        delegate, "provider:com.android.email.attachmentprovider", "open"
-    )
-
-
-def test_exported_provider_reachable_for_plain_subjects(report):
-    stranger = Subject(launderer.PACKAGE)
-    assert report.is_reachable(
-        stranger, f"provider:{leaky_provider.AUTHORITY}", "open"
-    )
-    assert not report.is_reachable(
-        stranger, "provider:com.android.email.attachmentprovider", "open"
-    )
+def test_exported_provider_reachable_for_plain_subjects():
+    assert all(Cell(subject, "app provider", "open") in reachable for subject in ("A", "B", "X"))
 
 
 def test_stock_topology_keeps_channels_open():
-    subjects = [Subject(interpreter.PACKAGE)]
-    stock = triage(subjects, _PACKAGES, providers=_PROVIDERS, maxoid=False)
-    maxoid = triage(
-        [Subject(interpreter.PACKAGE, initiator=VICTIM_PACKAGE)],
-        _PACKAGES,
-        providers=_PROVIDERS,
-        maxoid=True,
-    )
-    # Stock plain attacker keeps the network; the Maxoid delegate loses it.
-    assert stock.is_reachable(subjects[0], "net:internet", "connect")
-    assert not maxoid.is_reachable(
-        Subject(interpreter.PACKAGE, initiator=VICTIM_PACKAGE),
-        "net:internet",
-        "connect",
-    )
-
-
-def test_triage_matches_enforcement():
-    """Ground truth: every pruned file-read really is denied, every
-    reachable one really succeeds (the triage is sound *and* tight for
-    the file plane)."""
-    world = FuzzWorld()
-    world.start()
-    try:
-        plain = world.apis[world.spawn(interpreter.PACKAGE)]
-        delegate = world.apis[world.spawn(interpreter.PACKAGE, VICTIM_PACKAGE)]
-        report = triage(
-            [
-                Subject(interpreter.PACKAGE),
-                Subject(interpreter.PACKAGE, initiator=VICTIM_PACKAGE),
-            ],
-            _PACKAGES,
-            providers=_PROVIDERS,
-        )
-        # Pruned: plain attacker reading the victim's secret.
-        assert not report.is_reachable(
-            Subject(interpreter.PACKAGE), f"priv:{VICTIM_PACKAGE}", "read"
-        )
-        with pytest.raises(Exception):
-            plain.sys.read_file(SECRET_PATH)
-        # Reachable: the delegate reading the same path.
-        assert report.is_reachable(
-            Subject(interpreter.PACKAGE, initiator=VICTIM_PACKAGE),
-            f"priv:{VICTIM_PACKAGE}",
-            "read",
-        )
-        assert delegate.sys.read_file(SECRET_PATH)
-    finally:
-        world.close()
+    _, stock_pruned = triage(maxoid=False)
+    # Stock Android prunes only by the UID sandbox around private state.
+    assert {cell.resource for cell in stock_pruned} == {"Priv(A)", "Priv(B)", "Priv(B^A)", "pPriv(B)"}

@@ -6,6 +6,9 @@ import pytest
 from repro.errors import (
     DirectoryNotEmpty,
     FileNotFound,
+    InvalidArgument,
+    IsADirectory,
+    NotADirectory,
     PermissionDenied,
     ReadOnlyFilesystem,
 )
@@ -195,12 +198,12 @@ class TestRename:
         assert union.readdir("/old", APP) == ["a.txt", "b.txt"]
 
     def test_file_renamed_onto_a_lower_non_empty_directory_raises(self, union, upper, lower):
-        # As Filesystem.rename does: the directory /d is non-empty in the
-        # union although the writable branch holds nothing of it.
+        # As Filesystem.rename does: /d is a directory in the union
+        # although the writable branch holds nothing of it.
         upper.write_file("/f", b"f", ROOT_CRED, mode=0o666)
         lower.mkdir("/d", ROOT_CRED, mode=0o777)
         lower.write_file("/d/inner", b"i", ROOT_CRED)
-        with pytest.raises(DirectoryNotEmpty):
+        with pytest.raises(IsADirectory):
             union.rename("/f", "/d", APP)
         assert union.read_file("/f", APP) == b"f"
         assert union.readdir("/d", APP) == ["inner"]
@@ -222,12 +225,21 @@ class TestRename:
         assert lower.read_file("/d/inner", ROOT_CRED) == b"i"
 
     def test_file_renamed_onto_a_directory_whiteouts_emptied(self, union, upper, lower):
+        # An empty directory is still a directory: rename(2) gives EISDIR.
         lower.mkdir("/d", ROOT_CRED, mode=0o777)
         lower.write_file("/d/inner", b"i", ROOT_CRED, mode=0o666)
         union.unlink("/d/inner", APP)
-        union.rename("/top.txt", "/d", APP)
-        assert union.read_file("/d", APP) == b"lower-top"
-        assert not union.exists("/top.txt", APP)
+        with pytest.raises(IsADirectory):
+            union.rename("/top.txt", "/d", APP)
+        assert union.read_file("/top.txt", APP) == b"lower-top"
+        assert union.readdir("/d", APP) == []
+
+    def test_directory_renamed_onto_a_file_or_into_itself_raises(self, union):
+        for new, error in (("/top.txt", NotADirectory), ("/docs/sub", InvalidArgument)):
+            with pytest.raises(error):
+                union.rename("/docs", new, APP)
+        assert union.read_file("/top.txt", APP) == b"lower-top"
+        assert union.readdir("/docs", APP) == ["a.txt", "b.txt"]
 
     def test_directory_renamed_onto_itself_is_kept(self, union):
         union.rename("/docs", "/docs", APP)

@@ -197,7 +197,9 @@ def expected_change(before: Dict, op: str, path: str, new: Optional[str]):
         del after[path]
         return after, None
     assert op == "rename"
-    # An empty directory at the new name is replaced.
+    # An empty directory at the new name is replaced, by a directory only.
+    if new in before and not is_dir:
+        return before, IsADirectory
     after.pop(new, None)
     moved = {p: v for p, v in before.items() if vpath.is_within(p, path)}
     for p in moved:

@@ -7,6 +7,7 @@ from repro.errors import (
     DirectoryNotEmpty,
     FileExists,
     FileNotFound,
+    InvalidArgument,
     IsADirectory,
     NotADirectory,
     PermissionDenied,
@@ -288,6 +289,24 @@ class TestUnlinkRename:
         fs.write_file("/b", b"old", ROOT_CRED)
         fs.rename("/a", "/b", ROOT_CRED)
         assert fs.read_file("/b", ROOT_CRED) == b"new"
+
+    def test_rename_follows_posix(self, fs):
+        """EINVAL into its own subtree, EISDIR file onto a directory,
+        ENOTDIR directory onto a file; nothing moves."""
+        fs.mkdir("/d/s", ROOT_CRED, parents=True)
+        fs.mkdir("/empty", ROOT_CRED)
+        fs.write_file("/f", b"x", ROOT_CRED)
+        for old, new, error in (
+            ("/d", "/d/s/x", InvalidArgument),
+            ("/f", "/empty", IsADirectory),
+            ("/d", "/f", NotADirectory),
+        ):
+            with pytest.raises(error):
+                fs.rename(old, new, ROOT_CRED)
+        assert fs.readdir("/", ROOT_CRED) == ["d", "empty", "f"]
+        assert fs.readdir("/d", ROOT_CRED) == ["s"]
+        fs.rename("/d", "/d", ROOT_CRED)
+        assert fs.readdir("/d", ROOT_CRED) == ["s"]
 
 
 class TestPermissions:
